@@ -7,6 +7,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "net/partition.hpp"
 #include "net/profile.hpp"
@@ -80,15 +81,33 @@ class CurrentDeliveryScope {
   PayloadHandle& slot_;
 };
 
+/// Decorrelates per-shard fault RNG streams while leaving the main shard
+/// and worker 0 on the plan's own seed (stream = seed + stride * shard).
+constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
+
+/// The FaultStats fields in Simulator::faults_m_ order, with the registry
+/// counter each one folds into.
+constexpr std::pair<std::uint64_t FaultStats::*, const char*>
+    kFaultCounters[] = {
+        {&FaultStats::lost, "faults_lost"},
+        {&FaultStats::duplicated, "faults_duplicated"},
+        {&FaultStats::jittered, "faults_jittered"},
+        {&FaultStats::partition_dropped, "faults_partition_dropped"},
+        {&FaultStats::offline_dropped, "faults_offline_dropped"},
+        {&FaultStats::breaches_fired, "faults_breaches_fired"},
+};
+
 }  // namespace
 
 Simulator::Simulator()
     : metrics_(&obs::global_registry().scope("sim")),
       tracer_(&obs::global_tracer()) {
+  main_.sim = this;
+  main_.traffic.assign(1, 0);  // its own diagonal cell; never reported
   bind_metrics();
 }
 
-// Out of line: Shard is an incomplete type at the class definition.
+// Out of line: LatencyLane is an incomplete type in the header.
 Simulator::~Simulator() = default;
 
 void Simulator::bind_metrics() {
@@ -103,15 +122,13 @@ void Simulator::bind_metrics() {
 }
 
 void Simulator::bind_fault_metrics() {
-  faults_lost_m_ = &metrics_->counter("faults_lost");
-  faults_duplicated_m_ = &metrics_->counter("faults_duplicated");
-  faults_jittered_m_ = &metrics_->counter("faults_jittered");
-  faults_partition_m_ = &metrics_->counter("faults_partition_dropped");
-  faults_offline_m_ = &metrics_->counter("faults_offline_dropped");
-  faults_breaches_m_ = &metrics_->counter("faults_breaches_fired");
+  for (std::size_t i = 0; i < faults_m_.size(); ++i) {
+    faults_m_[i] = &metrics_->counter(kFaultCounters[i].second);
+  }
 }
 
 void Simulator::set_metrics(obs::Registry& registry) {
+  fold(main_);  // what was counted so far belongs to the old registry
   metrics_ = &registry;
   link_bytes_m_.clear();
   bind_metrics();
@@ -199,80 +216,108 @@ bool Simulator::offline_at_id(AddressId id, Time t) const {
   return false;
 }
 
+Simulator::Shard& Simulator::current() {
+  Shard* sh = tls_shard_;
+  return sh != nullptr && sh->sim == this ? *sh : main_;
+}
+
+const Simulator::Shard& Simulator::current() const {
+  const Shard* sh = tls_shard_;
+  return sh != nullptr && sh->sim == this ? *sh : main_;
+}
+
+bool Simulator::spans_on(const Shard& sh) const {
+  return &sh == &main_ && tracer_->enabled();
+}
+
+std::uint32_t Simulator::owner(const Shard& sh, AddressId dst_id) const {
+  return &sh == &main_ ? sh.id : shard_of_id(dst_id);
+}
+
+std::shared_lock<std::shared_mutex> Simulator::read_lock(
+    std::shared_mutex& mu) const {
+  if (!sharded_running_) return {};
+  return std::shared_lock(mu);
+}
+
+std::unique_lock<std::shared_mutex> Simulator::write_lock(
+    std::shared_mutex& mu) const {
+  if (!sharded_running_) return {};
+  return std::unique_lock(mu);
+}
+
+std::function<void()> Simulator::Shard::take_callback(std::uint32_t slot) {
+  // Move the callback out before running it: the slot is free for reuse by
+  // anything the callback itself schedules.
+  std::function<void()> fn = std::move(callbacks[slot]);
+  callbacks[slot] = nullptr;
+  callback_free.push_back(slot);
+  return fn;
+}
+
+AddressId Simulator::intern(const Address& name) {
+  if (const auto id = lookup(name)) return *id;
+  const auto lk = write_lock(interner_mu_);
+  return interner_.intern(name);
+}
+
+std::optional<AddressId> Simulator::lookup(const Address& name) const {
+  const auto lk = read_lock(interner_mu_);
+  return interner_.lookup(name);
+}
+
+const Address& Simulator::name_of(AddressId id) const {
+  // The returned reference is node-stable (interner keys); only the id ->
+  // pointer table needs the lock.
+  const auto lk = read_lock(interner_mu_);
+  return interner_.name(id);
+}
+
 ProtocolId Simulator::intern_protocol(const std::string& name) {
-  auto it = protocol_ids_.find(name);
-  if (it != protocol_ids_.end()) return it->second;
-  const ProtocolId id = static_cast<ProtocolId>(protocols_.size());
-  protocols_.push_back(
-      std::make_unique<ProtocolInfo>(ProtocolInfo{name, "deliver:" + name}));
-  protocol_ids_.emplace(name, id);
-  return id;
-}
-
-void Simulator::note_queue_push() {
-  const std::size_t depth = queue_.size();
-  if (depth > queue_peak_) queue_peak_ = depth;
-  if ((++queue_ops_ & kQueueSampleMask) == 0) {
-    queue_depth_m_->set(static_cast<double>(depth));
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
+  {
+    const auto lk = read_lock(protocol_mu_);
+    if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
+      return it->second;
+    }
   }
-}
-
-void Simulator::note_queue_pop() {
-  if ((++queue_ops_ & kQueueSampleMask) == 0) {
-    queue_depth_m_->set(static_cast<double>(queue_.size()));
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
+  const auto lk = write_lock(protocol_mu_);
+  auto [it, inserted] = protocol_ids_.try_emplace(
+      name, static_cast<ProtocolId>(protocols_.size()));
+  if (inserted) {
+    protocols_.push_back(
+        std::make_unique<ProtocolInfo>(ProtocolInfo{name, "deliver:" + name}));
   }
+  return it->second;
 }
 
-void Simulator::push_delivery(Time deliver_at, std::uint64_t link_key,
-                              PayloadHandle h, std::uint64_t context,
-                              ProtocolId protocol,
-                              const obs::TraceContext& tc) {
-  EngineEvent ev;
-  ev.time = deliver_at;
-  ev.seq = ++event_seq_;
-  ev.link_key = link_key;
-  ev.context = context;
-  // The latency sample is computed now but recorded only at delivery time:
-  // a packet later dropped by a crash window must not contribute to the
-  // delivery-latency histogram.
-  ev.latency_sample = deliver_at - now_;
-  ev.trace_id = tc.trace_id;
-  ev.trace_origin = tc.origin_us;
-  ev.trace_hop = tc.hop;
-  ev.handle = h;
-  ev.protocol = protocol;
-  ev.kind = EngineEvent::kDelivery;
-  queue_.push(ev);
-  note_queue_push();
+const Simulator::ProtocolInfo& Simulator::protocol_info(ProtocolId id) const {
+  // Entries are heap-stable (unique_ptr); the lock covers table growth.
+  const auto lk = read_lock(protocol_mu_);
+  return *protocols_[id];
 }
 
-obs::TraceContext Simulator::next_trace() {
-  if (latency_ == nullptr) return {};
-  if (cur_trace_.active()) {
-    // A send issued while a delivery is in flight continues that packet's
-    // trace one hop further (the relay/forward idiom).
-    trace_continued_ = true;
-    obs::TraceContext tc = cur_trace_;
-    ++tc.hop;
-    return tc;
+AddressId Simulator::destination(const Address& dst) const {
+  const std::optional<AddressId> id = lookup(dst);
+  if (!id || *id >= nodes_.size() || nodes_[*id] == nullptr) {
+    throw std::out_of_range("Simulator: unknown destination " + dst);
   }
-  obs::TraceContext tc;
-  const std::uint64_t seq = ++trace_seq_;
-  tc.trace_id =
-      latency_->waterfall_trace(seq) ? (seq | obs::kTraceWaterfallBit) : seq;
-  tc.origin_us = now_;
-  tc.hop = 0;
-  return tc;
+  return *id;
 }
 
-Simulator::SendPlan Simulator::plan_send(AddressId src_id,
-                                         std::uint64_t link_key,
-                                         const Address& src,
-                                         const Address& dst,
+// ---------------------------------------------------------------------------
+// Engine operations. Each runs against the Shard executing it: main_ for
+// serial runs and everything outside a threaded run, a worker otherwise.
+
+void Simulator::fault_span(const Shard& sh, const char* what,
+                           std::uint64_t link_key) {
+  if (!spans_on(sh)) return;
+  obs::Span span(*tracer_, what, "net");
+  span.arg("src", name_of(link_src(link_key)));
+  span.arg("dst", name_of(link_dst(link_key)));
+}
+
+Simulator::SendPlan Simulator::plan_send(Shard& sh, std::uint64_t link_key,
+                                         AddressId src_id,
                                          std::size_t payload_size,
                                          Time extra_delay) {
   // One flat lookup resolves latency, bandwidth, and per-link impairment.
@@ -283,7 +328,7 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
     link = &it->second;
   }
 
-  // Fault rolls happen in send order from a dedicated seeded RNG, so a
+  // Fault rolls happen in send order from the shard's seeded stream, so a
   // fixed (workload, plan) pair replays the exact same fault sequence. A
   // lost packet consumes exactly one roll; a surviving one consumes the
   // duplicate roll, the jitter roll, and (only when duplicated) the
@@ -292,20 +337,14 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
   Time fault_delay = 0;
   Time dup_delay = 0;
   if (fault_plan_) {
-    if (partitioned_at(link_key, now_)) {
-      ++fault_stats_.partition_dropped;
-      faults_partition_m_->inc();
-      if (tracer_->enabled()) {
-        obs::Span span(*tracer_, "fault.partition", "net");
-        span.arg("src", src);
-        span.arg("dst", dst);
-      }
+    if (partitioned_at(link_key, sh.now)) {
+      ++sh.stats.partition_dropped;
+      fault_span(sh, "fault.partition", link_key);
       plan.dropped = true;
       return plan;
     }
-    if (offline_at_id(src_id, now_)) {
-      ++fault_stats_.offline_dropped;
-      faults_offline_m_->inc();
+    if (offline_at_id(src_id, sh.now)) {
+      ++sh.stats.offline_dropped;
       plan.dropped = true;
       return plan;
     }
@@ -313,29 +352,22 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
                                 ? *link->impairment
                                 : fault_plan_->global_impairment();
     if (imp.active()) {
-      if (imp.loss > 0 && fault_rng_->unit() < imp.loss) {
-        ++fault_stats_.lost;
-        faults_lost_m_->inc();
-        if (tracer_->enabled()) {
-          obs::Span span(*tracer_, "fault.loss", "net");
-          span.arg("src", src);
-          span.arg("dst", dst);
-        }
+      XoshiroRng& rng = *sh.fault_rng;
+      if (imp.loss > 0 && rng.unit() < imp.loss) {
+        ++sh.stats.lost;
+        fault_span(sh, "fault.loss", link_key);
         plan.dropped = true;
         return plan;
       }
-      if (imp.duplicate > 0 && fault_rng_->unit() < imp.duplicate) {
+      if (imp.duplicate > 0 && rng.unit() < imp.duplicate) {
         plan.duplicated = true;
       }
-      if (imp.jitter > 0 && fault_rng_->unit() < imp.jitter) {
-        fault_delay =
-            imp.jitter_max_us ? fault_rng_->below(imp.jitter_max_us + 1) : 0;
-        ++fault_stats_.jittered;
-        faults_jittered_m_->inc();
+      if (imp.jitter > 0 && rng.unit() < imp.jitter) {
+        fault_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
+        ++sh.stats.jittered;
       }
-      if (plan.duplicated && imp.jitter > 0 && fault_rng_->unit() < imp.jitter) {
-        dup_delay =
-            imp.jitter_max_us ? fault_rng_->below(imp.jitter_max_us + 1) : 0;
+      if (plan.duplicated && imp.jitter > 0 && rng.unit() < imp.jitter) {
+        dup_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
       }
     }
   }
@@ -346,16 +378,11 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
   }
   const Time latency =
       link && link->has_latency ? link->latency : default_latency_;
-  const Time base = now_ + latency + serialization + extra_delay;
+  const Time base = sh.now + latency + serialization + extra_delay;
   plan.deliver_at = base + fault_delay;
   if (plan.duplicated) {
-    ++fault_stats_.duplicated;
-    faults_duplicated_m_->inc();
-    if (tracer_->enabled()) {
-      obs::Span span(*tracer_, "fault.duplicate", "net");
-      span.arg("src", src);
-      span.arg("dst", dst);
-    }
+    ++sh.stats.duplicated;
+    fault_span(sh, "fault.duplicate", link_key);
     plan.dup_at = base + dup_delay;
   }
   if (latency_ != nullptr) {
@@ -363,268 +390,482 @@ Simulator::SendPlan Simulator::plan_send(AddressId src_id,
     // fault-duplicate shares the primary's stages): the link flight time,
     // and everything else the hop waited on (serialization + caller delay
     // + jitter) — fired − scheduled minus the link component.
-    latency_->stage_link().record(latency);
-    latency_->stage_queue_wait().record(serialization + extra_delay +
-                                        fault_delay);
+    LatencyLane* lane = sh.lane.get();
+    (lane ? lane->link : latency_->stage_link()).record(latency);
+    (lane ? lane->queue_wait : latency_->stage_queue_wait())
+        .record(serialization + extra_delay + fault_delay);
   }
   return plan;
 }
 
+obs::TraceContext Simulator::next_trace(Shard& sh) {
+  if (latency_ == nullptr) return {};
+  if (sh.cur_trace.active()) {
+    // A send issued while a delivery is in flight continues that packet's
+    // trace one hop further (the relay/forward idiom).
+    sh.trace_continued = true;
+    obs::TraceContext tc = sh.cur_trace;
+    ++tc.hop;
+    return tc;
+  }
+  // Namespaced like new_context(): ids depend only on the shard's own
+  // deterministic schedule, never the wall clock or thread interleaving.
+  obs::TraceContext tc;
+  const std::uint64_t seq = ++sh.trace_seq;
+  tc.trace_id = sh.id_base | seq;
+  if (latency_->waterfall_trace(seq)) tc.trace_id |= obs::kTraceWaterfallBit;
+  tc.origin_us = sh.now;
+  tc.hop = 0;
+  return tc;
+}
+
 void Simulator::send(Packet packet, Time extra_delay) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    const AddressId src_id = intern_mt(packet.src);
-    const AddressId dst_id = intern_mt(packet.dst);
-    sharded_send(*sh, src_id, dst_id, packet.dst, std::move(packet.payload),
-                 packet.context, packet.protocol, extra_delay);
+  Shard& sh = current();
+  const AddressId dst_id = destination(packet.dst);
+  transmit(sh, intern(packet.src), dst_id, std::move(packet.payload),
+           BufferPool::kInvalid, packet.context, packet.protocol, extra_delay);
+}
+
+void Simulator::transmit(Shard& sh, AddressId src_id, AddressId dst_id,
+                         Bytes payload, PayloadHandle shared,
+                         std::uint64_t context, const std::string& protocol,
+                         Time extra_delay) {
+  const bool by_ref = shared != BufferPool::kInvalid;
+  const std::size_t size = by_ref ? sh.pool.at(shared).size() : payload.size();
+  const std::uint64_t link_key = pack_link(src_id, dst_id);
+  const SendPlan plan = plan_send(sh, link_key, src_id, size, extra_delay);
+  if (plan.dropped) return;
+  const ProtocolId proto = intern_protocol(protocol);
+  const obs::TraceContext tc = next_trace(sh);
+  const std::uint32_t dst_shard = owner(sh, dst_id);
+  if (dst_shard == sh.id) {
+    const PayloadHandle h =
+        by_ref ? shared : sh.pool.acquire(std::move(payload));
+    if (by_ref) sh.pool.add_ref(h);
+    if (plan.duplicated) {
+      // The duplicate shares the original's buffer and is pushed first, so
+      // it takes the lower sequence number — exactly the seed engine's
+      // order.
+      sh.pool.add_ref(h);
+      push_delivery(sh, plan.dup_at, link_key, h, context, proto, tc);
+    }
+    push_delivery(sh, plan.deliver_at, link_key, h, context, proto, tc);
     return;
   }
-  const AddressId src_id = interner_.intern(packet.src);
-  const AddressId dst_id = interner_.intern(packet.dst);
-  if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-    throw std::out_of_range("Simulator: unknown destination " + packet.dst);
-  }
-  const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan = plan_send(src_id, link_key, packet.src, packet.dst,
-                                  packet.payload.size(), extra_delay);
-  if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol(packet.protocol);
-  const obs::TraceContext tc = next_trace();
-  const PayloadHandle h = pool_.acquire(std::move(packet.payload));
+  ShardEvent xev;
+  xev.src_shard = sh.id;
+  xev.link_key = link_key;
+  xev.context = context;
+  xev.trace_id = tc.trace_id;
+  xev.trace_origin = tc.origin_us;
+  xev.trace_hop = tc.hop;
+  xev.protocol = proto;
   if (plan.duplicated) {
-    // The duplicate shares the original's buffer and is pushed first, so it
-    // takes the lower sequence number — exactly the seed engine's order.
-    pool_.add_ref(h);
-    push_delivery(plan.dup_at, link_key, h, packet.context, proto, tc);
+    ShardEvent dup = xev;
+    dup.time = plan.dup_at;
+    dup.latency_sample = plan.dup_at - sh.now;
+    dup.src_seq = ++sh.xfer_seq;  // lower merge key: duplicate first
+    dup.payload = payload;        // shares degrade to a copy across shards
+    push_remote(sh, dst_shard, std::move(dup));
   }
-  push_delivery(plan.deliver_at, link_key, h, packet.context, proto, tc);
+  xev.time = plan.deliver_at;
+  xev.latency_sample = plan.deliver_at - sh.now;
+  xev.src_seq = ++sh.xfer_seq;
+  xev.payload = std::move(payload);
+  push_remote(sh, dst_shard, std::move(xev));
 }
 
 PayloadRef Simulator::make_payload(Bytes bytes) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    return sharded_make_payload(*sh, std::move(bytes));
-  }
-  return PayloadRef(&pool_, pool_.acquire(std::move(bytes)));
+  Shard& sh = current();
+  return PayloadRef(&sh.pool, sh.pool.acquire(std::move(bytes)));
 }
 
 void Simulator::send_shared(const Address& src, const Address& dst,
                             const PayloadRef& payload, std::uint64_t context,
                             const std::string& protocol, Time extra_delay) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    if (!payload || !shard_local_pool(sh, payload.pool())) {
-      throw std::invalid_argument(
-          "Simulator::send_shared: payload not from this simulator's pool");
-    }
-    sharded_send_shared(*sh, src, dst, payload, context, protocol,
-                        extra_delay);
-    return;
-  }
-  if (!payload || payload.pool() != &pool_) {
+  Shard& sh = current();
+  // A worker may also share main_'s buffers: main_'s pool stays frozen
+  // while workers run.
+  if (!payload ||
+      (payload.pool() != &sh.pool && payload.pool() != &main_.pool)) {
     throw std::invalid_argument(
         "Simulator::send_shared: payload not from this simulator's pool");
   }
-  const AddressId src_id = interner_.intern(src);
-  const AddressId dst_id = interner_.intern(dst);
-  if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-    throw std::out_of_range("Simulator: unknown destination " + dst);
+  const AddressId dst_id = destination(dst);
+  const AddressId src_id = intern(src);
+  // Crossing a shard boundary (or sharing main_'s frozen buffer from a
+  // worker), ownership must change pools, so the share degrades to one
+  // copy. Fault rolls and ordering match send() either way.
+  if (payload.pool() == &sh.pool && owner(sh, dst_id) == sh.id) {
+    transmit(sh, src_id, dst_id, Bytes(), payload.handle(), context, protocol,
+             extra_delay);
+  } else {
+    transmit(sh, src_id, dst_id, payload.bytes(), BufferPool::kInvalid,
+             context, protocol, extra_delay);
   }
-  const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan = plan_send(src_id, link_key, src, dst,
-                                  payload.bytes().size(), extra_delay);
-  if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol(protocol);
-  const obs::TraceContext tc = next_trace();
-  const PayloadHandle h = payload.handle();
-  if (plan.duplicated) {
-    pool_.add_ref(h);
-    push_delivery(plan.dup_at, link_key, h, context, proto, tc);
+}
+
+void Simulator::push_delivery(Shard& sh, Time deliver_at,
+                              std::uint64_t link_key, PayloadHandle h,
+                              std::uint64_t context, ProtocolId protocol,
+                              const obs::TraceContext& tc) {
+  EngineEvent ev;
+  ev.time = deliver_at;
+  ev.seq = ++sh.event_seq;
+  ev.link_key = link_key;
+  ev.context = context;
+  // The latency sample is computed now but recorded only at delivery time:
+  // a packet later dropped by a crash window must not contribute to the
+  // delivery-latency histogram.
+  ev.latency_sample = deliver_at - sh.now;
+  ev.trace_id = tc.trace_id;
+  ev.trace_origin = tc.origin_us;
+  ev.trace_hop = tc.hop;
+  ev.handle = h;
+  ev.protocol = protocol;
+  ev.kind = EngineEvent::kDelivery;
+  ++sh.traffic[sh.id];  // diagonal: same-shard sends
+  enqueue(sh, ev);
+}
+
+void Simulator::push_remote(Shard& sh, std::uint32_t dst_shard,
+                            ShardEvent ev) {
+  ++sh.traffic[dst_shard];
+  ShardMailbox& box = shard_v_[dst_shard]->inbox;
+  while (!box.try_push(std::move(ev))) {
+    if (run_abort_ != nullptr &&
+        run_abort_->load(std::memory_order_relaxed)) {
+      return;  // another shard failed; the run is unwinding — drop
+    }
+    // Full: make progress instead of spinning a potential producer cycle —
+    // drain our *own* inbox into the staging buffer (freeing space someone
+    // may be blocked on) and yield to the mailbox owner. Staged events are
+    // enqueued only at the barrier, so drain timing can't affect the merge
+    // order.
+    ++sh.mailbox_full_stalls;
+    sh.inbox.drain(sh.staged);
+    std::this_thread::yield();
   }
-  pool_.add_ref(h);
-  push_delivery(plan.deliver_at, link_key, h, context, proto, tc);
+}
+
+void Simulator::enqueue(Shard& sh, const EngineEvent& ev) {
+  sh.queue.push(ev);
+  sh.queue_peak = std::max(sh.queue_peak, sh.queue.size());
+  if (&sh == &main_) note_queue_op();
+}
+
+void Simulator::note_queue_op() {
+  if ((++queue_ops_ & kQueueSampleMask) != 0) return;
+  queue_depth_m_->set(static_cast<double>(main_.queue.size()));
+  pool_live_m_->set(static_cast<double>(main_.pool.live()));
+  pool_slots_m_->set(static_cast<double>(main_.pool.slots()));
+}
+
+void Simulator::schedule(Shard& sh, Time t, std::uint64_t tag,
+                         std::function<void()> fn) {
+  if (t < sh.now) {
+    throw std::invalid_argument("Simulator::at: time in the past");
+  }
+  std::uint32_t slot;
+  if (!sh.callback_free.empty()) {
+    slot = sh.callback_free.back();
+    sh.callback_free.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(sh.callbacks.size());
+    sh.callbacks.emplace_back();
+  }
+  sh.callbacks[slot] = std::move(fn);
+  EngineEvent ev;
+  ev.time = t;
+  ev.seq = ++sh.event_seq;
+  ev.context = tag;
+  ev.handle = slot;
+  ev.kind = EngineEvent::kCallback;
+  enqueue(sh, ev);
 }
 
 void Simulator::at(Time t, std::function<void()> fn) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    sharded_at(*sh, t, std::move(fn));
-    return;
-  }
-  if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
-  std::uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.emplace_back();
-  }
-  callbacks_[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++event_seq_;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  queue_.push(ev);
-  note_queue_push();
+  schedule(current(), t, 0, std::move(fn));
 }
 
 void Simulator::at_node(const Address& affine, Time t,
                         std::function<void()> fn) {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    // Mid-run the handler is already on a deterministic shard; scheduling
-    // stays shard-local, exactly like at().
-    sharded_at(*sh, t, std::move(fn));
-    return;
+  Shard& sh = current();
+  // Validate before interning: a rejected call must not shift AddressIds.
+  if (t < sh.now) {
+    throw std::invalid_argument("Simulator::at: time in the past");
   }
-  const AddressId id = interner_.intern(affine);
-  if (t < now_) throw std::invalid_argument("Simulator::at: time in the past");
-  std::uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(callbacks_.size());
-    callbacks_.emplace_back();
-  }
-  callbacks_[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++event_seq_;
-  // Callback events never read context on dispatch; stash the affinity as
-  // id + 1 (0 = untagged) for redistribute_initial_events to route on.
-  // Identical (time, seq) keys to at(), so serial runs are byte-identical.
-  ev.context = static_cast<std::uint64_t>(id) + 1;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  queue_.push(ev);
-  note_queue_push();
+  // main_ stashes the affinity in the callback's unused context as id + 1
+  // (0 = untagged) for redistribute_initial_events to route on. A worker's
+  // handler already runs on a deterministic shard: it schedules like at().
+  const std::uint64_t tag =
+      &sh == &main_ ? std::uint64_t{intern(affine)} + 1 : 0;
+  schedule(sh, t, tag, std::move(fn));
 }
 
-void Simulator::deliver(const EngineEvent& ev) {
+void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
   const AddressId dst_id = link_dst(ev.link_key);
-  if (fault_plan_ && offline_at_id(dst_id, now_)) {
-    ++fault_stats_.offline_dropped;
-    faults_offline_m_->inc();
-    pool_.release(ev.handle);
+  if (fault_plan_ && offline_at_id(dst_id, sh.now)) {
+    ++sh.stats.offline_dropped;
+    sh.pool.release(ev.handle);
     return;
   }
-  delivery_latency_m_->observe(static_cast<double>(ev.latency_sample));
-  const ProtocolInfo& proto = *protocols_[ev.protocol];
-  const Address& src = interner_.name(link_src(ev.link_key));
-  const Address& dst = interner_.name(dst_id);
-  const bool traced = tracer_->enabled();
-  obs::Span span(*tracer_, traced ? proto.deliver_label : std::string(),
-                 "net");
-  if (traced) {
-    span.arg("src", src);
-    span.arg("dst", dst);
+  sh.latency_hist.observe(static_cast<double>(ev.latency_sample));
+  const ProtocolInfo& proto = protocol_info(ev.protocol);
+  const Address& src = name_of(link_src(ev.link_key));
+  const Address& dst = name_of(dst_id);
+  std::optional<obs::Span> span;
+  if (spans_on(sh)) {
+    span.emplace(*tracer_, proto.deliver_label, "net");
+    span->arg("src", src);
+    span->arg("dst", dst);
   }
   // Re-materialize the packet into the recycled scratch struct (string
   // capacity survives across deliveries) and borrow the pooled bytes for
   // the duration of the handler.
-  PayloadGuard payload(pool_, ev.handle, scratch_.payload);
-  scratch_.src = src;
-  scratch_.dst = dst;
-  scratch_.context = ev.context;
-  scratch_.protocol = proto.name;
-  ++packets_delivered_;
-  bytes_delivered_ += scratch_.payload.size();
-  packets_m_->inc();
-  bytes_m_->inc(scratch_.payload.size());
-  if (link_byte_accounting_) {
-    link_bytes_counter(ev.link_key, src, dst).inc(scratch_.payload.size());
-  }
+  PayloadGuard payload(sh.pool, ev.handle, sh.scratch.payload);
+  sh.scratch.src = src;
+  sh.scratch.dst = dst;
+  sh.scratch.context = ev.context;
+  sh.scratch.protocol = proto.name;
+  ++sh.deliveries;
+  sh.delivered_bytes += sh.scratch.payload.size();
+  // On a worker the delivery scope is staged on the shard's ledger lane, so
+  // exposures the handler records land inside it when the batch commits.
   FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
-  if (record_trace_ || !wiretaps_.empty()) {
-    TraceEntry entry{now_,       src,        dst,
-                     scratch_.payload.size(), ev.context, proto.name};
-    for (auto& tap : wiretaps_) tap(entry);
-    if (record_trace_) trace_.push_back(std::move(entry));
+  if (record_trace_ || link_byte_accounting_ || !wiretaps_.empty()) {
+    const DeliveryRecord rec{sh.now, ev.link_key, sh.scratch.payload.size(),
+                             ev.context, ev.protocol};
+    if (&sh == &main_) {
+      emit(rec);
+    } else {
+      sh.deferred.push_back(rec);
+    }
   }
-  CurrentDeliveryScope current(current_handle_, ev.handle);
-  cur_trace_.trace_id = ev.trace_id;
-  cur_trace_.origin_us = ev.trace_origin;
-  cur_trace_.hop = ev.trace_hop;
-  trace_continued_ = false;
-  nodes_[dst_id]->on_packet(scratch_, *this);
+  CurrentDeliveryScope current(sh.current_handle, ev.handle);
+  sh.cur_trace.trace_id = ev.trace_id;
+  sh.cur_trace.origin_us = ev.trace_origin;
+  sh.cur_trace.hop = ev.trace_hop;
+  sh.trace_continued = false;
+  nodes_[dst_id]->on_packet(sh.scratch, *this);
   if (latency_ != nullptr && ev.trace_id != 0) {
-    if (!trace_continued_) {
+    if (!sh.trace_continued) {
       // Terminal hop: nothing inside the handler carried the trace on, so
       // the request ends here — stamp its end-to-end virtual latency under
       // the terminal protocol.
-      latency_->e2e(ev.protocol).record(now_ - ev.trace_origin);
+      const std::size_t p =
+          std::min<std::size_t>(ev.protocol, LatencyTracer::kMaxProtocols - 1);
+      (sh.lane ? sh.lane->e2e[p] : latency_->e2e(ev.protocol))
+          .record(sh.now - ev.trace_origin);
     }
     if ((ev.trace_id & obs::kTraceWaterfallBit) != 0) {
+      // Rare (sampled traces only), so the tracer's span mutex is fine.
       latency_->add_span({ev.trace_id, ev.trace_hop, ev.protocol,
                           ev.time - ev.latency_sample, ev.time});
     }
   }
-  cur_trace_.trace_id = 0;
+  sh.cur_trace.trace_id = 0;
+}
+
+void Simulator::emit(const DeliveryRecord& rec) {
+  const Address& src = name_of(link_src(rec.link_key));
+  const Address& dst = name_of(link_dst(rec.link_key));
+  if (link_byte_accounting_) {
+    link_bytes_counter(rec.link_key, src, dst).inc(rec.size);
+  }
+  if (record_trace_ || !wiretaps_.empty()) {
+    TraceEntry entry{rec.time, src, dst, rec.size, rec.context,
+                     protocol_info(rec.protocol).name};
+    for (auto& tap : wiretaps_) tap(entry);
+    if (record_trace_) trace_.push_back(std::move(entry));
+  }
 }
 
 void Simulator::forward(const Address& src, const Address& dst,
                         std::uint64_t context, const std::string& protocol,
                         Time extra_delay, std::size_t prefix_len) {
-  Packet fwd;
-  fwd.payload = detach_payload(prefix_len);
-  fwd.src = src;
-  fwd.dst = dst;
-  fwd.context = context;
-  fwd.protocol = protocol;
-  send(std::move(fwd), extra_delay);
+  Shard& sh = current();
+  // Validate before detaching or interning: a rejected forward leaves the
+  // delivered payload and the interner untouched.
+  const AddressId dst_id = destination(dst);
+  Bytes payload = detach_payload(prefix_len);
+  transmit(sh, intern(src), dst_id, std::move(payload), BufferPool::kInvalid,
+           context, protocol, extra_delay);
 }
 
-void Simulator::dispatch(const EngineEvent& ev) {
-  if (ev.kind == EngineEvent::kDelivery) {
-    deliver(ev);
-  } else {
-    // Move the callback out before running it: the slot is free for
-    // reuse by anything the callback itself schedules.
-    std::function<void()> fn = std::move(callbacks_[ev.handle]);
-    callbacks_[ev.handle] = nullptr;
-    callback_free_.push_back(ev.handle);
-    fn();
+Bytes Simulator::detach_payload(std::size_t prefix_len) {
+  Shard& sh = current();
+  const PayloadHandle h = sh.current_handle;
+  if (h == BufferPool::kInvalid) {
+    throw std::logic_error(
+        "Simulator::detach_payload: no delivery in progress");
   }
+  Bytes& borrowed = sh.scratch.payload;
+  const std::size_t size = std::min(prefix_len, borrowed.size());
+  Bytes bytes;
+  if (sh.pool.refs(h) == 1) {
+    // Sole reference: the slot dies when this delivery ends, so the buffer
+    // can leave the pool by move. The guard swaps an empty Bytes back.
+    bytes = std::move(borrowed);
+    bytes.resize(size);
+  } else {
+    // A pending fault-duplicate still needs these bytes: copy the prefix.
+    bytes.assign(borrowed.begin(),
+                 borrowed.begin() + static_cast<std::ptrdiff_t>(size));
+  }
+  return bytes;
+}
+
+void Simulator::step(Shard& sh) {
+  const EngineEvent ev = sh.queue.pop();
+  sh.now = ev.time;
+  ++sh.events;
+  if (&sh != &main_) return dispatch(sh, ev);
+  note_queue_op();
+  if (sh.now >= sampler_next_) {
+    // Sample *before* dispatching: the probes see the state the event is
+    // about to act on, timestamped at its virtual time.
+    sample(sh.now);
+  }
+  if (profiler_ == nullptr) return dispatch(sh, ev);
+  const bool sampled = profiler_->arm();
+  dispatch(sh, ev);
+  profiler_->account(ev.kind, ev.protocol, sampled);
+}
+
+void Simulator::dispatch(Shard& sh, const EngineEvent& ev) {
+  if (ev.kind == EngineEvent::kDelivery) {
+    deliver(sh, ev);
+  } else {
+    sh.take_callback(ev.handle)();
+  }
+}
+
+void Simulator::fire_breach(Shard& sh, const BreachEvent& ev) {
+  const AddressId id = intern(ev.party);
+  if (id < breached_.size() && breached_[id] != kNotBreached) {
+    return;  // first breach wins
+  }
+  if (id >= breached_.size()) breached_.resize(id + 1, kNotBreached);
+  breached_[id] = sh.now;
+  ++sh.stats.breaches_fired;
+  std::optional<obs::Span> span;
+  if (spans_on(sh)) {
+    span.emplace(*tracer_, "fault.breach", "net");
+    span->arg("party", ev.party);
+  }
+  // Record the implant before the handler runs: everything the handler
+  // marks (and everything the implant subsequently sees) is causally
+  // downstream of this event. The ledger dedups per party, so the
+  // handler's mark_compromised flowing back through an ObservationSink
+  // is a no-op. On a worker the ledger stages the record on the shard's
+  // lane and commits it at the next barrier in (time, shard, seq) order.
+  if (flow_) flow_->record_compromise(ev.party, obs::FlowCause::kBreachImplant);
+  if (breach_handler_) breach_handler_(ev);
+}
+
+void Simulator::fold(Shard& sh) {
+  events_processed_m_->inc(sh.events);
+  packets_m_->inc(sh.deliveries);
+  bytes_m_->inc(sh.delivered_bytes);
+  if (sh.latency_hist.count() != 0) {
+    delivery_latency_m_->merge(sh.latency_hist);
+    sh.latency_hist.reset();
+  }
+  packets_delivered_ += sh.deliveries;
+  bytes_delivered_ += sh.delivered_bytes;
+  for (std::size_t i = 0; i < faults_m_.size(); ++i) {
+    const std::uint64_t n = sh.stats.*kFaultCounters[i].first;
+    fault_stats_.*kFaultCounters[i].first += n;
+    if (faults_m_[i] != nullptr) faults_m_[i]->inc(n);
+  }
+  if (&sh != &main_) {
+    shard_stats_.events[sh.id] += sh.events;
+    shard_stats_.deliveries[sh.id] += sh.deliveries;
+  }
+  sh.events = 0;
+  sh.deliveries = 0;
+  sh.delivered_bytes = 0;
+  sh.stats = FaultStats{};
+}
+
+void Simulator::sample(Time t) {
+  fold(main_);  // probes read registry counters and the folded totals
+  sampler_->sample_now(t);
+  sampler_next_ = sampler_->next_due();
+}
+
+void Simulator::finish_run(bool threaded, std::uint64_t windows) {
+  fold(main_);
+  std::size_t peak = threaded ? 0 : main_.queue_peak;
+  std::size_t pool_live = main_.pool.live();
+  std::size_t pool_slots = main_.pool.slots();
+  if (threaded) {
+    replay_deferred(~Time{0});  // full drain; covers an abandoned final window
+    shard_stats_.windows = windows;
+    // Peak queue depth is the sum of per-worker peaks — an upper bound on
+    // the true global instantaneous peak, deterministic and
+    // shard-attributable.
+    for (const auto& shp : shard_v_) {
+      Shard& sh = *shp;
+      fold(sh);
+      main_.now = std::max(main_.now, sh.now);
+      peak += sh.queue_peak;
+      pool_live += sh.pool.live();
+      pool_slots += sh.pool.slots();
+      if (latency_ != nullptr) latency_->merge_lane(*sh.lane);
+      // The send split derives from the traffic matrix — row sum minus
+      // diagonal and the diagonal itself — so the three views can never
+      // disagree (what report_check --require-shards asserts structurally).
+      std::uint64_t cross = 0;
+      for (std::uint32_t d = 0; d < shards_; ++d) {
+        if (d != sh.id) cross += sh.traffic[d];
+      }
+      shard_stats_.cross_sends[sh.id] = cross;
+      shard_stats_.local_sends[sh.id] = sh.traffic[sh.id];
+      shard_stats_.busy_ns[sh.id] = sh.busy_ns;
+      shard_stats_.barrier_wait_ns[sh.id] = sh.barrier_ns;
+      shard_stats_.mailbox_full_stalls[sh.id] = sh.mailbox_full_stalls;
+      shard_stats_.traffic[sh.id] = sh.traffic;
+    }
+  }
+  // Publish the exact high-watermark on its own gauge: samplers polling
+  // queue_depth at run end never observe a phantom peak-then-zero spike.
+  queue_depth_peak_m_->set(static_cast<double>(peak));
+  queue_depth_m_->set(0.0);
+  pool_live_m_->set(static_cast<double>(pool_live));
+  pool_slots_m_->set(static_cast<double>(pool_slots));
+  // One final sample at drain so the series always covers the run's end.
+  if (sampler_ != nullptr) sample(main_.now);
 }
 
 Time Simulator::run() {
-  if (shards_ > 1) return run_sharded();
-  // Attach this simulator's virtual clock so any span opened while an event
-  // handler runs carries simulated time alongside wall time.
-  tracer_->set_virtual_clock([this] { return now_; });
-  {
-    obs::Span run_span(*tracer_, "sim.run", "sim");
-    while (!queue_.empty()) {
-      const EngineEvent ev = queue_.pop();
-      note_queue_pop();
-      now_ = ev.time;
-      events_processed_m_->inc();
-      if (now_ >= sampler_next_) {
-        // Sample *before* dispatching: the probes see the state the event
-        // is about to act on, timestamped at its virtual time.
-        sampler_->sample_now(now_);
-        sampler_next_ = sampler_->next_due();
-      }
-      if (profiler_ != nullptr) {
-        const bool sampled = profiler_->arm();
-        dispatch(ev);
-        profiler_->account(ev.kind, ev.protocol, sampled);
-      } else {
-        dispatch(ev);
-      }
-    }
-    // Publish the exact high-watermark on its own gauge: samplers polling
-    // queue_depth at run end never observe a phantom peak-then-zero spike.
-    queue_depth_peak_m_->set(static_cast<double>(queue_peak_));
-    queue_depth_m_->set(0.0);
-    pool_live_m_->set(static_cast<double>(pool_.live()));
-    pool_slots_m_->set(static_cast<double>(pool_.slots()));
-    // One final sample at drain so the series always covers the run's end.
-    if (sampler_ != nullptr) {
-      sampler_->sample_now(now_);
-      sampler_next_ = sampler_->next_due();
-    }
+  if (sharded_running_) {
+    throw std::logic_error("Simulator::run: sharded run already in progress");
   }
-  tracer_->clear_virtual_clock();
-  return now_;
+  // Attach this simulator's virtual clock so any span opened while an event
+  // handler runs carries simulated time alongside wall time. The guard
+  // undoes what a run leaves behind however it ends — drained, or unwound
+  // by a throwing handler: the clock (it points into this simulator),
+  // main_'s in-flight trace (the next top-level send would continue it),
+  // and main_'s unfolded counters.
+  struct RunGuard {
+    Simulator& sim;
+    obs::Tracer& tracer;
+    ~RunGuard() {
+      tracer.clear_virtual_clock();
+      sim.main_.cur_trace = obs::TraceContext{};
+      sim.fold(sim.main_);
+    }
+  } const guard{*this, *tracer_};
+  tracer_->set_virtual_clock([this] { return main_.now; });
+  if (shards_ > 1) return run_sharded();
+
+  // Serial: main_ runs inline — no barriers, mailboxes or deferred replay.
+  obs::Span run_span(*tracer_, "sim.run", "sim");
+  while (!main_.queue.empty()) step(main_);
+  finish_run(/*threaded=*/false, 0);
+  return main_.now;
 }
 
 void Simulator::add_wiretap(std::function<void(const TraceEntry&)> tap) {
@@ -651,61 +892,48 @@ void Simulator::rebuild_fault_tables() {
   }
 }
 
-void Simulator::fire_breach(const BreachEvent& ev) {
-  Shard* sh = tls_shard_;
-  const bool sharded = sh != nullptr && owns_shard(sh) && sharded_running_;
-  const AddressId id = sharded ? intern_mt(ev.party) : interner_.intern(ev.party);
-  if (id < breached_.size() && breached_[id] != kNotBreached) {
-    return;  // first breach wins
+void Simulator::reseed(Shard& sh) {
+  sh.fault_rng = std::make_unique<XoshiroRng>(fault_plan_->seed() +
+                                              kShardSeedStride * sh.id);
+}
+
+void Simulator::install_plan(FaultPlan plan, Shard& home, Time floor) {
+  fold(main_);
+  if (sharded_running_) {
+    for (auto& sh : shard_v_) fold(*sh);
   }
-  if (id >= breached_.size()) breached_.resize(id + 1, kNotBreached);
-  breached_[id] = now();
-  // Record the implant before the handler runs: everything the handler
-  // marks (and everything the implant subsequently sees) is causally
-  // downstream of this event. The ledger dedups per party, so the
-  // handler's mark_compromised flowing back through an ObservationSink
-  // is a no-op. Under shards the flow record is deferred and replayed by
-  // the coordinator in (time, shard, seq) order at the next barrier.
-  if (sharded) {
-    note_sharded_breach(*sh, ev.party);
-    if (breach_handler_) breach_handler_(ev);
-    return;
+  fault_plan_ = std::move(plan);
+  fault_stats_ = FaultStats{};
+  breached_.assign(breached_.size(), kNotBreached);
+  bind_fault_metrics();
+  rebuild_fault_tables();
+  reseed(main_);
+  for (auto& sh : shard_v_) reseed(*sh);
+  for (const BreachEvent& ev : fault_plan_->breaches()) {
+    schedule(home, std::max(ev.time, floor), 0,
+             [this, ev] { fire_breach(current(), ev); });
   }
-  ++fault_stats_.breaches_fired;
-  faults_breaches_m_->inc();
-  obs::Span span(*tracer_, "fault.breach", "net");
-  span.arg("party", ev.party);
-  if (flow_) flow_->record_compromise(ev.party, obs::FlowCause::kBreachImplant);
-  if (breach_handler_) breach_handler_(ev);
 }
 
 void Simulator::set_fault_plan(FaultPlan plan) {
   if (sharded_running_) {
     // Mid-run plan swap from a worker thread: stash it; the coordinator
-    // applies it at the next window barrier (a deterministic point), when
+    // installs it at the next window barrier (a deterministic point), when
     // every worker is parked and per-shard fault tables/RNG streams can be
     // rebuilt race-free.
     std::lock_guard<std::mutex> lk(pending_mu_);
     pending_plan_ = std::move(plan);
     return;
   }
-  fault_plan_ = std::move(plan);
-  fault_rng_ = std::make_unique<XoshiroRng>(fault_plan_->seed());
-  fault_stats_ = FaultStats{};
-  breached_.assign(breached_.size(), kNotBreached);
-  bind_fault_metrics();
-  rebuild_fault_tables();
-  for (const BreachEvent& ev : fault_plan_->breaches()) {
-    // A plan installed mid-run may carry an already-elapsed breach time;
-    // clamp it so the breach fires immediately instead of at() throwing.
-    at(std::max(ev.time, now_), [this, ev] { fire_breach(ev); });
-  }
+  // A plan installed mid-run may carry an already-elapsed breach time; the
+  // floor makes it fire immediately instead of at() throwing.
+  install_plan(std::move(plan), main_, main_.now);
 }
 
 void Simulator::set_flow(obs::FlowLedger* ledger) {
   flow_ = ledger;
-  // now() (not now_): on a sharded worker thread the TLS route stamps the
-  // shard's clock, which is the delivering event's exact virtual time.
+  // now(), not main_.now: on a worker thread it stamps the shard's clock,
+  // which is the delivering event's exact virtual time.
   if (flow_) flow_->set_clock([this] { return now(); });
 }
 
@@ -721,8 +949,25 @@ std::vector<std::string> Simulator::protocol_names() const {
   return names;
 }
 
+Time Simulator::now() const { return current().now; }
+
+std::uint64_t Simulator::new_context() {
+  // Shard-namespaced: concurrent allocations can't collide, and the ids a
+  // node sees depend only on its own shard's deterministic schedule.
+  Shard& sh = current();
+  return sh.id_base | ++sh.context_counter;
+}
+
+std::size_t Simulator::queue_depth() const {
+  std::size_t total = main_.queue.size();
+  if (sharded_running_) {
+    for (const auto& sh : shard_v_) total += sh->queue.size();
+  }
+  return total;
+}
+
 // ---------------------------------------------------------------------------
-// Sharded parallel engine.
+// Threaded runs.
 //
 // Conservative synchronization: every worker advances its shard's calendar
 // queue through the window [T_min, T_min + L) where T_min is the global
@@ -737,183 +982,6 @@ std::vector<std::string> Simulator::protocol_names() const {
 // interleaving-independent (every send for the window happens before
 // barrier 1), and the merge key is a total order — so a fixed shard count
 // replays bit-for-bit no matter how threads interleave.
-
-namespace {
-/// Decorrelates per-shard fault RNG streams while leaving shard 0 on the
-/// plan's own seed (stream = seed + stride * shard).
-constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
-/// Mailbox bound: big enough that barrier-rate draining never backpressures
-/// in practice, small enough to bound memory under a pathological window.
-constexpr std::size_t kMailboxCapacity = 16384;
-}  // namespace
-
-/// Delivery observability record (trace entry / wiretap / link-byte
-/// accounting) produced on a worker thread and replayed by the coordinator
-/// at the next barrier in (time, shard, buffer-order) order. Flow-ledger
-/// ops take the parallel FlowLedger staging path instead (see obs/flow.hpp).
-struct Simulator::DeferredOb {
-  Time time = 0;
-  std::uint64_t link_key = 0;
-  std::size_t size = 0;
-  std::uint64_t context = 0;
-  ProtocolId protocol = 0;
-};
-
-/// Per-shard engine state. Between barriers a worker touches only its own
-/// Shard — plus other shards' mailboxes (internally locked) and the
-/// simulator's read-only tables (nodes, links, fault windows).
-struct Simulator::Shard {
-  std::uint32_t id = 0;
-  Simulator* sim = nullptr;
-  // pool before callbacks: parked callbacks may hold PayloadRefs into it.
-  BufferPool pool;
-  CalendarQueue queue;
-  std::vector<std::function<void()>> callbacks;
-  std::vector<std::uint32_t> callback_free;
-  ShardMailbox inbox{kMailboxCapacity};
-  std::vector<ShardEvent> staged;  // drained but not yet enqueued
-  std::uint64_t event_seq = 0;     // local (time, seq) tiebreaker
-  std::uint64_t xfer_seq = 0;      // outgoing cross-shard merge key
-  Time now = 0;
-  std::uint64_t context_counter = 0;
-  std::unique_ptr<XoshiroRng> fault_rng;
-  FaultStats stats;
-  Packet scratch;
-  PayloadHandle current_handle = BufferPool::kInvalid;
-  obs::Histogram latency_hist{std::vector<double>{}};
-  std::vector<DeferredOb> deferred;
-  std::uint64_t events = 0;
-  std::uint64_t deliveries = 0;
-  std::uint64_t delivered_bytes = 0;
-  std::size_t queue_peak = 0;
-  // Tracing plane: shard-namespaced trace-id counter, the trace of the
-  // delivery currently inside on_packet, and a private recorder lane so
-  // hop recording never shares cache lines across workers.
-  std::uint64_t trace_seq = 0;
-  obs::TraceContext cur_trace;
-  bool trace_continued = false;
-  std::unique_ptr<LatencyLane> lane;
-  // Contention telemetry: wall time split between processing and barrier
-  // waits, failed mailbox pushes, and the outgoing traffic row
-  // (traffic[dst] = events pushed to shard dst, diagonal = same-shard
-  // pushes — deterministic; cross/local send counts derive from it).
-  std::uint64_t busy_ns = 0;
-  std::uint64_t barrier_ns = 0;
-  std::uint64_t mailbox_full_stalls = 0;
-  std::vector<std::uint64_t> traffic;
-  std::exception_ptr error;
-};
-
-bool Simulator::owns_shard(const Shard* sh) const { return sh->sim == this; }
-
-bool Simulator::shard_local_pool(const Shard* sh,
-                                 const BufferPool* pool) const {
-  return pool == &pool_ || pool == &sh->pool;
-}
-
-PayloadRef Simulator::sharded_make_payload(Shard& sh, Bytes bytes) {
-  return PayloadRef(&sh.pool, sh.pool.acquire(std::move(bytes)));
-}
-
-void Simulator::sharded_send_shared(Shard& sh, const Address& src,
-                                    const Address& dst,
-                                    const PayloadRef& payload,
-                                    std::uint64_t context,
-                                    const std::string& protocol,
-                                    Time extra_delay) {
-  const AddressId src_id = intern_mt(src);
-  const AddressId dst_id = intern_mt(dst);
-  const std::uint32_t dst_shard = shard_of_id(dst_id);
-  if (dst_shard == sh.id && payload.pool() == &sh.pool) {
-    // Shard-local share: reference the pooled buffer exactly like the
-    // serial path — no copy. Fault rolls and ordering match send().
-    if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-      throw std::out_of_range("Simulator: unknown destination " + dst);
-    }
-    const std::uint64_t link_key = pack_link(src_id, dst_id);
-    const SendPlan plan = plan_send_sharded(sh, link_key, src_id,
-                                            payload.bytes().size(),
-                                            extra_delay);
-    if (plan.dropped) return;
-    const ProtocolId proto = intern_protocol_mt(protocol);
-    const obs::TraceContext tc = sharded_next_trace(sh);
-    const PayloadHandle h = payload.handle();
-    if (plan.duplicated) {
-      sh.pool.add_ref(h);
-      sharded_push_local(sh, plan.dup_at, link_key, h, context, proto, tc);
-    }
-    sh.pool.add_ref(h);
-    sharded_push_local(sh, plan.deliver_at, link_key, h, context, proto, tc);
-    return;
-  }
-  // Crossing a shard boundary (or sharing a frozen global-pool buffer):
-  // ownership must change pools, so the share degrades to one copy.
-  Bytes bytes = payload.bytes();
-  sharded_send(sh, src_id, dst_id, dst, std::move(bytes), context, protocol,
-               extra_delay);
-}
-
-Bytes Simulator::detach_payload(std::size_t prefix_len) {
-  BufferPool* pool = &pool_;
-  PayloadHandle h = current_handle_;
-  Bytes* borrowed = &scratch_.payload;
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    pool = &sh->pool;
-    h = sh->current_handle;
-    borrowed = &sh->scratch.payload;
-  }
-  if (h == BufferPool::kInvalid) {
-    throw std::logic_error(
-        "Simulator::detach_payload: no delivery in progress");
-  }
-  const std::size_t size = std::min(prefix_len, borrowed->size());
-  Bytes bytes;
-  if (pool->refs(h) == 1) {
-    // Sole reference: the slot dies when this delivery ends, so the buffer
-    // can leave the pool by move. The guard swaps an empty Bytes back.
-    bytes = std::move(*borrowed);
-    bytes.resize(size);
-  } else {
-    // A pending fault-duplicate still needs these bytes: copy the prefix.
-    bytes.assign(borrowed->begin(),
-                 borrowed->begin() + static_cast<std::ptrdiff_t>(size));
-  }
-  return bytes;
-}
-
-void Simulator::note_sharded_breach(Shard& sh, const Address& party) {
-  ++sh.stats.breaches_fired;
-  // Staged capture: the ledger buffers the compromise on this shard's lane
-  // and commits it at the barrier in deterministic merged order.
-  if (flow_ != nullptr) {
-    flow_->record_compromise(party, obs::FlowCause::kBreachImplant);
-  }
-}
-
-Time Simulator::now() const {
-  if (const Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    return sh->now;
-  }
-  return now_;
-}
-
-std::uint64_t Simulator::new_context() {
-  if (Shard* sh = tls_shard_; sh != nullptr && owns_shard(sh)) {
-    // Shard-namespaced: concurrent allocations can't collide, and the ids
-    // a node sees depend only on its own shard's deterministic schedule.
-    return (static_cast<std::uint64_t>(sh->id + 1) << 48) |
-           ++sh->context_counter;
-  }
-  return ++context_counter_;
-}
-
-std::size_t Simulator::queue_depth() const {
-  std::size_t total = queue_.size();
-  if (sharded_running_) {
-    for (const auto& sh : shard_v_) total += sh->queue.size();
-  }
-  return total;
-}
 
 void Simulator::set_shards(std::uint32_t n) {
   if (n == 0) {
@@ -998,47 +1066,6 @@ void Simulator::compute_auto_affinity() {
   auto_shard_ = part.partition().assignment;
 }
 
-AddressId Simulator::intern_mt(const Address& name) {
-  {
-    std::shared_lock<std::shared_mutex> lk(interner_mu_);
-    if (auto id = interner_.lookup(name)) return *id;
-  }
-  std::unique_lock<std::shared_mutex> lk(interner_mu_);
-  return interner_.intern(name);
-}
-
-const Address& Simulator::name_mt(AddressId id) const {
-  // The returned reference is node-stable (interner keys); only the id ->
-  // pointer table needs the lock.
-  std::shared_lock<std::shared_mutex> lk(interner_mu_);
-  return interner_.name(id);
-}
-
-ProtocolId Simulator::intern_protocol_mt(const std::string& name) {
-  {
-    std::shared_lock<std::shared_mutex> lk(protocol_mu_);
-    if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
-      return it->second;
-    }
-  }
-  std::unique_lock<std::shared_mutex> lk(protocol_mu_);
-  if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
-    return it->second;
-  }
-  const ProtocolId id = static_cast<ProtocolId>(protocols_.size());
-  protocols_.push_back(
-      std::make_unique<ProtocolInfo>(ProtocolInfo{name, "deliver:" + name}));
-  protocol_ids_.emplace(name, id);
-  return id;
-}
-
-const Simulator::ProtocolInfo& Simulator::protocol_info_mt(
-    ProtocolId id) const {
-  // Entries are heap-stable (unique_ptr); the lock covers table growth.
-  std::shared_lock<std::shared_mutex> lk(protocol_mu_);
-  return *protocols_[id];
-}
-
 std::vector<std::vector<Time>> Simulator::compute_lookahead_matrix() const {
   // L[src][dst] = the minimum latency any src-shard -> dst-shard delivery
   // can take. Unconnected pairs fall back to the default latency, so it
@@ -1090,325 +1117,40 @@ void Simulator::build_shards() {
   for (std::uint32_t i = 0; i < shards_; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->id = i;
+    sh->id_base = static_cast<std::uint64_t>(i + 1) << 48;
     sh->sim = this;
     sh->lane = std::make_unique<LatencyLane>();
     sh->traffic.assign(shards_, 0);
-    if (fault_plan_) {
-      sh->fault_rng = std::make_unique<XoshiroRng>(
-          fault_plan_->seed() + kShardSeedStride * i);
-    }
+    if (fault_plan_) reseed(*sh);
     shard_v_.push_back(std::move(sh));
   }
 }
 
 void Simulator::redistribute_initial_events() {
-  // Drain the serial queue in its exact (time, seq) order and re-home each
-  // event on its owning shard with a fresh shard-local seq — relative order
-  // within a shard is preserved, so the partition is deterministic.
-  while (!queue_.empty()) {
-    const EngineEvent ev = queue_.pop();
+  // Drain main_'s queue in its exact (time, seq) order and re-home each
+  // event on its owning worker with a fresh shard-local seq — relative
+  // order within a shard is preserved, so the partition is deterministic.
+  while (!main_.queue.empty()) {
+    const EngineEvent ev = main_.queue.pop();
     if (ev.kind == EngineEvent::kCallback) {
       // at_node() callbacks carry their owning address (context = id + 1)
       // and run on that address's shard — a workload kickoff originates on
       // the client's own shard instead of turning into a cross-shard push.
       // Untagged at() callbacks stay on shard 0 (workload scaffolding —
       // plan installs, global staging — not per-node hot work).
-      std::function<void()> fn = std::move(callbacks_[ev.handle]);
-      callbacks_[ev.handle] = nullptr;
-      callback_free_.push_back(ev.handle);
       const std::uint32_t target =
           ev.context != 0
               ? shard_of_id(static_cast<AddressId>(ev.context - 1))
               : 0;
-      sharded_at(*shard_v_[target], ev.time, std::move(fn));
+      schedule(*shard_v_[target], ev.time, 0,
+               main_.take_callback(ev.handle));
       continue;
     }
     Shard& sh = *shard_v_[shard_of_id(link_dst(ev.link_key))];
     EngineEvent nev = ev;
     nev.seq = ++sh.event_seq;
-    nev.handle = sh.pool.acquire(pool_.take(ev.handle));
-    sh.queue.push(nev);
-    const std::size_t depth = sh.queue.size();
-    if (depth > sh.queue_peak) sh.queue_peak = depth;
-  }
-}
-
-void Simulator::sharded_at(Shard& sh, Time t, std::function<void()> fn) {
-  if (t < sh.now) {
-    throw std::invalid_argument("Simulator::at: time in the past");
-  }
-  std::uint32_t slot;
-  if (!sh.callback_free.empty()) {
-    slot = sh.callback_free.back();
-    sh.callback_free.pop_back();
-  } else {
-    slot = static_cast<std::uint32_t>(sh.callbacks.size());
-    sh.callbacks.emplace_back();
-  }
-  sh.callbacks[slot] = std::move(fn);
-  EngineEvent ev;
-  ev.time = t;
-  ev.seq = ++sh.event_seq;
-  ev.handle = slot;
-  ev.kind = EngineEvent::kCallback;
-  sh.queue.push(ev);
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
-}
-
-obs::TraceContext Simulator::sharded_next_trace(Shard& sh) {
-  if (latency_ == nullptr) return {};
-  if (sh.cur_trace.active()) {
-    sh.trace_continued = true;
-    obs::TraceContext tc = sh.cur_trace;
-    ++tc.hop;
-    return tc;
-  }
-  // Shard-namespaced fresh trace, mirroring new_context(): ids depend only
-  // on the shard's own deterministic schedule, never the wall clock or
-  // thread interleaving.
-  obs::TraceContext tc;
-  const std::uint64_t seq = ++sh.trace_seq;
-  std::uint64_t id = (static_cast<std::uint64_t>(sh.id + 1) << 48) | seq;
-  if (latency_->waterfall_trace(seq)) id |= obs::kTraceWaterfallBit;
-  tc.trace_id = id;
-  tc.origin_us = sh.now;
-  tc.hop = 0;
-  return tc;
-}
-
-void Simulator::sharded_push_local(Shard& sh, Time deliver_at,
-                                   std::uint64_t link_key, PayloadHandle h,
-                                   std::uint64_t context, ProtocolId protocol,
-                                   const obs::TraceContext& tc) {
-  EngineEvent ev;
-  ev.time = deliver_at;
-  ev.seq = ++sh.event_seq;
-  ev.link_key = link_key;
-  ev.context = context;
-  ev.latency_sample = deliver_at - sh.now;
-  ev.trace_id = tc.trace_id;
-  ev.trace_origin = tc.origin_us;
-  ev.trace_hop = tc.hop;
-  ev.handle = h;
-  ev.protocol = protocol;
-  ev.kind = EngineEvent::kDelivery;
-  ++sh.traffic[sh.id];  // diagonal: same-shard sends
-  sh.queue.push(ev);
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
-}
-
-void Simulator::sharded_push_remote(Shard& sh, std::uint32_t dst_shard,
-                                    ShardEvent ev) {
-  ++sh.traffic[dst_shard];
-  ShardMailbox& box = shard_v_[dst_shard]->inbox;
-  while (!box.try_push(std::move(ev))) {
-    if (run_abort_ != nullptr &&
-        run_abort_->load(std::memory_order_relaxed)) {
-      return;  // another shard failed; the run is unwinding — drop
-    }
-    // Full: make progress instead of spinning a potential producer cycle —
-    // drain our *own* inbox into the staging buffer (freeing space someone
-    // may be blocked on) and yield to the mailbox owner. Staged events are
-    // enqueued only at the barrier, so drain timing can't affect the merge
-    // order.
-    ++sh.mailbox_full_stalls;
-    sh.inbox.drain(sh.staged);
-    std::this_thread::yield();
-  }
-}
-
-Simulator::SendPlan Simulator::plan_send_sharded(Shard& sh,
-                                                 std::uint64_t link_key,
-                                                 AddressId src_id,
-                                                 std::size_t payload_size,
-                                                 Time extra_delay) {
-  // Mirrors plan_send exactly — same roll order, same arithmetic — but
-  // reads the shard's clock/RNG/stats and skips tracer spans + registry
-  // counters (replayed or folded at barriers instead; the metrics objects
-  // are not thread-safe).
-  const LinkState* link = nullptr;
-  if (auto it = links_.find(link_key); it != links_.end()) {
-    link = &it->second;
-  }
-  SendPlan plan;
-  Time fault_delay = 0;
-  Time dup_delay = 0;
-  if (fault_plan_) {
-    if (partitioned_at(link_key, sh.now)) {
-      ++sh.stats.partition_dropped;
-      plan.dropped = true;
-      return plan;
-    }
-    if (offline_at_id(src_id, sh.now)) {
-      ++sh.stats.offline_dropped;
-      plan.dropped = true;
-      return plan;
-    }
-    const Impairment& imp = link && link->impairment
-                                ? *link->impairment
-                                : fault_plan_->global_impairment();
-    if (imp.active()) {
-      XoshiroRng& rng = *sh.fault_rng;
-      if (imp.loss > 0 && rng.unit() < imp.loss) {
-        ++sh.stats.lost;
-        plan.dropped = true;
-        return plan;
-      }
-      if (imp.duplicate > 0 && rng.unit() < imp.duplicate) {
-        plan.duplicated = true;
-      }
-      if (imp.jitter > 0 && rng.unit() < imp.jitter) {
-        fault_delay =
-            imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
-        ++sh.stats.jittered;
-      }
-      if (plan.duplicated && imp.jitter > 0 && rng.unit() < imp.jitter) {
-        dup_delay = imp.jitter_max_us ? rng.below(imp.jitter_max_us + 1) : 0;
-      }
-    }
-  }
-  Time serialization = 0;
-  if (link && link->bandwidth > 0) {
-    serialization = payload_size * 1000 / link->bandwidth;  // us
-  }
-  const Time latency =
-      link && link->has_latency ? link->latency : default_latency_;
-  const Time base = sh.now + latency + serialization + extra_delay;
-  plan.deliver_at = base + fault_delay;
-  if (plan.duplicated) {
-    ++sh.stats.duplicated;
-    plan.dup_at = base + dup_delay;
-  }
-  if (latency_ != nullptr) {
-    // Same stage stamps as plan_send, into the shard's private lane.
-    sh.lane->link.record(latency);
-    sh.lane->queue_wait.record(serialization + extra_delay + fault_delay);
-  }
-  return plan;
-}
-
-void Simulator::sharded_send(Shard& sh, AddressId src_id, AddressId dst_id,
-                             const Address& dst, Bytes payload,
-                             std::uint64_t context,
-                             const std::string& protocol, Time extra_delay) {
-  if (dst_id >= nodes_.size() || nodes_[dst_id] == nullptr) {
-    throw std::out_of_range("Simulator: unknown destination " + dst);
-  }
-  const std::uint64_t link_key = pack_link(src_id, dst_id);
-  const SendPlan plan =
-      plan_send_sharded(sh, link_key, src_id, payload.size(), extra_delay);
-  if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol_mt(protocol);
-  const obs::TraceContext tc = sharded_next_trace(sh);
-  const std::uint32_t dst_shard = shard_of_id(dst_id);
-  if (dst_shard == sh.id) {
-    const PayloadHandle h = sh.pool.acquire(std::move(payload));
-    if (plan.duplicated) {
-      // Duplicate first — lower seq — exactly the serial engine's order.
-      sh.pool.add_ref(h);
-      sharded_push_local(sh, plan.dup_at, link_key, h, context, proto, tc);
-    }
-    sharded_push_local(sh, plan.deliver_at, link_key, h, context, proto, tc);
-    return;
-  }
-  ShardEvent xev;
-  xev.src_shard = sh.id;
-  xev.link_key = link_key;
-  xev.context = context;
-  xev.trace_id = tc.trace_id;
-  xev.trace_origin = tc.origin_us;
-  xev.trace_hop = tc.hop;
-  xev.protocol = proto;
-  if (plan.duplicated) {
-    ShardEvent dup = xev;
-    dup.time = plan.dup_at;
-    dup.latency_sample = plan.dup_at - sh.now;
-    dup.src_seq = ++sh.xfer_seq;  // lower merge key: duplicate first
-    dup.payload = payload;        // shares degrade to a copy across shards
-    sharded_push_remote(sh, dst_shard, std::move(dup));
-  }
-  xev.time = plan.deliver_at;
-  xev.latency_sample = plan.deliver_at - sh.now;
-  xev.src_seq = ++sh.xfer_seq;
-  xev.payload = std::move(payload);
-  sharded_push_remote(sh, dst_shard, std::move(xev));
-}
-
-void Simulator::sharded_deliver(Shard& sh, const EngineEvent& ev) {
-  const AddressId dst_id = link_dst(ev.link_key);
-  if (fault_plan_ && offline_at_id(dst_id, sh.now)) {
-    ++sh.stats.offline_dropped;
-    sh.pool.release(ev.handle);
-    return;
-  }
-  sh.latency_hist.observe(static_cast<double>(ev.latency_sample));
-  const ProtocolInfo& proto = protocol_info_mt(ev.protocol);
-  const Address& src = name_mt(link_src(ev.link_key));
-  const Address& dst = name_mt(dst_id);
-  PayloadGuard payload(sh.pool, ev.handle, sh.scratch.payload);
-  sh.scratch.src = src;
-  sh.scratch.dst = dst;
-  sh.scratch.context = ev.context;
-  sh.scratch.protocol = proto.name;
-  ++sh.deliveries;
-  sh.delivered_bytes += sh.scratch.payload.size();
-  if (defer_observability_) {
-    DeferredOb ob;
-    ob.time = sh.now;
-    ob.link_key = ev.link_key;
-    ob.size = sh.scratch.payload.size();
-    ob.context = ev.context;
-    ob.protocol = ev.protocol;
-    sh.deferred.push_back(std::move(ob));
-  }
-  // The delivery scope is staged on this shard's ledger lane, so exposures
-  // the handler records land inside it when the batch commits.
-  FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
-  CurrentDeliveryScope current(sh.current_handle, ev.handle);
-  sh.cur_trace.trace_id = ev.trace_id;
-  sh.cur_trace.origin_us = ev.trace_origin;
-  sh.cur_trace.hop = ev.trace_hop;
-  sh.trace_continued = false;
-  nodes_[dst_id]->on_packet(sh.scratch, *this);
-  if (latency_ != nullptr && ev.trace_id != 0) {
-    if (!sh.trace_continued) {
-      sh.lane->e2e[ev.protocol < LatencyTracer::kMaxProtocols
-                       ? ev.protocol
-                       : LatencyTracer::kMaxProtocols - 1]
-          .record(sh.now - ev.trace_origin);
-    }
-    if ((ev.trace_id & obs::kTraceWaterfallBit) != 0) {
-      // Rare (sampled traces only), so the tracer's span mutex is fine.
-      latency_->add_span({ev.trace_id, ev.trace_hop, ev.protocol,
-                          ev.time - ev.latency_sample, ev.time});
-    }
-  }
-  sh.cur_trace.trace_id = 0;
-}
-
-void Simulator::sharded_dispatch(Shard& sh, const EngineEvent& ev) {
-  if (ev.kind == EngineEvent::kDelivery) {
-    sharded_deliver(sh, ev);
-  } else {
-    std::function<void()> fn = std::move(sh.callbacks[ev.handle]);
-    sh.callbacks[ev.handle] = nullptr;
-    sh.callback_free.push_back(ev.handle);
-    fn();
-  }
-}
-
-void Simulator::process_window(Shard& sh, Time window_end) {
-  std::atomic<bool>* abort = run_abort_;
-  for (;;) {
-    if (abort->load(std::memory_order_relaxed)) return;
-    const Time t = sh.queue.next_time();
-    if (t == CalendarQueue::kNever || t >= window_end) return;
-    const EngineEvent ev = sh.queue.pop();
-    sh.now = ev.time;
-    ++sh.events;
-    sharded_dispatch(sh, ev);
+    nev.handle = sh.pool.acquire(main_.pool.take(ev.handle));
+    enqueue(sh, nev);
   }
 }
 
@@ -1437,10 +1179,8 @@ void Simulator::drain_inbox_into_queue(Shard& sh) {
     ev.handle = sh.pool.acquire(std::move(xev.payload));
     ev.protocol = xev.protocol;
     ev.kind = EngineEvent::kDelivery;
-    sh.queue.push(ev);
+    enqueue(sh, ev);
   }
-  const std::size_t depth = sh.queue.size();
-  if (depth > sh.queue_peak) sh.queue_peak = depth;
   sh.staged.clear();
 }
 
@@ -1466,19 +1206,9 @@ void Simulator::replay_deferred(Time cutoff) {
       }
     }
     if (best == shard_v_.size()) break;
-    DeferredOb& ob = shard_v_[best]->deferred[idx[best]++];
-    now_ = ob.time;  // taps reading the main clock see the event's time
-    const Address& src = interner_.name(link_src(ob.link_key));
-    const Address& dst = interner_.name(link_dst(ob.link_key));
-    const ProtocolInfo& proto = *protocols_[ob.protocol];
-    if (link_byte_accounting_) {
-      link_bytes_counter(ob.link_key, src, dst).inc(ob.size);
-    }
-    if (record_trace_ || !wiretaps_.empty()) {
-      TraceEntry entry{ob.time, src, dst, ob.size, ob.context, proto.name};
-      for (auto& tap : wiretaps_) tap(entry);
-      if (record_trace_) trace_.push_back(std::move(entry));
-    }
+    const DeliveryRecord& rec = shard_v_[best]->deferred[idx[best]++];
+    main_.now = rec.time;  // taps reading the main clock see the event's time
+    emit(rec);
   }
   for (std::size_t s = 0; s < shard_v_.size(); ++s) {
     auto& dq = shard_v_[s]->deferred;
@@ -1486,112 +1216,7 @@ void Simulator::replay_deferred(Time cutoff) {
   }
 }
 
-void Simulator::apply_pending_plan(Time window_start) {
-  {
-    std::lock_guard<std::mutex> lk(pending_mu_);
-    fault_plan_ = std::move(*pending_plan_);
-    pending_plan_.reset();
-  }
-  fault_rng_ = std::make_unique<XoshiroRng>(fault_plan_->seed());
-  fault_stats_ = FaultStats{};
-  breached_.assign(breached_.size(), kNotBreached);
-  bind_fault_metrics();
-  rebuild_fault_tables();
-  for (auto& shp : shard_v_) {
-    shp->stats = FaultStats{};
-    shp->fault_rng = std::make_unique<XoshiroRng>(
-        fault_plan_->seed() + kShardSeedStride * shp->id);
-  }
-  // Breach implants run on shard 0 (like every addressless callback). The
-  // floor keeps the calendar's monotonic-push contract: shard 0 may have
-  // processed past the next window's start.
-  Shard& sh0 = *shard_v_[0];
-  const Time floor = std::max(window_start, sh0.now);
-  for (const BreachEvent& ev : fault_plan_->breaches()) {
-    sharded_at(sh0, std::max(ev.time, floor), [this, ev] { fire_breach(ev); });
-  }
-}
-
-void Simulator::finish_sharded_run(std::uint64_t windows) {
-  replay_deferred(~Time{0});  // full drain; covers an abandoned final window
-  shard_stats_.windows = windows;
-  Time end = now_;
-  std::uint64_t events = 0, packets = 0, bytes = 0;
-  FaultStats faults;
-  std::size_t peak = 0;
-  std::size_t pool_live = pool_.live();
-  std::size_t pool_slots = pool_.slots();
-  for (const auto& shp : shard_v_) {
-    const Shard& sh = *shp;
-    end = std::max(end, sh.now);
-    events += sh.events;
-    packets += sh.deliveries;
-    bytes += sh.delivered_bytes;
-    peak += sh.queue_peak;
-    pool_live += sh.pool.live();
-    pool_slots += sh.pool.slots();
-    faults.lost += sh.stats.lost;
-    faults.duplicated += sh.stats.duplicated;
-    faults.jittered += sh.stats.jittered;
-    faults.partition_dropped += sh.stats.partition_dropped;
-    faults.offline_dropped += sh.stats.offline_dropped;
-    faults.breaches_fired += sh.stats.breaches_fired;
-    delivery_latency_m_->merge(sh.latency_hist);
-    if (latency_ != nullptr) latency_->merge_lane(*sh.lane);
-    shard_stats_.events[sh.id] = sh.events;
-    shard_stats_.deliveries[sh.id] = sh.deliveries;
-    // The send split derives from the traffic matrix — row sum minus
-    // diagonal and the diagonal itself — so the three views can never
-    // disagree (what report_check --require-shards asserts structurally).
-    std::uint64_t cross = 0;
-    for (std::uint32_t d = 0; d < shards_; ++d) {
-      if (d != sh.id) cross += sh.traffic[d];
-    }
-    shard_stats_.cross_sends[sh.id] = cross;
-    shard_stats_.local_sends[sh.id] = sh.traffic[sh.id];
-    shard_stats_.busy_ns[sh.id] = sh.busy_ns;
-    shard_stats_.barrier_wait_ns[sh.id] = sh.barrier_ns;
-    shard_stats_.mailbox_full_stalls[sh.id] = sh.mailbox_full_stalls;
-    shard_stats_.traffic[sh.id] = sh.traffic;
-  }
-  now_ = end;
-  packets_delivered_ += packets;
-  bytes_delivered_ += bytes;
-  events_processed_m_->inc(events);
-  packets_m_->inc(packets);
-  bytes_m_->inc(bytes);
-  fault_stats_.lost += faults.lost;
-  fault_stats_.duplicated += faults.duplicated;
-  fault_stats_.jittered += faults.jittered;
-  fault_stats_.partition_dropped += faults.partition_dropped;
-  fault_stats_.offline_dropped += faults.offline_dropped;
-  fault_stats_.breaches_fired += faults.breaches_fired;
-  if (fault_plan_) {
-    faults_lost_m_->inc(faults.lost);
-    faults_duplicated_m_->inc(faults.duplicated);
-    faults_jittered_m_->inc(faults.jittered);
-    faults_partition_m_->inc(faults.partition_dropped);
-    faults_offline_m_->inc(faults.offline_dropped);
-    faults_breaches_m_->inc(faults.breaches_fired);
-  }
-  // Peak queue depth is the sum of per-shard peaks — an upper bound on the
-  // true global instantaneous peak, deterministic and shard-attributable.
-  // Published on the dedicated peak gauge so queue_depth itself settles at
-  // the drained depth without a phantom end-of-run spike.
-  queue_depth_peak_m_->set(static_cast<double>(peak));
-  queue_depth_m_->set(0.0);
-  pool_live_m_->set(static_cast<double>(pool_live));
-  pool_slots_m_->set(static_cast<double>(pool_slots));
-  if (sampler_ != nullptr) {
-    sampler_->sample_now(now_);
-    sampler_next_ = sampler_->next_due();
-  }
-}
-
 Time Simulator::run_sharded() {
-  if (sharded_running_) {
-    throw std::logic_error("Simulator::run: sharded run already in progress");
-  }
   // Placement before lookahead: the pairwise matrix and the initial event
   // redistribution both depend on shard_of_id, which the kMinCut policy
   // rewires here (deterministically — same topology, same placement).
@@ -1610,11 +1235,6 @@ Time Simulator::run_sharded() {
   }
   build_shards();
   redistribute_initial_events();
-  // The bench fast path (trace off, link accounting off, no taps) skips
-  // the deferred-delivery buffers entirely; flow-ledger ops ride the
-  // ledger's own staging lanes instead.
-  defer_observability_ =
-      record_trace_ || !wiretaps_.empty() || link_byte_accounting_;
   // One lane per shard plus a dedicated coordinator lane: wiretap taps that
   // record flow ops during the barrier replay must not interleave into a
   // worker's (time-monotone) lane, or the incremental prefix commit would
@@ -1625,13 +1245,13 @@ Time Simulator::run_sharded() {
   shard_stats_.shards = shards_;
   shard_stats_.lookahead_us = min_lookahead;
   shard_stats_.policy = affinity_policy_;
-  shard_stats_.events.assign(shards_, 0);
-  shard_stats_.deliveries.assign(shards_, 0);
-  shard_stats_.cross_sends.assign(shards_, 0);
-  shard_stats_.local_sends.assign(shards_, 0);
-  shard_stats_.busy_ns.assign(shards_, 0);
-  shard_stats_.barrier_wait_ns.assign(shards_, 0);
-  shard_stats_.mailbox_full_stalls.assign(shards_, 0);
+  for (std::vector<std::uint64_t>* per_shard :
+       {&shard_stats_.events, &shard_stats_.deliveries,
+        &shard_stats_.cross_sends, &shard_stats_.local_sends,
+        &shard_stats_.busy_ns, &shard_stats_.barrier_wait_ns,
+        &shard_stats_.mailbox_full_stalls}) {
+    per_shard->assign(shards_, 0);
+  }
   shard_stats_.traffic.assign(shards_,
                               std::vector<std::uint64_t>(shards_, 0));
 
@@ -1685,14 +1305,13 @@ Time Simulator::run_sharded() {
 
   run_abort_ = &abort;
   sharded_running_ = true;
-  tracer_->set_virtual_clock([this] { return now_; });
 
   auto on_window_complete = [&]() noexcept {
     // Runs with every worker parked: exclusive access to all state. The
     // hosting thread is whichever worker arrived last — blank its TLS (and
     // park its ledger lane on the coordinator lane) so now()/send routing
-    // and staged flow ops behave as on the main thread (deterministically),
-    // whatever thread won the race.
+    // and staged flow ops resolve to main_ (deterministically), whatever
+    // thread won the race.
     Shard* const tls_saved = tls_shard_;
     tls_shard_ = nullptr;
     const std::uint32_t lane_saved = obs::FlowLedger::lane();
@@ -1705,27 +1324,32 @@ Time Simulator::run_sharded() {
       // at exactly t_min stay buffered so they merge with that event's
       // own output next round.
       Time t_min = refresh_next();
-      if (defer_observability_) replay_deferred(t_min);
+      replay_deferred(t_min);
       if (flow_ != nullptr) flow_->commit_staged_before(t_min);
-      bool pending = false;
+      std::optional<FaultPlan> plan;
       {
         std::lock_guard<std::mutex> lk(pending_mu_);
-        pending = pending_plan_.has_value();
+        plan.swap(pending_plan_);
       }
-      if (pending) {
-        apply_pending_plan(t_min == CalendarQueue::kNever ? now_ : t_min);
+      if (plan) {
+        // Breach implants run on worker 0 (like every addressless
+        // callback). The floor keeps the calendar's monotonic-push
+        // contract: worker 0 may have processed past the next window's
+        // start.
+        Shard& home = *shard_v_[0];
+        const Time start = t_min == CalendarQueue::kNever ? main_.now : t_min;
+        install_plan(std::move(*plan), home, std::max(start, home.now));
         t_min = refresh_next();
       }
       if (abort.load(std::memory_order_relaxed) ||
           t_min == CalendarQueue::kNever) {
         done = true;
       } else {
-        now_ = t_min;
+        main_.now = t_min;
         if (sampler_ != nullptr && t_min >= sampler_next_) {
           // Window-granular sampling: probes see barrier-consistent state
           // stamped at the window's opening virtual time.
-          sampler_->sample_now(t_min);
-          sampler_next_ = sampler_->next_due();
+          sample(t_min);
         }
         open_windows();
       }
@@ -1757,13 +1381,16 @@ Time Simulator::run_sharded() {
     };
     while (!done) {
       const auto t0 = wall::now();
-      if (!abort.load(std::memory_order_relaxed)) {
-        try {
-          process_window(sh, window_end[idx]);
-        } catch (...) {
-          sh.error = std::current_exception();
-          abort.store(true, std::memory_order_relaxed);
+      try {
+        // The window: every event before window_end[idx] (kNever sorts
+        // after any end), stopping early once another shard failed.
+        while (!abort.load(std::memory_order_relaxed) &&
+               sh.queue.next_time() < window_end[idx]) {
+          step(sh);
         }
+      } catch (...) {
+        sh.error = std::current_exception();
+        abort.store(true, std::memory_order_relaxed);
       }
       const auto t1 = wall::now();
       // Barrier 1: all sends for this window have landed — every inbox
@@ -1772,7 +1399,7 @@ Time Simulator::run_sharded() {
       const auto t2 = wall::now();
       drain_inbox_into_queue(sh);
       const auto t3 = wall::now();
-      // Barrier 2: the completion function replays observability, applies
+      // Barrier 2: the completion function replays observability, installs
       // any pending fault plan, and opens the next window.
       window_done.arrive_and_wait();
       const auto t4 = wall::now();
@@ -1791,7 +1418,6 @@ Time Simulator::run_sharded() {
     for (std::thread& t : threads) t.join();
   }
 
-  tracer_->clear_virtual_clock();
   sharded_running_ = false;
   run_abort_ = nullptr;
   // Leave the ledger usable (and flush any last staged ops) even when the
@@ -1802,25 +1428,13 @@ Time Simulator::run_sharded() {
   for (const auto& sh : shard_v_) {
     if (sh->error) std::rethrow_exception(sh->error);
   }
-  finish_sharded_run(windows);
-  return now_;
+  finish_run(/*threaded=*/true, windows);
+  return main_.now;
 }
 
-std::uint64_t Simulator::worker_busy_ns() const {
+std::uint64_t Simulator::sum_over_workers(std::uint64_t Shard::*field) const {
   std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->busy_ns;
-  return total;
-}
-
-std::uint64_t Simulator::barrier_wait_ns() const {
-  std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->barrier_ns;
-  return total;
-}
-
-std::uint64_t Simulator::mailbox_backpressure() const {
-  std::uint64_t total = 0;
-  for (const auto& sh : shard_v_) total += sh->mailbox_full_stalls;
+  for (const auto& sh : shard_v_) total += (*sh).*field;
   return total;
 }
 

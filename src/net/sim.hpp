@@ -9,12 +9,14 @@
 // record traffic metadata for traffic-analysis experiments.
 //
 // Everything is ordered by (time, sequence-number), so runs are exactly
-// reproducible. The default engine is single-threaded; set_shards(n>1)
-// switches run() to a conservative parallel engine — one worker per
-// topology shard, advancing in lookahead-bounded windows and merging
-// cross-shard deliveries in a deterministic (time, src_shard, src_seq)
-// order — that is equally bit-reproducible for a fixed shard count (see
-// DESIGN.md §13).
+// reproducible. There is one engine: a Shard holds a calendar queue,
+// payload pool, clock and fault-RNG stream, and every engine operation
+// runs against the Shard executing it. A serial run is the main shard run
+// inline on the caller's thread; set_shards(n>1) runs one worker Shard per
+// topology shard on its own thread, advancing in lookahead-bounded windows
+// and merging cross-shard deliveries in a deterministic
+// (time, src_shard, src_seq) order — equally bit-reproducible for a fixed
+// shard count (see DESIGN.md §13).
 //
 // Hot-path layout: the public API speaks string addresses (observation logs
 // and traces need them), but internally every address is interned once into
@@ -35,8 +37,10 @@
 // byte-identical to the seed heap engine (tests/test_engine.cpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -78,6 +82,7 @@ struct Packet {
 class Simulator;
 class EngineProfiler;
 class LatencyTracer;
+struct LatencyLane;
 
 /// A participant in the network. Systems subclass this per party
 /// (client, relay, resolver, ...). Nodes are owned by the systems that
@@ -111,13 +116,15 @@ struct TraceEntry {
   std::string protocol;
 };
 
-/// Single-threaded event-driven simulator.
+/// Event-driven simulator: the main shard, run inline, or one worker shard
+/// per thread under set_shards(n>1).
 ///
 /// Observability: every simulator feeds the "sim" scope of the global
 /// metrics registry (events processed, packets/bytes delivered, per-link
 /// bytes, queue depth) and — when the global tracer is enabled — emits one
 /// trace span per packet delivery plus a span per run(), all carrying
-/// virtual timestamps so traces show where simulated time goes.
+/// virtual timestamps so traces show where simulated time goes. Spans come
+/// from the main shard only (the tracer is single-threaded).
 class Simulator {
  public:
   Simulator();
@@ -198,8 +205,10 @@ class Simulator {
   void at_node(const Address& affine, Time t, std::function<void()> fn);
 
   /// Runs until the event queue drains. Returns the final virtual time.
-  /// With set_shards(n>1) this dispatches to the sharded parallel engine;
-  /// the default single-shard path is byte-identical to the seed engine.
+  /// With set_shards(n>1) the events fan out to worker threads; the
+  /// default single-shard run is byte-identical to the seed engine. A
+  /// handler exception propagates out of run() and leaves the simulator
+  /// reusable.
   Time run();
 
   /// Current virtual time. On a shard worker thread this is the shard's
@@ -208,7 +217,8 @@ class Simulator {
 
   /// Fresh linkage-context id (never zero). On a shard worker thread the
   /// id is drawn from a shard-namespaced range — (shard+1) << 48 | counter
-  /// — so concurrent allocations never collide and stay deterministic.
+  /// — so concurrent allocations never collide and stay deterministic;
+  /// outside worker threads it is a plain counter.
   std::uint64_t new_context();
 
   // ---- Sharded parallel execution (conservative synchronization) ----
@@ -291,9 +301,15 @@ class Simulator {
   /// TimeSeriesSampler probes. Mid-run reads are barrier-consistent (the
   /// sampler fires in the window-barrier completion, workers parked); all
   /// return 0 before any sharded run.
-  std::uint64_t worker_busy_ns() const;
-  std::uint64_t barrier_wait_ns() const;
-  std::uint64_t mailbox_backpressure() const;
+  std::uint64_t worker_busy_ns() const {
+    return sum_over_workers(&Shard::busy_ns);
+  }
+  std::uint64_t barrier_wait_ns() const {
+    return sum_over_workers(&Shard::barrier_ns);
+  }
+  std::uint64_t mailbox_backpressure() const {
+    return sum_over_workers(&Shard::mailbox_full_stalls);
+  }
 
   /// Adds a passive observer of all deliveries (a global wiretap).
   void add_wiretap(std::function<void(const TraceEntry&)> tap);
@@ -321,10 +337,11 @@ class Simulator {
   /// simulator's lifetime.
   const AddressInterner& interner() const { return interner_; }
 
-  /// The payload pool backing in-flight packet bytes (observability/tests:
-  /// live() must return to the count of outstanding PayloadRefs once the
-  /// queue drains).
-  const BufferPool& payload_pool() const { return pool_; }
+  /// The main shard's payload pool, which backs in-flight packet bytes of
+  /// serial runs and every make_payload() outside a threaded run
+  /// (observability/tests: live() must return to the count of outstanding
+  /// PayloadRefs once the queue drains).
+  const BufferPool& payload_pool() const { return main_.pool; }
 
   /// Events currently pending in the engine queue (telemetry probes).
   /// During a sharded run: the sum over shard queues, valid at barriers.
@@ -410,8 +427,8 @@ class Simulator {
  private:
   /// The queue-depth gauge is sampled every 2^10 queue operations (and
   /// force-flushed at drain) instead of being rewritten on every push/pop;
-  /// the exact high-watermark is tracked separately in queue_peak_ and
-  /// published through obs::Gauge::peak() when the queue drains.
+  /// the exact high-watermark is tracked in Shard::queue_peak and published
+  /// through obs::Gauge::peak() when the queue drains.
   static constexpr std::uint64_t kQueueSampleMask = (1u << 10) - 1;
 
   static constexpr Time kNotBreached = ~Time{0};
@@ -443,51 +460,167 @@ class Simulator {
     std::string deliver_label;
   };
 
+  /// What wiretaps, the trace and link-byte accounting learn about one
+  /// delivery. The main shard emits it inline; workers buffer it for the
+  /// coordinator to replay at the next barrier in (time, shard, seq) order,
+  /// so observers see one causally ordered stream. Flow-ledger ops take
+  /// the FlowLedger staging path instead (see obs/flow.hpp).
+  struct DeliveryRecord {
+    Time time = 0;
+    std::uint64_t link_key = 0;
+    std::size_t size = 0;
+    std::uint64_t context = 0;
+    ProtocolId protocol = 0;
+  };
+
+  /// One engine: calendar queue, payload pool, callback slots, fault-RNG
+  /// stream, clock and sequence counters, the delivery in flight, and
+  /// counters that fold() adds to the registry. main_ is the shard serial
+  /// runs execute inline; a threaded run builds one worker per topology
+  /// shard. Between barriers a worker touches only its own Shard — plus
+  /// other shards' mailboxes (internally locked) and the simulator's
+  /// read-only tables (nodes, links, fault windows).
+  struct Shard {
+    std::uint32_t id = 0;
+    /// Namespace of new_context() and fresh trace ids: 0 for main_ and
+    /// (i+1) << 48 for worker i, so concurrent allocations never collide.
+    std::uint64_t id_base = 0;
+    Simulator* sim = nullptr;
+    // pool before callbacks: parked callbacks may hold PayloadRefs into it.
+    BufferPool pool;
+    CalendarQueue queue;
+    std::vector<std::function<void()>> callbacks;  // at() slot pool
+    std::vector<std::uint32_t> callback_free;
+    std::uint64_t event_seq = 0;  // local (time, seq) tiebreaker
+    Time now = 0;
+    std::uint64_t context_counter = 0;
+    std::unique_ptr<XoshiroRng> fault_rng;
+    Packet scratch;  // re-materialized per delivery; capacity is recycled
+    /// Handle of the delivery currently inside Node::on_packet (kInvalid
+    /// outside one) — what detach_payload() consults to steal or share.
+    PayloadHandle current_handle = BufferPool::kInvalid;
+    std::size_t queue_peak = 0;
+    // Tracing plane: the trace-id counter, the trace of the delivery
+    // currently inside on_packet, and (workers only) a private recorder
+    // lane so hop recording never shares cache lines across threads; the
+    // main shard records into the tracer directly.
+    std::uint64_t trace_seq = 0;
+    obs::TraceContext cur_trace;
+    bool trace_continued = false;
+    std::unique_ptr<LatencyLane> lane;
+    // Counted here on the hot path; fold() adds them to the registry and
+    // the simulator's totals, then zeroes them.
+    std::uint64_t events = 0;
+    std::uint64_t deliveries = 0;
+    std::uint64_t delivered_bytes = 0;
+    FaultStats stats;
+    obs::Histogram latency_hist{std::vector<double>{}};
+    // Worker exchange: the inbox (bounded: big enough that barrier-rate
+    // draining never backpressures in practice, small enough to bound
+    // memory under a pathological window), drained-but-not-enqueued
+    // events, the outgoing merge key, and buffered delivery records.
+    ShardMailbox inbox{16384};
+    std::vector<ShardEvent> staged;
+    std::uint64_t xfer_seq = 0;
+    std::vector<DeliveryRecord> deferred;
+    // Contention telemetry: wall time split between processing and barrier
+    // waits, failed mailbox pushes, and the outgoing traffic row
+    // (traffic[dst] = events pushed to shard dst, diagonal = same-shard
+    // pushes — deterministic; cross/local send counts derive from it).
+    std::uint64_t busy_ns = 0;
+    std::uint64_t barrier_ns = 0;
+    std::uint64_t mailbox_full_stalls = 0;
+    std::vector<std::uint64_t> traffic;
+    std::exception_ptr error;
+
+    std::function<void()> take_callback(std::uint32_t slot);
+  };
+
+  /// The shard executing on this thread: the worker's own during a
+  /// threaded run, main_ everywhere else (including another simulator's
+  /// worker thread).
+  Shard& current();
+  const Shard& current() const;
+  /// Whether `sh` emits spans: only main_, and only with the tracer on.
+  bool spans_on(const Shard& sh) const;
+  std::uint64_t sum_over_workers(std::uint64_t Shard::*field) const;
+
+  // Interner and protocol-table access. The tables are shared by every
+  // shard, so these take the table's lock during a threaded run and skip
+  // it otherwise.
+  std::shared_lock<std::shared_mutex> read_lock(std::shared_mutex& mu) const;
+  std::unique_lock<std::shared_mutex> write_lock(std::shared_mutex& mu) const;
+  AddressId intern(const Address& name);
+  std::optional<AddressId> lookup(const Address& name) const;
+  const Address& name_of(AddressId id) const;
+  ProtocolId intern_protocol(const std::string& name);
+  const ProtocolInfo& protocol_info(ProtocolId id) const;
+  /// The id of a registered node, without interning anything: throws
+  /// std::out_of_range for an unknown destination.
+  AddressId destination(const Address& dst) const;
+
   LinkState& ensure_link(AddressId a, AddressId b);
   bool partitioned_at(std::uint64_t link_key, Time t) const;
   bool offline_at_id(AddressId id, Time t) const;
   void rebuild_fault_tables();
   void bind_metrics();
   void bind_fault_metrics();
+  /// Installs `plan` and schedules its breaches on `home` (not before
+  /// `floor`). Folds every running shard first, so the registry keeps the
+  /// faults the old plan injected while fault_stats() starts over.
+  void install_plan(FaultPlan plan, Shard& home, Time floor);
+  void reseed(Shard& sh);
 
   /// Link resolution, partition/crash checks, and the loss/dup/jitter
   /// rolls — in exactly the seed engine's order, so a fixed (workload,
-  /// plan) pair consumes the identical roll sequence.
-  SendPlan plan_send(AddressId src_id, std::uint64_t link_key,
-                     const Address& src, const Address& dst,
+  /// plan) pair consumes the identical roll sequence on sh's stream.
+  SendPlan plan_send(Shard& sh, std::uint64_t link_key, AddressId src_id,
                      std::size_t payload_size, Time extra_delay);
+  void fault_span(const Shard& sh, const char* what, std::uint64_t link_key);
 
-  ProtocolId intern_protocol(const std::string& name);
+  /// Trace context for a send issued on `sh` now: inherits the in-delivery
+  /// trace with hop+1, or opens a fresh one (id_base | counter) when a
+  /// tracer is attached; inactive otherwise. Marks the current delivery's
+  /// trace as continued, which is what terminal-hop detection keys off.
+  obs::TraceContext next_trace(Shard& sh);
 
-  /// Trace context for a send issued now: inherits the in-delivery trace
-  /// with hop+1, or opens a fresh one (serial counter id) when a tracer is
-  /// attached; inactive otherwise. Marks the current delivery's trace as
-  /// continued, which is what terminal-hop detection keys off.
-  obs::TraceContext next_trace();
-
-  void push_delivery(Time deliver_at, std::uint64_t link_key, PayloadHandle h,
-                     std::uint64_t context, ProtocolId protocol,
-                     const obs::TraceContext& tc);
-  void dispatch(const EngineEvent& ev);
-  void deliver(const EngineEvent& ev);
-  void note_queue_push();
-  void note_queue_pop();
-  void fire_breach(const BreachEvent& ev);
+  /// The send path after address validation: fault rolls, then a push on
+  /// `sh` or a hand-off to the owning worker's mailbox. `shared` names a
+  /// slot in sh.pool to reference instead of `payload` (kInvalid: none).
+  void transmit(Shard& sh, AddressId src_id, AddressId dst_id, Bytes payload,
+                PayloadHandle shared, std::uint64_t context,
+                const std::string& protocol, Time extra_delay);
+  /// The shard that delivers to `dst_id`. main_ owns every address, so
+  /// serial sends skip the placement lookup.
+  std::uint32_t owner(const Shard& sh, AddressId dst_id) const;
+  void push_delivery(Shard& sh, Time deliver_at, std::uint64_t link_key,
+                     PayloadHandle h, std::uint64_t context,
+                     ProtocolId protocol, const obs::TraceContext& tc);
+  void push_remote(Shard& sh, std::uint32_t dst_shard, ShardEvent ev);
+  void enqueue(Shard& sh, const EngineEvent& ev);
+  void schedule(Shard& sh, Time t, std::uint64_t tag, std::function<void()> fn);
+  void note_queue_op();
+  /// Pops and runs sh's next event. On main_ it also drives the queue
+  /// gauges, the sampler and the profiler, which are single-threaded.
+  void step(Shard& sh);
+  void dispatch(Shard& sh, const EngineEvent& ev);
+  void deliver(Shard& sh, const EngineEvent& ev);
+  void emit(const DeliveryRecord& rec);
+  void fire_breach(Shard& sh, const BreachEvent& ev);
   obs::Counter& link_bytes_counter(std::uint64_t link_key, const Address& src,
                                    const Address& dst);
 
-  // ---- Sharded engine internals (defined in sim.cpp) ----
+  /// Adds sh's shard-local counters to the registry and the simulator's
+  /// totals (and a worker's to its shard_stats_ row), then zeroes them.
+  void fold(Shard& sh);
+  void sample(Time t);  // folds main_, then takes a sampler tick at t
 
-  /// Per-shard execution state: calendar queue, payload pool, callback
-  /// slots, fault RNG stream, local clock/seq, inbox, and deferred
-  /// observability buffer. Workers touch only their own Shard between
-  /// barriers (plus other shards' mailboxes, which are internally locked).
-  struct Shard;
+  /// The end of every run: folds the shards that ran, publishes the queue
+  /// and pool gauges, and takes the final sampler tick. A threaded run
+  /// first replays the last deferred records and fills shard_stats_.
+  void finish_run(bool threaded, std::uint64_t windows);
 
-  /// One observability record produced on a worker thread and replayed by
-  /// the coordinator at the next barrier in (time, shard, seq) order, so
-  /// FlowLedger / wiretap / trace ordering stays causally consistent.
-  struct DeferredOb;
+  // ---- Threaded runs ----
 
   Time run_sharded();
   /// Pairwise conservative lookahead: L[src][dst] = the minimum latency any
@@ -500,86 +633,51 @@ class Simulator {
   void compute_auto_affinity();
   void build_shards();
   void redistribute_initial_events();
-  void process_window(Shard& sh, Time window_end);
   void drain_inbox_into_queue(Shard& sh);
-  void sharded_dispatch(Shard& sh, const EngineEvent& ev);
-  void sharded_deliver(Shard& sh, const EngineEvent& ev);
-  bool owns_shard(const Shard* sh) const;
-  bool shard_local_pool(const Shard* sh, const BufferPool* pool) const;
-  PayloadRef sharded_make_payload(Shard& sh, Bytes bytes);
-  void note_sharded_breach(Shard& sh, const Address& party);
-  void sharded_send(Shard& sh, AddressId src_id, AddressId dst_id,
-                    const Address& dst, Bytes payload, std::uint64_t context,
-                    const std::string& protocol, Time extra_delay);
-  void sharded_send_shared(Shard& sh, const Address& src, const Address& dst,
-                           const PayloadRef& payload, std::uint64_t context,
-                           const std::string& protocol, Time extra_delay);
-  obs::TraceContext sharded_next_trace(Shard& sh);
-  void sharded_push_local(Shard& sh, Time deliver_at, std::uint64_t link_key,
-                          PayloadHandle h, std::uint64_t context,
-                          ProtocolId protocol, const obs::TraceContext& tc);
-  void sharded_push_remote(Shard& sh, std::uint32_t dst_shard, ShardEvent ev);
-  SendPlan plan_send_sharded(Shard& sh, std::uint64_t link_key,
-                             AddressId src_id, std::size_t payload_size,
-                             Time extra_delay);
-  void sharded_at(Shard& sh, Time t, std::function<void()> fn);
-  /// Replays deferred observability records with time < cutoff in global
+  /// Replays deferred delivery records with time < cutoff in global
   /// (time, shard, buffer-order) order and erases the replayed prefixes.
   /// Per-shard buffers are time-nondecreasing (shard clocks are monotone),
   /// so a prefix cutoff at the next window's start commits exactly the
   /// records no future event can precede. Pass ~Time{0} to drain fully.
   void replay_deferred(Time cutoff);
-  void apply_pending_plan(Time window_start);
-  void finish_sharded_run(std::uint64_t windows);
-  AddressId intern_mt(const Address& name);
-  const Address& name_mt(AddressId id) const;
-  ProtocolId intern_protocol_mt(const std::string& name);
-  const ProtocolInfo& protocol_info_mt(ProtocolId id) const;
 
   AddressInterner interner_;
+  mutable std::shared_mutex interner_mu_;  // see read_lock()
   std::vector<Node*> nodes_;  // dense, indexed by AddressId; null = no node
   std::unordered_map<std::uint64_t, LinkState> links_;  // pack_link keys
   Time default_latency_ = 10'000;  // 10 ms
-
-  // Engine state. pool_ is declared before the queue and the callback
-  // slots: PayloadRefs captured inside parked callbacks release into the
-  // pool during destruction, so the pool must be torn down last.
-  BufferPool pool_;
-  CalendarQueue queue_;
-  std::vector<std::function<void()>> callbacks_;  // at() slot pool
-  std::vector<std::uint32_t> callback_free_;
   // unique_ptr per entry: references to a ProtocolInfo stay valid across
-  // the table growing, which the sharded path relies on to read labels
-  // outside the protocol lock.
+  // the table growing, which threaded runs rely on to read labels outside
+  // the protocol lock.
   std::vector<std::unique_ptr<ProtocolInfo>> protocols_;
   std::unordered_map<std::string, ProtocolId> protocol_ids_;
-  Packet scratch_;  // re-materialized per delivery; capacity is recycled
-  /// Handle of the delivery currently inside Node::on_packet (kInvalid
-  /// outside one) — what detach_payload() consults to steal or share.
-  PayloadHandle current_handle_ = BufferPool::kInvalid;
+  mutable std::shared_mutex protocol_mu_;  // see read_lock()
 
-  std::uint64_t event_seq_ = 0;
-  Time now_ = 0;
-  std::uint64_t context_counter_ = 0;
-  std::uint64_t queue_ops_ = 0;
-  std::size_t queue_peak_ = 0;
+  // The main shard: takes every event scheduled outside a threaded run,
+  // executes serial runs inline, and during a threaded run stays frozen
+  // (its pool still backs PayloadRefs made before the run). Declared
+  // before shard_v_, so worker shards and the PayloadRefs parked in their
+  // callbacks are torn down first.
+  Shard main_;
+  std::uint64_t queue_ops_ = 0;  // main_'s pushes + pops, for gauge sampling
 
   std::vector<std::function<void(const TraceEntry&)>> wiretaps_;
   std::vector<TraceEntry> trace_;
   bool record_trace_ = true;
   bool link_byte_accounting_ = true;
+  // Folded totals (fold() adds each shard's counts).
   std::size_t packets_delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
-
-  // Fault injection. The RNG is separate from every protocol RNG so
-  // installing a plan never perturbs protocol-level randomness, and the
-  // fast path stays untouched when no plan is installed. Partition and
-  // crash windows are re-keyed by interned id at set_fault_plan time; the
-  // pointed-to vectors live inside fault_plan_. Breach times are a flat
-  // AddressId-indexed vector (kNotBreached = never).
-  std::optional<FaultPlan> fault_plan_;
-  std::unique_ptr<XoshiroRng> fault_rng_;
   FaultStats fault_stats_;
+
+  // Fault injection. Each shard rolls on its own RNG stream, separate from
+  // every protocol RNG so installing a plan never perturbs protocol-level
+  // randomness; the fast path stays untouched when no plan is installed.
+  // Partition and crash windows are re-keyed by interned id at
+  // set_fault_plan time; the pointed-to vectors live inside fault_plan_.
+  // Breach times are a flat AddressId-indexed vector (kNotBreached =
+  // never).
+  std::optional<FaultPlan> fault_plan_;
   std::function<void(const BreachEvent&)> breach_handler_;
   std::vector<Time> breached_;
   std::unordered_map<std::uint64_t, const std::vector<Window>*> partitions_m_;
@@ -592,18 +690,11 @@ class Simulator {
   obs::TimeSeriesSampler* sampler_ = nullptr;
   Time sampler_next_ = ~Time{0};
   EngineProfiler* profiler_ = nullptr;
-
-  // Request-tracing plane. cur_trace_ / trace_continued_ track the trace
-  // of the delivery currently inside Node::on_packet on the serial path
-  // (shards keep their own copies); trace_seq_ issues serial trace ids.
   LatencyTracer* latency_ = nullptr;
-  std::uint64_t trace_seq_ = 0;
-  obs::TraceContext cur_trace_;
-  bool trace_continued_ = false;
 
   // Observability sinks: metric handles are cached (stable for the
-  // registry's lifetime) so the per-event cost is one add each. Per-link
-  // byte counters are pre-resolved into a flat id-pair-keyed cache — the
+  // registry's lifetime) so folding costs one add each. Per-link byte
+  // counters are pre-resolved into a flat id-pair-keyed cache — the
   // "src->dst" label string is built once per pair, never per packet.
   obs::Registry* metrics_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
@@ -616,19 +707,12 @@ class Simulator {
   obs::Gauge* pool_slots_m_ = nullptr;
   obs::Histogram* delivery_latency_m_ = nullptr;
   std::unordered_map<std::uint64_t, obs::Counter*> link_bytes_m_;
-  // Fault counters are only registered once a plan is installed, so
-  // fault-free runs keep their metric snapshots unchanged.
-  obs::Counter* faults_lost_m_ = nullptr;
-  obs::Counter* faults_duplicated_m_ = nullptr;
-  obs::Counter* faults_jittered_m_ = nullptr;
-  obs::Counter* faults_partition_m_ = nullptr;
-  obs::Counter* faults_offline_m_ = nullptr;
-  obs::Counter* faults_breaches_m_ = nullptr;
+  // Fault counters, in FaultStats field order, are only registered once a
+  // plan is installed, so fault-free runs keep their metric snapshots
+  // unchanged.
+  std::array<obs::Counter*, 6> faults_m_{};
 
-  // Sharding state. Declared *after* pool_ so per-shard pools (and parked
-  // callbacks holding PayloadRefs into them) tear down before the global
-  // pool. The mutexes guard the interner and protocol tables only while a
-  // sharded run is in flight; the serial path never locks them.
+  // Threaded-run state.
   std::uint32_t shards_ = 1;
   std::unordered_map<AddressId, std::uint32_t> shard_pin_;
   // Auto-affinity placement (kMinCut): recomputed at the start of each
@@ -647,16 +731,12 @@ class Simulator {
   std::vector<std::unique_ptr<Shard>> shard_v_;
   ShardRunStats shard_stats_;
   bool sharded_running_ = false;
-  bool defer_observability_ = false;
   std::optional<FaultPlan> pending_plan_;
   mutable std::mutex pending_mu_;           // guards pending_plan_
   std::atomic<bool>* run_abort_ = nullptr;  // live only inside run_sharded()
-  mutable std::shared_mutex interner_mu_;
-  mutable std::shared_mutex protocol_mu_;
 
-  /// The shard whose worker thread is currently executing (null on the
-  /// main thread and in serial runs). send/at/now/new_context route through
-  /// it so node handlers transparently use shard-local state.
+  /// The worker shard this thread is executing (null on every other
+  /// thread); current() resolves it.
   static thread_local Shard* tls_shard_;
 };
 

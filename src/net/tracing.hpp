@@ -8,10 +8,10 @@
 // the delivering packet's trace with hop+1, and a delivery whose handler
 // does not continue the trace is the terminal hop — the tracer records
 // end-to-end virtual latency (now - origin) into the terminal protocol's
-// LatencyRecorder there. Because LatencyRecorder recording is a
-// commutative atomic add, shard workers record straight into the shared
-// recorders and serial vs sharded runs produce bit-identical percentiles
-// for the same workload (tests/test_shard.cpp).
+// LatencyRecorder there. Worker shards record into private lanes merged at
+// run end; because merging is a commutative bucket add, serial and sharded
+// runs produce bit-identical percentiles for the same workload
+// (tests/test_shard.cpp).
 //
 // Stage attribution: the simulator stamps the two virtual-time components
 // of every hop at send time — the configured link latency and the
@@ -101,7 +101,7 @@ class LatencyTracer {
 
   /// Folds one shard's private recorder lane into this tracer. Merging is
   /// a commutative bucket add, so lane-then-merge yields bit-identical
-  /// percentiles to recording directly (the serial path).
+  /// percentiles to recording directly (what the main shard does).
   void merge_lane(const struct LatencyLane& lane);
 
   /// Chrome trace "X" spans on the virtual timeline: pid 1, tid = hop

@@ -76,12 +76,15 @@ class OracleNode : public net::Node {
   std::vector<std::string>* log_;
 };
 
-/// The readable oracle: returns the full ordered event log.
-inline std::vector<std::string> oracle_small_trace() {
+/// The readable oracle: returns the full ordered event log. Metrics go to
+/// `registry` when given (the registry golden reads them), else to a
+/// private registry.
+inline std::vector<std::string> oracle_small_trace(
+    obs::Registry* registry = nullptr) {
   std::vector<std::string> log;
   net::Simulator sim;
   obs::Registry reg;
-  sim.set_metrics(reg);
+  sim.set_metrics(registry != nullptr ? *registry : reg);
 
   OracleNode a("a", &log), b("b", &log), c("c", &log), d("d", &log),
       far("far", &log);

@@ -127,6 +127,30 @@ TEST(EngineGolden, BigMeshHashMatchesSeedEngine) {
   EXPECT_EQ(testing::oracle_big_hash(), kGoldenBigHash);
 }
 
+// What the small oracle's serial run reports to its metrics registry,
+// recorded from the engine that wrote every counter inline per event. An
+// engine that counts locally and folds into the registry later must land
+// on exactly these values.
+TEST(EngineGolden, SmallTraceRegistryValues) {
+  obs::Registry reg;
+  testing::oracle_small_trace(&reg);
+  EXPECT_EQ(reg.counter("events_processed").value(), 90u);
+  EXPECT_EQ(reg.counter("packets_delivered").value(), 65u);
+  EXPECT_EQ(reg.counter("bytes_delivered").value(), 448u);
+  EXPECT_EQ(reg.counter("faults_lost").value(), 16u);
+  EXPECT_EQ(reg.counter("faults_duplicated").value(), 10u);
+  EXPECT_EQ(reg.counter("faults_jittered").value(), 24u);
+  EXPECT_EQ(reg.counter("faults_partition_dropped").value(), 4u);
+  EXPECT_EQ(reg.counter("faults_offline_dropped").value(), 1u);
+  EXPECT_EQ(reg.counter("faults_breaches_fired").value(), 1u);
+  const obs::Histogram& latency = reg.histogram("delivery_latency_us");
+  EXPECT_EQ(latency.count(), 65u);
+  EXPECT_EQ(latency.sum(), 5030317.0);
+  EXPECT_EQ(latency.min(), 100.0);
+  EXPECT_EQ(latency.max(), 2500205.0);
+  EXPECT_EQ(reg.gauge("queue_depth_peak").value(), 29.0);
+}
+
 // ---------------------------------------------------------------------------
 // CalendarQueue unit tests (tiny wheel: 4 slots x 4 us, horizon 16 us).
 
@@ -333,6 +357,39 @@ TEST(SimulatorEngine, SendSharedReusesOneBufferAcrossResends) {
 
   wire.reset();
   EXPECT_EQ(sim.payload_pool().live(), 0u);
+}
+
+// A mid-run set_fault_plan resets fault_stats() but never the registry:
+// the faults the old plan injected stay counted there. Serial and sharded
+// runs must agree, so a sharded swap has to fold each shard's fault counts
+// into the registry before resetting them.
+TEST(SimulatorEngine, PlanSwapKeepsEarlierFaultsInRegistry) {
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::Registry reg;
+    net::Simulator sim;
+    sim.set_metrics(reg);
+    SinkNode sink("sink");
+    sim.add_node(sink);
+    net::FaultPlan lossy(3);
+    lossy.impair({1.0, 0.0, 0.0, 0});  // every packet is lost
+    sim.set_fault_plan(std::move(lossy));
+    const auto send = [&sim] {
+      sim.send(net::Packet{"src", "sink", Bytes(1), 0, "data"});
+    };
+    for (net::Time i = 0; i < 10; ++i) sim.at(100 + i, send);
+    sim.at(1'000, [&sim] { sim.set_fault_plan(net::FaultPlan(4)); });
+    // Far past the swap plus any lookahead window, so the sharded run has
+    // applied the new plan before these sends roll.
+    for (net::Time i = 0; i < 5; ++i) sim.at(100'000 + i, send);
+    sim.set_shards(shards);
+    sim.run();
+
+    EXPECT_EQ(sink.payloads.size(), 5u);
+    EXPECT_EQ(sim.fault_stats().lost, 0u);  // reset by the swap
+    EXPECT_EQ(reg.counter("faults_lost").value(), 10u);
+    EXPECT_EQ(reg.counter("packets_delivered").value(), 5u);
+  }
 }
 
 TEST(SimulatorEngine, SendSharedRejectsForeignOrEmptyPayloads) {

@@ -3,6 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "net/tracing.hpp"
+#include "obs/trace.hpp"
+
 namespace dcpl::net {
 namespace {
 
@@ -296,6 +302,141 @@ TEST(Simulator, InternedButNodelessDestinationThrows) {
   sim.connect("a", "ghost", 5'000);
   ASSERT_TRUE(sim.interner().lookup("ghost").has_value());
   EXPECT_THROW(sim.send(Packet{"a", "ghost", {}, 0, ""}), std::out_of_range);
+}
+
+/// Throws out of on_packet on its first delivery, then counts.
+class ThrowOnceNode final : public Node {
+ public:
+  explicit ThrowOnceNode(Address addr) : Node(std::move(addr)) {}
+
+  void on_packet(const Packet&, Simulator&) override {
+    if (!thrown_) {
+      thrown_ = true;
+      throw std::runtime_error("handler failed");
+    }
+    ++delivered;
+  }
+
+  int delivered = 0;
+
+ private:
+  bool thrown_ = false;
+};
+
+// A handler throwing out of run() must not leave the run behind: the
+// tracer would keep a virtual clock pointing into the simulator (read by
+// the next span, possibly after the simulator is gone), and the next
+// top-level send would continue the dead delivery's request trace.
+TEST(Simulator, RunIsExceptionSafe) {
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::Tracer spans;
+    LatencyTracer latency(/*waterfall_period=*/0);
+    Simulator sim;
+    sim.set_tracer(spans);
+    sim.set_latency_tracer(&latency);
+    EchoNode a("a", false);
+    ThrowOnceNode b("b");
+    sim.add_node(a);
+    sim.add_node(b);
+    sim.connect("a", "b", 100);
+    sim.set_shards(shards);
+
+    sim.send(Packet{"a", "b", Bytes(1), 1, "t"});
+    EXPECT_THROW(sim.run(), std::runtime_error);
+    EXPECT_FALSE(spans.has_virtual_clock());
+
+    // A fresh trace: one 100 us hop end to end, not 200 us since the dead
+    // trace's origin.
+    sim.send(Packet{"a", "b", Bytes(1), 2, "t"});
+    sim.run();
+    EXPECT_FALSE(spans.has_virtual_clock());
+    EXPECT_EQ(b.delivered, 1);
+    EXPECT_EQ(latency.e2e(0).count(), 1u);
+    EXPECT_EQ(latency.e2e(0).max(), 100u);
+  }
+}
+
+/// Makes every call that must be rejected without side effects: sends and
+/// a forward to an unknown destination, and an at_node in the past, all
+/// naming addresses the simulator has never seen (prefixed by `tag`).
+/// Returns how many threw the expected exception.
+int make_rejected_calls(Simulator& sim, const std::string& tag,
+                        bool in_delivery) {
+  const Address src = tag + "-src";
+  const Address nowhere = tag + "-nowhere";
+  int rejected = 0;
+  try {
+    sim.send(Packet{src, nowhere, Bytes(1), 0, "t"});
+  } catch (const std::out_of_range&) {
+    ++rejected;
+  }
+  try {
+    sim.send_shared(src, nowhere, sim.make_payload(Bytes{1}), 0, "t");
+  } catch (const std::out_of_range&) {
+    ++rejected;
+  }
+  if (in_delivery) {
+    try {
+      sim.forward(src, nowhere, 0, "t");
+    } catch (const std::out_of_range&) {
+      ++rejected;
+    }
+  }
+  if (sim.now() > 0) {
+    try {
+      sim.at_node(tag + "-node", sim.now() - 1, [] {});
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  return rejected;
+}
+
+/// Makes the rejected calls from inside its first delivery and records the
+/// interner size around them.
+class RejectingNode final : public Node {
+ public:
+  explicit RejectingNode(Address addr) : Node(std::move(addr)) {}
+
+  void on_packet(const Packet&, Simulator& sim) override {
+    size_before = sim.interner().size();
+    rejected = make_rejected_calls(sim, "handler", /*in_delivery=*/true);
+    size_after = sim.interner().size();
+  }
+
+  std::size_t size_before = 0;
+  std::size_t size_after = 0;
+  int rejected = 0;
+};
+
+// Interning a name shifts every later AddressId (and with it id-modulo
+// shard placement), and on a worker thread it takes the exclusive interner
+// lock mid-run — so a rejected call must validate before it interns.
+TEST(Simulator, RejectedCallsLeaveInternerUnchanged) {
+  for (std::uint32_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Simulator sim;
+    EchoNode a("a", false);
+    RejectingNode b("b");
+    sim.add_node(a);
+    sim.add_node(b);
+    sim.connect("a", "b", 100);
+    sim.set_shards(shards);
+
+    const std::size_t interned = sim.interner().size();
+    EXPECT_EQ(make_rejected_calls(sim, "before", /*in_delivery=*/false), 2);
+    EXPECT_EQ(sim.interner().size(), interned);
+
+    sim.send(Packet{"a", "b", Bytes(1), 1, "t"});
+    sim.run();
+    EXPECT_EQ(b.rejected, 4);
+    EXPECT_EQ(b.size_after, b.size_before);
+
+    // After the run the clock is past zero, so at_node can be in the past.
+    EXPECT_EQ(make_rejected_calls(sim, "after", /*in_delivery=*/false), 3);
+    EXPECT_EQ(sim.interner().size(), interned);
+  }
 }
 
 }  // namespace
