@@ -275,11 +275,7 @@ bool write_html(const std::string& path, const obs::TimeSeriesSampler& s,
     append_bucket_row(out, label, protos[i]);
   }
   out += "</table>\n</body></html>\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  return std::fclose(f) == 0 && ok;
+  return obs::write_file(path, out);
 }
 
 void print_bucket(const char* label, const net::EngineProfiler::Bucket& b) {
@@ -368,8 +364,9 @@ int main(int argc, char** argv) {
   // Tracing plane in isolation, same largest point: interleaved bare vs
   // tracer-only (no sampler, no profiler) run pairs, best-of each side.
   // The per-event cost is one trace-context stamp per send plus one
-  // recorder fetch_add per terminal hop and per stage — it must fit the
-  // same budget so tracing can stay on wherever the telemetry plane does.
+  // recorder record (two relaxed fetch_adds: bucket and sum) per terminal
+  // hop and per stage — it must fit the same budget so tracing can stay on
+  // wherever the telemetry plane does.
   double trace_bare_best = 0.0, traced_best = 0.0;
   std::uint64_t traced_requests = 0;
   for (int i = 0; i < repeats; ++i) {

@@ -2,13 +2,15 @@
 // Chrome trace-event file) against the schema report_util.hpp documents.
 // Run by ctest and CI so the machine-readable outputs stay honest: every
 // row's match flag must agree with its derived/expected strings, all_match
-// must agree with the rows, the /2 "timeseries" and "profile" sections
-// must be internally consistent, and the trace must carry simulator
-// virtual time.
+// must agree with the rows, every metrics{} histogram must carry ordered
+// percentiles and a sum its extremes bound, the /2 "timeseries" and
+// "profile" sections must be internally consistent, and the trace must
+// carry simulator virtual time.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "obs/json.hpp"
 
@@ -354,36 +356,77 @@ bool check_shards(const JsonValue& r, bool required) {
   return true;
 }
 
+// Whether `b` carries every one of `keys` as a non-negative number;
+// names the first missing one ("<kind> <what> missing numeric <key>").
+bool has_numbers(const JsonValue& b, const char* kind, const char* what,
+                 const std::vector<const char*>& keys) {
+  for (const char* k : keys) {
+    if (!b.has(k) || !b.at(k).is_number() || b.at(k).number < 0) {
+      std::fprintf(stderr, "report_check: %s %s missing numeric %s\n", kind,
+                   what, k);
+      return false;
+    }
+  }
+  return true;
+}
+
+// Whether `b`'s numeric fields `chain` never decrease, in order: the
+// percentile ordering every summary that holds samples must satisfy.
+bool non_decreasing(const JsonValue& b, const std::vector<const char*>& chain) {
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    if (b.at(chain[i]).number < b.at(chain[i - 1]).number) return false;
+  }
+  return true;
+}
+
 // One percentile summary inside the "latency" object: numeric count /
 // quantile fields with non-decreasing p50 <= p99 (<= p999) <= max whenever
 // any samples were recorded.
 bool check_latency_summary(const JsonValue& b, const char* what,
                            bool has_p999) {
   if (!b.is_object()) return fail("latency summary is not an object");
-  const char* suffix_keys[] = {"count", "p50_us", "p99_us", "p999_us",
-                               "max_us"};
-  const char* plain_keys[] = {"count", "p50", "p99", "p999", "max"};
-  const char** keys = has_p999 ? suffix_keys : plain_keys;
-  for (int i = 0; i < 5; ++i) {
-    if (!has_p999 && i == 3) continue;  // stage summaries skip p999
-    if (!b.has(keys[i]) || !b.at(keys[i]).is_number() ||
-        b.at(keys[i]).number < 0) {
-      std::fprintf(stderr,
-                   "report_check: latency %s missing numeric %s\n", what,
-                   keys[i]);
+  // Stage summaries skip p999, and their keys carry no unit suffix.
+  const std::vector<const char*> chain =
+      has_p999 ? std::vector<const char*>{"p50_us", "p99_us", "p999_us",
+                                          "max_us"}
+               : std::vector<const char*>{"p50", "p99", "max"};
+  if (!has_numbers(b, "latency", what, {"count"}) ||
+      !has_numbers(b, "latency", what, chain)) {
+    return false;
+  }
+  if (b.at("count").number > 0 && !non_decreasing(b, chain)) {
+    return fail("latency percentiles not non-decreasing");
+  }
+  return true;
+}
+
+// Every histogram in metrics{} (the object-valued entries; counters and
+// gauges are plain numbers): numeric count/sum/min/max/p50/p95/p99 and,
+// once it holds samples, min <= p50 <= p95 <= p99 <= max and a sum the
+// extremes bound (min*count <= sum <= max*count).
+bool check_metric_histograms(const JsonValue& metrics) {
+  for (const auto& [name, h] : metrics.object) {
+    if (!h.is_object()) continue;
+    if (!has_numbers(h, "metric", name.c_str(),
+                     {"count", "sum", "min", "max", "p50", "p95", "p99"})) {
       return false;
     }
-  }
-  if (b.at(keys[0]).number > 0) {
-    const double p50 = b.at(keys[1]).number;
-    const double p99 = b.at(keys[2]).number;
-    const double max = b.at(keys[4]).number;
-    if (p50 > p99 || p99 > max) {
-      return fail("latency percentiles not non-decreasing");
+    const double count = h.at("count").number;
+    if (count <= 0) continue;
+    if (!non_decreasing(h, {"min", "p50", "p95", "p99", "max"})) {
+      std::fprintf(stderr,
+                   "report_check: metric %s percentiles not non-decreasing "
+                   "from min to max\n",
+                   name.c_str());
+      return false;
     }
-    if (has_p999 &&
-        (p99 > b.at(keys[3]).number || b.at(keys[3]).number > max)) {
-      return fail("latency percentiles not non-decreasing");
+    const double sum = h.at("sum").number;
+    if (sum < h.at("min").number * count || sum > h.at("max").number * count) {
+      std::fprintf(stderr,
+                   "report_check: metric %s sum outside [min*count, "
+                   "max*count]\n",
+                   name.c_str());
+      return false;
     }
   }
   return true;
@@ -508,6 +551,7 @@ bool check_report(const JsonValue& r, std::size_t min_tables) {
   if (!r.has("metrics") || !r.at("metrics").is_object()) {
     return fail("missing metrics{}");
   }
+  if (!check_metric_histograms(r.at("metrics"))) return false;
   const JsonValue* timing = r.find("timing");
   if (!timing || !timing->has("wall_ms") ||
       !timing->at("wall_ms").is_number()) {

@@ -459,7 +459,7 @@ class Report {
       w.kv("wall_ms", wall_ms);
       w.end_object();
       w.end_object();
-      if (!write_file(json_path_, w.str())) {
+      if (!obs::write_file(json_path_, w.str())) {
         obs::Logger::global().error("cannot write JSON report",
                                     {{"bench", name_}, {"path", json_path_}});
         ok = false;
@@ -471,14 +471,15 @@ class Report {
                                   {{"bench", name_}, {"path", trace_path_}});
       ok = false;
     }
-    if (!flow_log_path_.empty() && !write_file(flow_log_path_, flow_jsonl_)) {
+    if (!flow_log_path_.empty() &&
+        !obs::write_file(flow_log_path_, flow_jsonl_)) {
       obs::Logger::global().error(
           "cannot write flow log", {{"bench", name_}, {"path", flow_log_path_}});
       ok = false;
     }
     if (!prom_path_.empty() &&
-        !write_file(prom_path_,
-                    obs::metrics_to_prometheus(obs::global_registry()))) {
+        !obs::write_file(prom_path_,
+                         obs::metrics_to_prometheus(obs::global_registry()))) {
       obs::Logger::global().error("cannot write Prometheus text",
                                   {{"bench", name_}, {"path", prom_path_}});
       ok = false;
@@ -509,14 +510,6 @@ class Report {
     std::uint64_t event_id = 0, t_us = 0, implant_event_id = 0;
     std::vector<std::uint64_t> chain;
   };
-
-  static bool write_file(const std::string& path, const std::string& body) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
-    const bool ok =
-        std::fwrite(body.data(), 1, body.size(), f) == body.size();
-    return std::fclose(f) == 0 && ok;
-  }
 
   std::string name_;
   std::string json_path_;

@@ -22,34 +22,28 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "net/address.hpp"
+#include "net/engine.hpp"
 
 namespace dcpl::net {
 
-/// One cross-shard delivery in flight between two shard calendar queues.
-/// (time, src_shard, src_seq) is the deterministic merge key: src_seq is a
-/// per-source-shard transfer counter, so the triple is unique and its order
-/// is independent of thread interleaving. Payload bytes travel by value —
-/// shards own disjoint payload pools, so the buffer changes pools here.
+/// One cross-shard delivery in flight between two shard calendar queues:
+/// the delivery event as the destination shard enqueues it (that shard
+/// assigns its seq and payload handle; trace fields ride along verbatim),
+/// plus the source half of the merge key. (event.time, src_shard, src_seq)
+/// is the deterministic merge key: src_seq is a per-source-shard transfer
+/// counter, so the triple is unique and its order is independent of thread
+/// interleaving. Payload bytes travel by value — shards own disjoint
+/// payload pools, so the buffer changes pools here.
 struct ShardEvent {
-  Time time = 0;
+  EngineEvent event;
   std::uint32_t src_shard = 0;
   std::uint64_t src_seq = 0;
-  std::uint64_t link_key = 0;   ///< packed (src_id, dst_id)
-  std::uint64_t context = 0;    ///< linkage context
-  Time latency_sample = 0;      ///< deliver_at - send-time now
-  // Tracing-plane fields — carried verbatim into the destination shard's
-  // EngineEvent so a trace survives crossing shard boundaries.
-  std::uint64_t trace_id = 0;
-  Time trace_origin = 0;
-  std::uint32_t trace_hop = 0;
-  std::uint32_t protocol = 0;   ///< interned protocol label
   Bytes payload;
 };
 
 /// Strict merge order for drained batches: (time, src_shard, src_seq).
 inline bool merges_before(const ShardEvent& a, const ShardEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
+  if (a.event.time != b.event.time) return a.event.time < b.event.time;
   if (a.src_shard != b.src_shard) return a.src_shard < b.src_shard;
   return a.src_seq < b.src_seq;
 }

@@ -438,6 +438,23 @@ void Simulator::transmit(Shard& sh, AddressId src_id, AddressId dst_id,
   const ProtocolId proto = intern_protocol(protocol);
   const obs::TraceContext tc = next_trace(sh);
   const std::uint32_t dst_shard = owner(sh, dst_id);
+  // The delivery event for both the local push and the mailbox hand-off;
+  // the enqueuing shard assigns its seq and payload handle. The latency
+  // sample is computed now but recorded only at delivery time: a packet
+  // later dropped by a crash window must not contribute to the
+  // delivery-latency histogram.
+  const auto delivery = [&](Time deliver_at) {
+    EngineEvent ev;
+    ev.time = deliver_at;
+    ev.link_key = link_key;
+    ev.context = context;
+    ev.latency_sample = deliver_at - sh.now;
+    ev.trace_id = tc.trace_id;
+    ev.trace_origin = tc.origin_us;
+    ev.trace_hop = tc.hop;
+    ev.protocol = proto;
+    return ev;
+  };
   if (dst_shard == sh.id) {
     const PayloadHandle h =
         by_ref ? shared : sh.pool.acquire(std::move(payload));
@@ -447,32 +464,19 @@ void Simulator::transmit(Shard& sh, AddressId src_id, AddressId dst_id,
       // it takes the lower sequence number — exactly the seed engine's
       // order.
       sh.pool.add_ref(h);
-      push_delivery(sh, plan.dup_at, link_key, h, context, proto, tc);
+      push_delivery(sh, delivery(plan.dup_at), h);
     }
-    push_delivery(sh, plan.deliver_at, link_key, h, context, proto, tc);
+    push_delivery(sh, delivery(plan.deliver_at), h);
     return;
   }
-  ShardEvent xev;
-  xev.src_shard = sh.id;
-  xev.link_key = link_key;
-  xev.context = context;
-  xev.trace_id = tc.trace_id;
-  xev.trace_origin = tc.origin_us;
-  xev.trace_hop = tc.hop;
-  xev.protocol = proto;
   if (plan.duplicated) {
-    ShardEvent dup = xev;
-    dup.time = plan.dup_at;
-    dup.latency_sample = plan.dup_at - sh.now;
-    dup.src_seq = ++sh.xfer_seq;  // lower merge key: duplicate first
-    dup.payload = payload;        // shares degrade to a copy across shards
-    push_remote(sh, dst_shard, std::move(dup));
+    // Lower merge key: the duplicate first. Shares degrade to a copy
+    // across shards.
+    push_remote(sh, dst_shard,
+                {delivery(plan.dup_at), sh.id, ++sh.xfer_seq, payload});
   }
-  xev.time = plan.deliver_at;
-  xev.latency_sample = plan.deliver_at - sh.now;
-  xev.src_seq = ++sh.xfer_seq;
-  xev.payload = std::move(payload);
-  push_remote(sh, dst_shard, std::move(xev));
+  push_remote(sh, dst_shard, {delivery(plan.deliver_at), sh.id,
+                              ++sh.xfer_seq, std::move(payload)});
 }
 
 PayloadRef Simulator::make_payload(Bytes bytes) {
@@ -505,25 +509,9 @@ void Simulator::send_shared(const Address& src, const Address& dst,
   }
 }
 
-void Simulator::push_delivery(Shard& sh, Time deliver_at,
-                              std::uint64_t link_key, PayloadHandle h,
-                              std::uint64_t context, ProtocolId protocol,
-                              const obs::TraceContext& tc) {
-  EngineEvent ev;
-  ev.time = deliver_at;
+void Simulator::push_delivery(Shard& sh, EngineEvent ev, PayloadHandle h) {
   ev.seq = ++sh.event_seq;
-  ev.link_key = link_key;
-  ev.context = context;
-  // The latency sample is computed now but recorded only at delivery time:
-  // a packet later dropped by a crash window must not contribute to the
-  // delivery-latency histogram.
-  ev.latency_sample = deliver_at - sh.now;
-  ev.trace_id = tc.trace_id;
-  ev.trace_origin = tc.origin_us;
-  ev.trace_hop = tc.hop;
   ev.handle = h;
-  ev.protocol = protocol;
-  ev.kind = EngineEvent::kDelivery;
   ++sh.traffic[sh.id];  // diagonal: same-shard sends
   enqueue(sh, ev);
 }
@@ -610,7 +598,7 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
     sh.pool.release(ev.handle);
     return;
   }
-  sh.latency_hist.observe(static_cast<double>(ev.latency_sample));
+  sh.latency_hist.record(ev.latency_sample);
   const ProtocolInfo& proto = protocol_info(ev.protocol);
   const Address& src = name_of(link_src(ev.link_key));
   const Address& dst = name_of(dst_id);
@@ -768,10 +756,8 @@ void Simulator::fold(Shard& sh) {
   events_processed_m_->inc(sh.events);
   packets_m_->inc(sh.deliveries);
   bytes_m_->inc(sh.delivered_bytes);
-  if (sh.latency_hist.count() != 0) {
-    delivery_latency_m_->merge(sh.latency_hist);
-    sh.latency_hist.reset();
-  }
+  delivery_latency_m_->merge(sh.latency_hist);
+  sh.latency_hist.reset();
   packets_delivered_ += sh.deliveries;
   bytes_delivered_ += sh.delivered_bytes;
   for (std::size_t i = 0; i < faults_m_.size(); ++i) {
@@ -1167,19 +1153,9 @@ void Simulator::drain_inbox_into_queue(Shard& sh) {
               return merges_before(a, b);
             });
   for (ShardEvent& xev : sh.staged) {
-    EngineEvent ev;
-    ev.time = xev.time;
-    ev.seq = ++sh.event_seq;
-    ev.link_key = xev.link_key;
-    ev.context = xev.context;
-    ev.latency_sample = xev.latency_sample;
-    ev.trace_id = xev.trace_id;
-    ev.trace_origin = xev.trace_origin;
-    ev.trace_hop = xev.trace_hop;
-    ev.handle = sh.pool.acquire(std::move(xev.payload));
-    ev.protocol = xev.protocol;
-    ev.kind = EngineEvent::kDelivery;
-    enqueue(sh, ev);
+    xev.event.seq = ++sh.event_seq;
+    xev.event.handle = sh.pool.acquire(std::move(xev.payload));
+    enqueue(sh, xev.event);
   }
   sh.staged.clear();
 }

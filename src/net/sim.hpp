@@ -514,7 +514,7 @@ class Simulator {
     std::uint64_t deliveries = 0;
     std::uint64_t delivered_bytes = 0;
     FaultStats stats;
-    obs::Histogram latency_hist{std::vector<double>{}};
+    obs::LatencyRecorder latency_hist;
     // Worker exchange: the inbox (bounded: big enough that barrier-rate
     // draining never backpressures in practice, small enough to bound
     // memory under a pathological window), drained-but-not-enqueued
@@ -593,9 +593,8 @@ class Simulator {
   /// The shard that delivers to `dst_id`. main_ owns every address, so
   /// serial sends skip the placement lookup.
   std::uint32_t owner(const Shard& sh, AddressId dst_id) const;
-  void push_delivery(Shard& sh, Time deliver_at, std::uint64_t link_key,
-                     PayloadHandle h, std::uint64_t context,
-                     ProtocolId protocol, const obs::TraceContext& tc);
+  /// Enqueues delivery `ev` on `sh` with a fresh seq and payload slot `h`.
+  void push_delivery(Shard& sh, EngineEvent ev, PayloadHandle h);
   void push_remote(Shard& sh, std::uint32_t dst_shard, ShardEvent ev);
   void enqueue(Shard& sh, const EngineEvent& ev);
   void schedule(Shard& sh, Time t, std::uint64_t tag, std::function<void()> fn);
@@ -705,7 +704,7 @@ class Simulator {
   obs::Gauge* queue_depth_peak_m_ = nullptr;
   obs::Gauge* pool_live_m_ = nullptr;
   obs::Gauge* pool_slots_m_ = nullptr;
-  obs::Histogram* delivery_latency_m_ = nullptr;
+  obs::LatencyRecorder* delivery_latency_m_ = nullptr;
   std::unordered_map<std::uint64_t, obs::Counter*> link_bytes_m_;
   // Fault counters, in FaultStats field order, are only registered once a
   // plan is installed, so fault-free runs keep their metric snapshots

@@ -1,7 +1,6 @@
 #include "net/tracing.hpp"
 
 #include <bit>
-#include <cstdio>
 
 namespace dcpl::net {
 
@@ -97,11 +96,7 @@ bool LatencyTracer::write_chrome_trace_file(
     const std::string& path, const std::vector<std::string>& names) const {
   obs::JsonWriter w;
   write_chrome_trace(w, names);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::string& text = w.str();
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  return obs::write_file(path, w.str());
 }
 
 }  // namespace dcpl::net

@@ -1,7 +1,6 @@
 #include "obs/flow.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/json.hpp"
@@ -436,11 +435,7 @@ bool FlowLedger::write_jsonl_file(const std::string& path,
                                   std::string_view run_label) const {
   std::string text;
   write_jsonl(text, run_label);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, text);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 // Write→parse round-trips are lossless for every byte string: valid UTF-8
 // passes through verbatim, while C0 controls, DEL, and bytes that are not
 // part of a valid UTF-8 sequence are escaped as \u00XX and decoded back to
-// the identical single byte.
+// the identical single byte. write_file() is the one writer that puts a
+// finished document (report, trace, flow log, page) on disk.
 #pragma once
 
 #include <cstdint>
@@ -367,5 +368,14 @@ class JsonParser {
   std::string_view text_;
   std::size_t pos_ = 0;
 };
+
+/// Writes `body` to `path`, replacing the file. Returns false when the
+/// open, the write or the close fails.
+inline bool write_file(const std::string& path, std::string_view body) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return false;
+  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  return std::fclose(f) == 0 && ok;
+}
 
 }  // namespace dcpl::obs

@@ -4,15 +4,17 @@
 // log2 octaves subdivided into 2^kSubBits linear sub-buckets, so every
 // recorded value is reproduced by quantile() with relative error at most
 // 2^-kSubBits (12.5% with the default 3 sub-bits) while the whole recorder
-// stays a flat ~4 KB array of atomics. This is deliberately distinct from
-// the bounds-based obs::Histogram: that one needs its bucket edges chosen
-// up front and is single-writer; this one covers the full uint64 range,
-// is wait-free to record into from any thread (one relaxed fetch_add per
-// bucket), and merges lock-free. Because recording is a commutative
-// integer add, the same multiset of samples yields bit-identical bucket
-// counts no matter how many threads recorded them or in what order —
-// which is what lets sharded runs report bit-identical percentiles to
-// serial runs without any barrier-side merging.
+// stays a flat ~4 KB array of atomics. It is the one histogram type behind
+// every percentile: the tracing plane's recorders, the stage recorders,
+// and every obs::Registry histogram (the simulator's delivery_latency_us
+// included). It needs no bucket edges chosen up front (it covers the full
+// uint64 range), is wait-free to record into from any thread (two relaxed
+// fetch_adds: the bucket and the exact sum), and merges lock-free. Because
+// recording is a commutative integer add, the same multiset of samples
+// yields bit-identical bucket counts and sums no matter how many threads
+// recorded them or in what order — which is what lets sharded runs report
+// bit-identical percentiles to serial runs without any barrier-side
+// merging.
 //
 // The Stage registry below gives the tracing plane named per-stage
 // recorders (crypto seal/open, wire framing) that hot-path code can stamp
@@ -60,12 +62,14 @@ class LatencyRecorder {
   LatencyRecorder(const LatencyRecorder&) = delete;
   LatencyRecorder& operator=(const LatencyRecorder&) = delete;
 
-  /// Wait-free, one relaxed fetch_add on the hot path (the total count is
-  /// derived from the buckets at read time, and the min/max CAS loops
-  /// degenerate to a load+compare once warm); safe from any thread
-  /// concurrently with other record() and merge() calls.
+  /// Wait-free, two relaxed fetch_adds on the hot path (the bucket and the
+  /// exact sum; the total count is derived from the buckets at read time,
+  /// and the min/max CAS loops degenerate to a load+compare once warm);
+  /// safe from any thread concurrently with other record() and merge()
+  /// calls.
   void record(std::uint64_t v) {
     counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
+    sum_.fetch_add(v, std::memory_order_relaxed);
     raise_max(v);
     lower_min(v);
   }
@@ -83,6 +87,7 @@ class LatencyRecorder {
       }
     }
     if (any) {
+      sum_.fetch_add(other.sum(), std::memory_order_relaxed);
       raise_max(other.max_.load(std::memory_order_relaxed));
       lower_min(other.min_.load(std::memory_order_relaxed));
     }
@@ -99,6 +104,8 @@ class LatencyRecorder {
     return m == ~std::uint64_t{0} ? 0 : m;
   }
   std::uint64_t max() const { return max_.load(std::memory_order_relaxed); }
+  /// Exact sum of every recorded value (wraps modulo 2^64).
+  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
 
   /// Value at quantile q in [0,1]: the upper edge of the bucket holding
   /// the rank-ceil(q*count) sample, clamped into [min(), max()] so exact
@@ -107,6 +114,7 @@ class LatencyRecorder {
 
   void reset() {
     for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
+    sum_.store(0, std::memory_order_relaxed);
     min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
   }
@@ -148,6 +156,7 @@ class LatencyRecorder {
   }
 
   std::array<std::atomic<std::uint64_t>, kBucketCount> counts_;
+  std::atomic<std::uint64_t> sum_;
   std::atomic<std::uint64_t> min_;
   std::atomic<std::uint64_t> max_;
 };

@@ -1,80 +1,8 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace dcpl::obs {
-
-Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)) {
-  if (bounds_.empty()) bounds_ = default_bounds();
-  std::sort(bounds_.begin(), bounds_.end());
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-std::vector<double> Histogram::default_bounds() {
-  // 1, 2, 4, ... 2^24: covers microsecond latencies up to ~16.7 s.
-  std::vector<double> b;
-  for (int i = 0; i <= 24; ++i) b.push_back(static_cast<double>(1u << i));
-  return b;
-}
-
-void Histogram::observe(double v) {
-  auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  counts_[static_cast<std::size_t>(it - bounds_.begin())]++;
-  ++count_;
-  sum_ += v;
-  min_ = std::min(min_, v);
-  max_ = std::max(max_, v);
-}
-
-void Histogram::merge(const Histogram& other) {
-  if (bounds_ != other.bounds_) {
-    throw std::invalid_argument("Histogram::merge: mismatched bucket bounds");
-  }
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
-
-double Histogram::quantile(double q) const {
-  if (count_ == 0) return 0;
-  // A single sample IS every quantile; interpolating inside its bucket would
-  // report a value never observed.
-  if (count_ == 1) return max_;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count_);
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cumulative += counts_[i];
-    if (static_cast<double>(cumulative) < target) continue;
-    if (counts_[i] == 0) continue;
-    // Overflow bucket has no upper edge: report the observed max.
-    if (i == bounds_.size()) return max_;
-    const double hi = bounds_[i];
-    const double lo = i == 0 ? std::min(min_, hi) : bounds_[i - 1];
-    const double into =
-        static_cast<double>(counts_[i]) -
-        (static_cast<double>(cumulative) - target);
-    const double v = lo + (hi - lo) * into / static_cast<double>(counts_[i]);
-    // Interpolation can step outside the observed range when a bucket is
-    // wider than the samples it holds; never report a value outside it.
-    return std::clamp(v, min_, max_);
-  }
-  return max_;
-}
 
 namespace {
 
@@ -146,11 +74,10 @@ Gauge& Registry::gauge(const std::string& name, Labels labels) {
   return *slot;
 }
 
-Histogram& Registry::histogram(const std::string& name, Labels labels,
-                               std::vector<double> bounds) {
+LatencyRecorder& Registry::histogram(const std::string& name, Labels labels) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[{name, sorted(std::move(labels))}];
-  if (!slot) slot = std::make_unique<Histogram>(std::move(bounds));
+  if (!slot) slot = std::make_unique<LatencyRecorder>();
   return *slot;
 }
 
@@ -310,20 +237,21 @@ void Registry::prometheus_into(const std::string& prefix,
     const std::string family = prom_name(prefix + key.first);
     prom_type(out, last_family, family, "histogram");
     std::uint64_t cumulative = 0;
-    const auto& bounds = h->bounds();
-    const auto& counts = h->bucket_counts();
-    for (std::size_t i = 0; i < bounds.size(); ++i) {
-      cumulative += counts[i];
+    for (std::size_t i = 0; i < LatencyRecorder::kBucketCount; ++i) {
+      const std::uint64_t n = h->bucket(i);
+      if (n == 0) continue;
+      cumulative += n;
       out += family + "_bucket" +
-             prom_labels(key.second, "le", prom_number(bounds[i])) + " " +
-             std::to_string(cumulative) + "\n";
+             prom_labels(key.second, "le",
+                         std::to_string(LatencyRecorder::bucket_upper(i))) +
+             " " + std::to_string(cumulative) + "\n";
     }
     out += family + "_bucket" + prom_labels(key.second, "le", "+Inf") + " " +
-           std::to_string(h->count()) + "\n";
+           std::to_string(cumulative) + "\n";
     out += family + "_sum" + prom_labels(key.second) + " " +
-           prom_number(h->sum()) + "\n";
+           std::to_string(h->sum()) + "\n";
     out += family + "_count" + prom_labels(key.second) + " " +
-           std::to_string(h->count()) + "\n";
+           std::to_string(cumulative) + "\n";
   }
   for (const auto& [name, child] : children_) {
     child->prometheus_into(prefix + name + ".", out);

@@ -1,21 +1,22 @@
-// Metrics registry: labeled counters, gauges, and fixed-bucket histograms
-// with quantile summaries. One global registry (the default sink for the
-// substrate's instrumentation) plus scoped child registries so a bench or a
-// subsystem can namespace its own metrics; snapshots serialize the whole
-// subtree and reset() zeroes it without invalidating handles.
+// Metrics registry: labeled counters, gauges, and log-bucketed histograms
+// (obs::LatencyRecorder) with quantile summaries. One global registry (the
+// default sink for the substrate's instrumentation) plus scoped child
+// registries so a bench or a subsystem can namespace its own metrics;
+// snapshots serialize the whole subtree and reset() zeroes it without
+// invalidating handles.
 //
 // Handles returned by counter()/gauge()/histogram() are stable for the
 // lifetime of the registry, so hot paths can cache the reference and pay a
-// single add on each event. Counter/Gauge mutation is atomic (relaxed —
-// they are statistics, not synchronization), and metric *creation* takes a
-// registry mutex, so shard worker threads may resolve and bump shared
-// counters concurrently. Histograms stay single-writer by contract: the
-// sharded simulator records them per shard and merge()s at run end.
+// single add on each event. Counter/Gauge/histogram mutation is atomic
+// (relaxed — they are statistics, not synchronization), and metric
+// *creation* takes a registry mutex, so shard worker threads may resolve
+// and bump shared metrics concurrently. The sharded simulator still
+// records delivery latency per shard and merge()s it at each fold, so the
+// hot path never shares a cache line across threads.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/latency.hpp"
 
 namespace dcpl::obs {
 
@@ -82,50 +84,6 @@ class Gauge {
   std::atomic<double> peak_{0};
 };
 
-/// Fixed-bucket histogram. Bounds are inclusive upper edges of each bucket;
-/// an implicit +inf bucket catches the rest. Quantiles are estimated by
-/// linear interpolation within the bucket holding the target rank (the
-/// overflow bucket reports the observed max), which is exact enough for the
-/// p50/p95/p99 summaries the bench reports carry.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  /// Exponential default buckets covering 1us..~17s when values are in us.
-  static std::vector<double> default_bounds();
-
-  void observe(double v);
-  void reset();
-
-  /// Folds another histogram's observations into this one. Both must share
-  /// identical bucket bounds (throws std::invalid_argument otherwise). The
-  /// sharded simulator records per-shard delivery-latency histograms
-  /// thread-locally and merges them into the registry at run end.
-  void merge(const Histogram& other);
-
-  std::uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0; }
-  double max() const { return count_ ? max_ : 0; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0; }
-
-  /// q in [0, 1]. Defined on degenerate inputs: returns 0 when empty and
-  /// the sample itself when a single value has been observed; results are
-  /// always clamped to the observed [min, max] range.
-  double quantile(double q) const;
-
-  const std::vector<double>& bounds() const { return bounds_; }
-  const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
-
- private:
-  std::vector<double> bounds_;          // ascending upper edges
-  std::vector<std::uint64_t> counts_;   // bounds_.size() + 1 (overflow last)
-  std::uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
-
 /// One metric in a snapshot, flattened with its scope path and labels.
 struct SnapshotEntry {
   enum class Kind { kCounter, kGauge, kHistogram };
@@ -134,7 +92,7 @@ struct SnapshotEntry {
   Labels labels;
   double value = 0;              // counter/gauge value; histogram count
   // Histogram-only summary fields.
-  double sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
+  std::uint64_t sum = 0, min = 0, max = 0, p50 = 0, p95 = 0, p99 = 0;
 };
 
 /// Flattened view of a registry subtree at one instant.
@@ -159,8 +117,7 @@ class Registry {
 
   Counter& counter(const std::string& name, Labels labels = {});
   Gauge& gauge(const std::string& name, Labels labels = {});
-  Histogram& histogram(const std::string& name, Labels labels = {},
-                       std::vector<double> bounds = {});
+  LatencyRecorder& histogram(const std::string& name, Labels labels = {});
 
   /// Child registry whose metrics appear in snapshots as "name.metric".
   Registry& scope(const std::string& name);
@@ -176,9 +133,10 @@ class Registry {
 
   /// Appends this subtree in Prometheus text-exposition format (one
   /// `# TYPE` line per family, counters/gauges as-is, each gauge also as a
-  /// `<name>_peak` high-watermark companion, histograms as cumulative
-  /// `_bucket{le=...}` series plus `_sum`/`_count`). Metric names are
-  /// `name_prefix` + the sanitized scope-qualified name.
+  /// `<name>_peak` high-watermark companion, histograms as one cumulative
+  /// `_bucket{le=...}` line per occupied recorder bucket, edged at
+  /// LatencyRecorder::bucket_upper(), then `+Inf`, `_sum` and `_count`).
+  /// Metric names are `name_prefix` + the sanitized scope-qualified name.
   void write_prometheus(std::string& out, const std::string& name_prefix) const;
 
  private:
@@ -190,7 +148,7 @@ class Registry {
   mutable std::mutex mu_;  // guards map mutation/iteration, not the metrics
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
-  std::map<Key, std::unique_ptr<Histogram>> histograms_;
+  std::map<Key, std::unique_ptr<LatencyRecorder>> histograms_;
   std::map<std::string, std::unique_ptr<Registry>> children_;
 };
 

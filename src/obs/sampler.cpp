@@ -1,7 +1,5 @@
 #include "obs/sampler.hpp"
 
-#include <cstdio>
-
 namespace dcpl::obs {
 
 TimeSeriesSampler::TimeSeriesSampler(std::uint64_t interval_us,
@@ -131,11 +129,7 @@ bool TimeSeriesSampler::write_chrome_trace_file(
     const std::string& path) const {
   JsonWriter w;
   write_chrome_trace(w);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string& body = w.str();
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, w.str());
 }
 
 }  // namespace dcpl::obs

@@ -1,7 +1,5 @@
 #include "obs/trace.hpp"
 
-#include <cstdio>
-
 namespace dcpl::obs {
 
 namespace {
@@ -82,11 +80,7 @@ std::string Tracer::to_chrome_json() const {
 }
 
 bool Tracer::write(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return false;
-  const std::string json = to_chrome_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_file(path, to_chrome_json());
 }
 
 Tracer& global_tracer() {

@@ -143,11 +143,11 @@ TEST(EngineGolden, SmallTraceRegistryValues) {
   EXPECT_EQ(reg.counter("faults_partition_dropped").value(), 4u);
   EXPECT_EQ(reg.counter("faults_offline_dropped").value(), 1u);
   EXPECT_EQ(reg.counter("faults_breaches_fired").value(), 1u);
-  const obs::Histogram& latency = reg.histogram("delivery_latency_us");
+  const obs::LatencyRecorder& latency = reg.histogram("delivery_latency_us");
   EXPECT_EQ(latency.count(), 65u);
-  EXPECT_EQ(latency.sum(), 5030317.0);
-  EXPECT_EQ(latency.min(), 100.0);
-  EXPECT_EQ(latency.max(), 2500205.0);
+  EXPECT_EQ(latency.sum(), 5030317u);
+  EXPECT_EQ(latency.min(), 100u);
+  EXPECT_EQ(latency.max(), 2500205u);
   EXPECT_EQ(reg.gauge("queue_depth_peak").value(), 29.0);
 }
 

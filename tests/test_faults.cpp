@@ -287,8 +287,8 @@ TEST(Faults, OfflineDroppedPacketsLeaveLatencyHistogramUnchanged) {
   EXPECT_EQ(sim.fault_stats().offline_dropped, 1u);
   const auto& hist = reg.histogram("delivery_latency_us");
   EXPECT_EQ(hist.count(), 1u);  // the dropped packet contributed no sample
-  EXPECT_EQ(hist.min(), 10'000.0);
-  EXPECT_EQ(hist.max(), 10'000.0);
+  EXPECT_EQ(hist.min(), 10'000u);
+  EXPECT_EQ(hist.max(), 10'000u);
 }
 
 // Regression: a plan installed mid-run with an already-elapsed breach time

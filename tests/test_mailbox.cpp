@@ -17,11 +17,11 @@ namespace {
 
 ShardEvent make_event(std::uint32_t src_shard, std::uint64_t seq, Time t) {
   ShardEvent ev;
-  ev.time = t;
+  ev.event.time = t;
+  ev.event.link_key = (static_cast<std::uint64_t>(src_shard) << 32) | seq;
+  ev.event.context = seq * 31 + src_shard;
   ev.src_shard = src_shard;
   ev.src_seq = seq;
-  ev.link_key = (static_cast<std::uint64_t>(src_shard) << 32) | seq;
-  ev.context = seq * 31 + src_shard;
   // Payload encodes (shard, seq) so the consumer can verify integrity.
   ev.payload = {static_cast<std::uint8_t>(src_shard),
                 static_cast<std::uint8_t>(seq & 0xff),
@@ -45,7 +45,7 @@ TEST(ShardMailbox, SingleThreadedPushDrainRoundTrip) {
   ASSERT_EQ(out.size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(out[i].src_seq, i);  // FIFO per producer
-    EXPECT_EQ(out[i].time, 100 * i);
+    EXPECT_EQ(out[i].event.time, 100 * i);
   }
 }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
@@ -101,6 +102,20 @@ TEST(Json, ParserRejectsMalformedInput) {
   EXPECT_FALSE(obs::JsonParser::parse("[1,]", v));
   EXPECT_FALSE(obs::JsonParser::parse("\"unterminated", v));
   EXPECT_FALSE(obs::JsonParser::parse("{} trailing", v));
+}
+
+TEST(Json, WriteFileReplacesContentsAndReportsOpenFailure) {
+  const std::string path = ::testing::TempDir() + "dcpl_test_write_file.txt";
+  ASSERT_TRUE(obs::write_file(path, "first body, longer\n"));
+  ASSERT_TRUE(obs::write_file(path, std::string("a\0b", 3)));
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  ASSERT_NE(f, nullptr);
+  char buf[64];
+  const std::size_t n = std::fread(buf, 1, sizeof buf, f);
+  std::fclose(f);
+  EXPECT_EQ(std::string(buf, n), std::string("a\0b", 3));
+  std::remove(path.c_str());
+  EXPECT_FALSE(obs::write_file(path + ".missing-dir/x", "body"));
 }
 
 // ---- Metrics --------------------------------------------------------------
@@ -241,45 +256,12 @@ TEST(Metrics, OpCounterSurvivesConcurrentSwaps) {
             static_cast<std::uint64_t>(kThreads) * kIncs);
 }
 
-TEST(Metrics, HistogramQuantilesUniform) {
-  // 100 observations 1..100 into decade-ish buckets: the interpolated
-  // quantiles should land near the exact order statistics.
-  obs::Histogram h({10, 20, 30, 40, 50, 60, 70, 80, 90, 100});
-  for (int i = 1; i <= 100; ++i) h.observe(i);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.min(), 1.0);
-  EXPECT_EQ(h.max(), 100.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 50.5);
-  EXPECT_NEAR(h.quantile(0.50), 50.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.95), 95.0, 10.0);
-  EXPECT_NEAR(h.quantile(0.99), 99.0, 10.0);
-  // Monotone in q.
-  EXPECT_LE(h.quantile(0.5), h.quantile(0.95));
-  EXPECT_LE(h.quantile(0.95), h.quantile(0.99));
-}
-
-TEST(Metrics, HistogramOverflowBucketReportsMax) {
-  obs::Histogram h({1.0});  // everything above 1 overflows
-  h.observe(5000);
-  h.observe(9000);
-  EXPECT_EQ(h.quantile(0.99), 9000.0);
-}
-
-TEST(Metrics, HistogramEmptyIsZero) {
-  obs::Histogram h(obs::Histogram::default_bounds());
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.quantile(0.5), 0.0);
-  EXPECT_EQ(h.min(), 0.0);
-  EXPECT_EQ(h.max(), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
-}
-
 TEST(Metrics, ScopedSnapshotAndReset) {
   obs::Registry reg;
   reg.counter("top").inc(7);
   reg.scope("sim").counter("packets").inc(2);
   reg.scope("sim").gauge("depth").set(4);
-  reg.scope("sim").histogram("lat").observe(10);
+  reg.scope("sim").histogram("lat").record(10);
 
   obs::Snapshot snap = reg.snapshot();
   const obs::SnapshotEntry* top = snap.find("top");
@@ -292,7 +274,7 @@ TEST(Metrics, ScopedSnapshotAndReset) {
   const obs::SnapshotEntry* lat = snap.find("sim.lat");
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->value, 1.0);  // histogram count
-  EXPECT_EQ(lat->min, 10.0);
+  EXPECT_EQ(lat->min, 10u);
 
   // reset() zeroes the whole subtree without invalidating handles.
   obs::Counter& handle = reg.scope("sim").counter("packets");
@@ -303,31 +285,10 @@ TEST(Metrics, ScopedSnapshotAndReset) {
   EXPECT_EQ(reg.scope("sim").counter("packets").value(), 1u);
 }
 
-TEST(Metrics, HistogramSingleSampleQuantileIsTheSample) {
-  obs::Histogram h(obs::Histogram::default_bounds());
-  h.observe(37.5);
-  // One sample: every quantile IS that sample (no interpolation against a
-  // phantom second observation).
-  EXPECT_EQ(h.quantile(0.0), 37.5);
-  EXPECT_EQ(h.quantile(0.5), 37.5);
-  EXPECT_EQ(h.quantile(0.99), 37.5);
-  EXPECT_EQ(h.quantile(1.0), 37.5);
-}
-
-TEST(Metrics, QuantilesClampToObservedRange) {
-  obs::Histogram h({10, 20, 30});
-  h.observe(12);
-  h.observe(13);
-  for (double q : {0.0, 0.25, 0.5, 0.95, 1.0}) {
-    EXPECT_GE(h.quantile(q), 12.0) << q;
-    EXPECT_LE(h.quantile(q), 13.0) << q;
-  }
-}
-
 TEST(Metrics, RegistryJsonIsParseable) {
   obs::Registry reg;
   reg.counter("ops", {{"kind", "seal"}}).inc(5);
-  reg.scope("sub").histogram("h").observe(3);
+  reg.scope("sub").histogram("h").record(3);
   obs::JsonWriter w;
   reg.write_json(w);
   obs::JsonValue v;
@@ -346,8 +307,8 @@ TEST(Metrics, PrometheusExposition) {
   reg.counter("ops", {{"kind", "seal"}}).inc(5);
   reg.gauge("depth").set(9);
   reg.gauge("depth").set(4);  // peak stays 9
-  reg.scope("sim").histogram("lat_us", {}, {10, 100}).observe(7);
-  reg.scope("sim").histogram("lat_us", {}, {10, 100}).observe(5000);
+  reg.scope("sim").histogram("lat_us").record(7);
+  reg.scope("sim").histogram("lat_us").record(5000);
 
   const std::string text = obs::metrics_to_prometheus(reg);
   EXPECT_NE(text.find("# TYPE dcpl_ops counter"), std::string::npos);
@@ -355,14 +316,17 @@ TEST(Metrics, PrometheusExposition) {
   EXPECT_NE(text.find("# TYPE dcpl_depth gauge"), std::string::npos);
   EXPECT_NE(text.find("dcpl_depth 4"), std::string::npos);
   EXPECT_NE(text.find("dcpl_depth_peak 9"), std::string::npos);
-  // Histogram buckets are cumulative and end in +Inf == count.
-  EXPECT_NE(text.find("dcpl_sim_lat_us_bucket{le=\"10\"} 1"),
+  // One cumulative bucket per occupied recorder bucket, edged at its
+  // upper value (7 is exact; 5000 lands in [4608, 5119]), then +Inf ==
+  // count and the exact sum.
+  EXPECT_NE(text.find("# TYPE dcpl_sim_lat_us histogram\n"
+                      "dcpl_sim_lat_us_bucket{le=\"7\"} 1\n"
+                      "dcpl_sim_lat_us_bucket{le=\"5119\"} 2\n"
+                      "dcpl_sim_lat_us_bucket{le=\"+Inf\"} 2\n"
+                      "dcpl_sim_lat_us_sum 5007\n"
+                      "dcpl_sim_lat_us_count 2\n"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("dcpl_sim_lat_us_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("dcpl_sim_lat_us_count 2"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_sim_lat_us_sum 5007"), std::string::npos);
 }
 
 TEST(Metrics, PrometheusEmptyRegistryIsEmptyText) {
@@ -392,14 +356,14 @@ TEST(Metrics, PrometheusEscapesLabelValues) {
 
 TEST(Metrics, PrometheusHistogramWithOneSample) {
   obs::Registry reg;
-  reg.histogram("lat", {}, {10, 100}).observe(50);
-  const std::string text = obs::metrics_to_prometheus(reg);
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"10\"} 0"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"100\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_count 1"), std::string::npos);
-  EXPECT_NE(text.find("dcpl_lat_sum 50"), std::string::npos);
+  reg.histogram("lat").record(50);
+  // Empty buckets are not exported: 50's bucket [48, 51], then +Inf.
+  EXPECT_EQ(obs::metrics_to_prometheus(reg),
+            "# TYPE dcpl_lat histogram\n"
+            "dcpl_lat_bucket{le=\"51\"} 1\n"
+            "dcpl_lat_bucket{le=\"+Inf\"} 1\n"
+            "dcpl_lat_sum 50\n"
+            "dcpl_lat_count 1\n");
 }
 
 // ---- Time-series sampler --------------------------------------------------
@@ -685,49 +649,31 @@ TEST(LatencyRecorder, BucketIndexCoversFullRangeWithBoundedError) {
 }
 
 TEST(LatencyRecorder, QuantilesTrackExactQuantilesWithinLogBucketError) {
-  const std::vector<std::uint64_t> stream = latency_stream(20'000);
-  obs::LatencyRecorder rec;
-  for (std::uint64_t v : stream) rec.record(v);
+  // Besides the wide stream: one sample (every quantile IS that sample,
+  // though its bucket's upper edge is 39), and two close samples sharing
+  // the bucket [960, 1023] (no quantile may leave [1000, 1001]).
+  for (const std::vector<std::uint64_t>& stream :
+       {latency_stream(20'000), std::vector<std::uint64_t>{37},
+        std::vector<std::uint64_t>{1000, 1001}}) {
+    SCOPED_TRACE("samples=" + std::to_string(stream.size()));
+    obs::LatencyRecorder rec;
+    for (std::uint64_t v : stream) rec.record(v);
 
-  EXPECT_EQ(rec.count(), stream.size());
-  EXPECT_EQ(rec.min(), *std::min_element(stream.begin(), stream.end()));
-  EXPECT_EQ(rec.max(), *std::max_element(stream.begin(), stream.end()));
-  for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
-    const std::uint64_t exact = exact_quantile(stream, q);
-    const std::uint64_t got = rec.quantile(q);
-    // The reported value is the rank sample's bucket upper edge: never
-    // below the exact quantile, never more than one sub-bucket above it.
-    EXPECT_GE(got, exact) << "q=" << q;
-    EXPECT_LE(got, exact + exact / obs::LatencyRecorder::kSubBuckets + 1)
-        << "q=" << q;
-  }
-}
-
-// The bounds-based obs::Histogram on the identical stream: with power-of-two
-// bounds its quantile error is at most 2x, strictly looser than the
-// recorder's 12.5% — the reason the tracing plane gets its own recorder
-// instead of reusing Histogram (which also needs its range chosen up front
-// and is single-writer).
-TEST(LatencyRecorder, TighterThanBoundsHistogramOnIdenticalStream) {
-  const std::vector<std::uint64_t> stream = latency_stream(20'000);
-  obs::LatencyRecorder rec;
-  std::vector<double> bounds;
-  for (double b = 1; b <= 1e9; b *= 2) bounds.push_back(b);
-  obs::Histogram hist(bounds);
-  for (std::uint64_t v : stream) {
-    rec.record(v);
-    hist.observe(static_cast<double>(v));
-  }
-  EXPECT_EQ(rec.count(), hist.count());
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    const double exact = static_cast<double>(exact_quantile(stream, q));
-    const double h = hist.quantile(q);
-    const double r = static_cast<double>(rec.quantile(q));
-    ASSERT_GT(exact, 0.0);
-    EXPECT_LE(h, exact * 2.0 + 1) << "q=" << q;       // log2-bounds: <= 2x
-    EXPECT_GE(h, exact * 0.5 - 1) << "q=" << q;
-    EXPECT_LE(r, exact * 1.125 + 1) << "q=" << q;     // recorder: <= 12.5%
-    EXPECT_GE(r, exact) << "q=" << q;
+    EXPECT_EQ(rec.count(), stream.size());
+    EXPECT_EQ(rec.min(), *std::min_element(stream.begin(), stream.end()));
+    EXPECT_EQ(rec.max(), *std::max_element(stream.begin(), stream.end()));
+    for (double q : {0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
+      const std::uint64_t exact = exact_quantile(stream, q);
+      const std::uint64_t got = rec.quantile(q);
+      // The reported value is the rank sample's bucket upper edge: never
+      // below the exact quantile, never more than one sub-bucket above
+      // it, and always clamped into the observed [min, max].
+      EXPECT_GE(got, exact) << "q=" << q;
+      EXPECT_LE(got, exact + exact / obs::LatencyRecorder::kSubBuckets + 1)
+          << "q=" << q;
+      EXPECT_GE(got, rec.min()) << "q=" << q;
+      EXPECT_LE(got, rec.max()) << "q=" << q;
+    }
   }
 }
 
@@ -743,6 +689,9 @@ TEST(LatencyRecorder, MergeIsExactAndCommutative) {
   for (const auto& p : parts) merged.merge(p);
 
   EXPECT_EQ(merged.count(), whole.count());
+  EXPECT_EQ(whole.sum(),
+            std::accumulate(stream.begin(), stream.end(), std::uint64_t{0}));
+  EXPECT_EQ(merged.sum(), whole.sum());
   EXPECT_EQ(merged.min(), whole.min());
   EXPECT_EQ(merged.max(), whole.max());
   // Bit-identical bucket state, not just matching quantiles — recording is
@@ -752,9 +701,10 @@ TEST(LatencyRecorder, MergeIsExactAndCommutative) {
   for (std::size_t i = 0; i < obs::LatencyRecorder::kBucketCount; ++i) {
     ASSERT_EQ(merged.bucket(i), whole.bucket(i)) << "bucket " << i;
   }
-  // Merging an empty recorder must not disturb min/max.
+  // Merging an empty recorder must not disturb sum/min/max.
   obs::LatencyRecorder empty;
   merged.merge(empty);
+  EXPECT_EQ(merged.sum(), whole.sum());
   EXPECT_EQ(merged.min(), whole.min());
   EXPECT_EQ(merged.max(), whole.max());
 }
@@ -768,8 +718,10 @@ TEST(LatencyRecorder, TopBucketAndExtremesStayExact) {
   EXPECT_EQ(rec.max(), ~std::uint64_t{0});
   EXPECT_EQ(rec.quantile(0.0), 0u);    // clamped to min
   EXPECT_EQ(rec.quantile(1.0), ~std::uint64_t{0});
+  EXPECT_EQ(rec.sum(), ~std::uint64_t{0});
   rec.reset();
   EXPECT_EQ(rec.count(), 0u);
+  EXPECT_EQ(rec.sum(), 0u);
   EXPECT_EQ(rec.min(), 0u);
   EXPECT_EQ(rec.max(), 0u);
   EXPECT_EQ(rec.quantile(0.5), 0u);
@@ -797,6 +749,7 @@ TEST(LatencyRecorder, ConcurrentRecordingMatchesSerialBitForBit) {
   for (auto& th : threads) th.join();
 
   EXPECT_EQ(shared.count(), stream.size());
+  EXPECT_EQ(shared.sum(), serial.sum());
   EXPECT_EQ(shared.min(), serial.min());
   EXPECT_EQ(shared.max(), serial.max());
   for (std::size_t i = 0; i < obs::LatencyRecorder::kBucketCount; ++i) {

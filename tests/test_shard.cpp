@@ -22,6 +22,7 @@
 #include "net/tracing.hpp"
 #include "obs/flow.hpp"
 #include "obs/latency.hpp"
+#include "obs/metrics.hpp"
 
 namespace dcpl::net {
 namespace {
@@ -186,10 +187,16 @@ struct RunResult {
   std::uint64_t traced = 0;
   std::uint64_t latency_digest = kFnvSeed;
   std::string latency_summary;  // readable name:count/p50/p99/max list
+  // The run's registry histogram delivery_latency_us: count, sum, min,
+  // max, then every bucket. Cross-shard-count comparable like the tracer's
+  // recorders, and outside the digest.
+  std::vector<std::uint64_t> delivery_latency;
 };
 
 RunResult run_workload(const RunOptions& opt) {
+  obs::Registry metrics;
   Simulator sim;
+  sim.set_metrics(metrics);
   obs::FlowLedger ledger;
   obs::FlowLedger* flow = opt.with_flow ? &ledger : nullptr;
   if (flow != nullptr) sim.set_flow(flow);
@@ -249,6 +256,11 @@ RunResult run_workload(const RunOptions& opt) {
   res.bytes = sim.bytes_delivered();
   res.faults = sim.fault_stats();
   res.shard_stats = sim.shard_stats();
+  const obs::LatencyRecorder& lat = metrics.histogram("delivery_latency_us");
+  res.delivery_latency = {lat.count(), lat.sum(), lat.min(), lat.max()};
+  for (std::size_t i = 0; i < obs::LatencyRecorder::kBucketCount; ++i) {
+    res.delivery_latency.push_back(lat.bucket(i));
+  }
   for (auto& c : clients) {
     std::sort(c->log.begin(), c->log.end());
     res.sorted_logs[c->address()] = c->log;
@@ -351,6 +363,7 @@ void expect_same_aggregates(const RunResult& serial, const RunResult& sharded,
   EXPECT_EQ(sharded.packets, serial.packets);
   EXPECT_EQ(sharded.bytes, serial.bytes);
   EXPECT_EQ(sharded.faults, serial.faults);
+  EXPECT_EQ(sharded.delivery_latency, serial.delivery_latency);
   ASSERT_EQ(sharded.sorted_logs.size(), serial.sorted_logs.size());
   for (const auto& [addr, log] : serial.sorted_logs) {
     auto it = sharded.sorted_logs.find(addr);
