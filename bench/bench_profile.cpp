@@ -91,7 +91,7 @@ Instrumented run_instrumented(std::size_t n, obs::Registry& registry) {
   obs::TimeSeriesSampler* sampler = run.sampler.get();
   net::EngineProfiler* profiler = run.profiler.get();
   opts.on_ready = [sampler, profiler](net::Simulator& sim,
-                                      const scale::Tally& tally) {
+                                      const scale::ScaleSink& sink) {
     sim.set_sampler(sampler);
     sim.set_profiler(profiler);
     sampler->add_probe("queue_depth", [&sim] {
@@ -118,12 +118,14 @@ Instrumented run_instrumented(std::size_t n, obs::Registry& registry) {
     });
     // Live sender-anonymity entropy over the mix arrival classes: rises
     // toward log2(kMaxHops) as the three chain-length populations drain
-    // into the sink together.
-    sampler->add_probe("entropy_bits", [&tally] {
+    // into the sink together. Reads the sink's own counters, which on the
+    // sharded engine is safe because sampler ticks run with workers parked.
+    sampler->add_probe("entropy_bits", [&sink] {
       std::vector<std::size_t> counts;
       counts.reserve(scale::kMaxHops);
       for (int h = 1; h <= scale::kMaxHops; ++h) {
-        counts.push_back(static_cast<std::size_t>(tally.sink_arrivals[h]));
+        counts.push_back(
+            static_cast<std::size_t>(sink.counts().sink_arrivals[h]));
       }
       return core::entropy_bits(counts);
     });

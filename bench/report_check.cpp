@@ -5,7 +5,8 @@
 // must agree with the rows, every metrics{} histogram must carry ordered
 // percentiles and a sum its extremes bound, the /2 "timeseries" and
 // "profile" sections must be internally consistent, and the trace must
-// carry simulator virtual time.
+// carry simulator virtual time. A report's optional host{} must be
+// complete, and --baseline notes when the two files name different hosts.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -486,6 +487,36 @@ bool check_latency(const JsonValue& r, bool required) {
   return true;
 }
 
+// The optional "host" object (absent in reports that predate it): a core
+// count plus non-empty cpu, build_type and compiler strings.
+bool check_host(const JsonValue& r) {
+  const JsonValue* h = r.find("host");
+  if (!h) return true;
+  if (!h->is_object()) return fail("host is not an object");
+  if (!h->has("hardware_concurrency") ||
+      !h->at("hardware_concurrency").is_number() ||
+      h->at("hardware_concurrency").number < 0) {
+    return fail("host.hardware_concurrency not a non-negative number");
+  }
+  for (const char* k : {"cpu", "build_type", "compiler"}) {
+    if (!h->has(k) || !h->at(k).is_string() || h->at(k).string.empty()) {
+      std::fprintf(stderr, "report_check: host.%s missing or empty\n", k);
+      return false;
+    }
+  }
+  return true;
+}
+
+// One line naming the host a (validated) report came from.
+std::string describe_host(const JsonValue& r) {
+  const JsonValue* h = r.find("host");
+  if (!h) return "not recorded";
+  return std::to_string(static_cast<long long>(
+             h->at("hardware_concurrency").number)) +
+         " threads, " + h->at("cpu").string + ", " +
+         h->at("build_type").string + ", " + h->at("compiler").string;
+}
+
 bool check_report(const JsonValue& r, std::size_t min_tables) {
   if (!r.is_object()) return fail("report root is not an object");
   const JsonValue* schema = r.find("schema");
@@ -498,6 +529,7 @@ bool check_report(const JsonValue& r, std::size_t min_tables) {
     return fail("missing bench name");
   }
   if (!r.has("ok") || !r.at("ok").is_bool()) return fail("missing ok");
+  if (!check_host(r)) return false;
 
   const JsonValue* tables = r.find("tables");
   if (!tables || !tables->is_array()) return fail("missing tables[]");
@@ -648,6 +680,14 @@ bool check_baseline(const JsonValue& r, const JsonValue& base,
   if (!values || !values->is_object()) return fail("missing values{}");
   if (!base_values || !base_values->is_object()) {
     return fail("baseline missing values{}");
+  }
+  if (!check_host(base)) return false;
+  // Only a note: the tolerance band is what gates.
+  const std::string here = describe_host(r), there = describe_host(base);
+  if (here != there) {
+    std::printf("report_check: note: report and baseline hosts differ\n"
+                "  report:   %s\n  baseline: %s\n",
+                here.c_str(), there.c_str());
   }
   const auto has_suffix = [](const std::string& key, const std::string& sfx) {
     return key.size() >= sfx.size() &&

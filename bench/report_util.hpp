@@ -10,6 +10,9 @@
 //     "schema": "dcpl-bench-report/2",
 //     "bench": "<binary name>",
 //     "ok": <bool>,                       // mirror of the process exit code
+//     "host": { "hardware_concurrency", "cpu", "build_type",
+//               "compiler" },             // where the numbers were measured
+//                                         // (absent in older reports)
 //     "tables": [ { "title", "all_match",
 //                   "rows": [{"display","party","derived","expected","match"}],
 //                   "verdict": {"derived_decoupled","paper_decoupled",
@@ -84,6 +87,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -105,6 +109,50 @@ namespace dcpl::bench {
 /// "timeseries" and "profile" telemetry sections (report_check accepts /1
 /// files for already-committed baselines).
 inline constexpr const char* kReportSchema = "dcpl-bench-report/2";
+
+#ifndef DCPL_BUILD_TYPE
+#define DCPL_BUILD_TYPE ""
+#endif
+
+/// The CPU model as the kernel reports it ("unknown" off Linux).
+inline std::string cpu_model() {
+  std::string model = "unknown";
+  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
+  if (f == nullptr) return model;
+  char line[512];
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (std::strncmp(line, "model name", 10) != 0) continue;
+    if (const char* colon = std::strchr(line, ':')) {
+      std::string v(colon + 1);
+      v.erase(0, v.find_first_not_of(" \t"));
+      v.erase(v.find_last_not_of(" \t\n") + 1);
+      if (!v.empty()) model = v;
+    }
+    break;
+  }
+  std::fclose(f);
+  return model;
+}
+
+/// The report's "host" object: what report_check --baseline prints when a
+/// report and its baseline were measured on different machines or builds.
+inline void write_host(obs::JsonWriter& w) {
+  const std::string build_type = DCPL_BUILD_TYPE;
+#if defined(__clang__)
+  const std::string compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = "gcc " __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  w.key("host");
+  w.begin_object();
+  w.kv("hardware_concurrency", std::thread::hardware_concurrency());
+  w.kv("cpu", cpu_model());
+  w.kv("build_type", build_type.empty() ? "unknown" : build_type);
+  w.kv("compiler", compiler);
+  w.end_object();
+}
 
 struct ExpectedRow {
   std::string display;   // column header as printed in the paper
@@ -353,6 +401,7 @@ class Report {
       w.kv("schema", kReportSchema);
       w.kv("bench", name_);
       w.kv("ok", ok);
+      write_host(w);
       w.key("tables");
       w.begin_array();
       for (const auto& t : tables_) {

@@ -13,7 +13,6 @@
 // are switched off so memory stays bounded by live state, not by history.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -50,17 +49,26 @@ constexpr std::size_t kResponseBytes = 1024;
 constexpr std::size_t kOnionBytes = 512;
 constexpr std::size_t kOnionShrink = 48;  // stripped layer per mix hop
 
-// Shared tallies one sweep point accumulates across all its nodes. The
-// counters are atomic so the same workload runs unchanged on the sharded
-// engine, where nodes tick on worker threads; on the serial path the
-// uncontended atomics cost a few percent at most and keep the two
-// configurations structurally identical.
+// The tallies of one sweep point. Each mix and the sink count into a Tally
+// of their own, and each client counts its responses, all as plain fields:
+// a node's on_packet always runs on the one shard that owns it, so on the
+// sharded engine no two workers ever write the same counter. run_point sums
+// them into the point's Tally after run().
 struct Tally {
-  std::atomic<std::uint64_t> ohttp_responses{0};
+  std::uint64_t ohttp_responses = 0;
   // Indexed by the chain's total hop count (1..kMaxHops).
-  std::atomic<std::uint64_t> sink_arrivals[kMaxHops + 1] = {};
-  std::atomic<std::uint64_t> mix_forwards[kMaxHops + 1] = {};
-  std::atomic<std::uint64_t> mix_wire_bytes[kMaxHops + 1] = {};
+  std::uint64_t sink_arrivals[kMaxHops + 1] = {};
+  std::uint64_t mix_forwards[kMaxHops + 1] = {};
+  std::uint64_t mix_wire_bytes[kMaxHops + 1] = {};
+
+  void add(const Tally& o) {
+    ohttp_responses += o.ohttp_responses;
+    for (int h = 0; h <= kMaxHops; ++h) {
+      sink_arrivals[h] += o.sink_arrivals[h];
+      mix_forwards[h] += o.mix_forwards[h];
+      mix_wire_bytes[h] += o.mix_wire_bytes[h];
+    }
+  }
 };
 
 // Onion payload layout: [0] = remaining mix forwards, [1] = total hop count
@@ -111,18 +119,15 @@ class ScaleForwarder : public net::Node {
 
 class ScaleMix : public net::Node {
  public:
-  ScaleMix(std::string address, std::string next_mix, std::string sink,
-           Tally& tally)
+  ScaleMix(std::string address, std::string next_mix, std::string sink)
       : Node(std::move(address)),
         next_mix_(std::move(next_mix)),
-        sink_(std::move(sink)),
-        tally_(&tally) {}
+        sink_(std::move(sink)) {}
 
   void on_packet(const net::Packet& p, net::Simulator& sim) override {
     const int total_hops = p.payload[1];
-    tally_->mix_forwards[total_hops].fetch_add(1, std::memory_order_relaxed);
-    tally_->mix_wire_bytes[total_hops].fetch_add(p.payload.size(),
-                                                 std::memory_order_relaxed);
+    ++counts_.mix_forwards[total_hops];
+    counts_.mix_wire_bytes[total_hops] += p.payload.size();
     // Peel by trimming the delivered buffer in place: detach_payload moves
     // the heap buffer out of the pool (shrunk one layer), so a hop costs
     // zero allocations instead of a fresh copy of the remaining onion.
@@ -137,36 +142,37 @@ class ScaleMix : public net::Node {
     }
   }
 
+  const Tally& counts() const { return counts_; }
+
  private:
   std::string next_mix_;
   std::string sink_;
-  Tally* tally_;
+  Tally counts_;
 };
 
 class ScaleSink : public net::Node {
  public:
-  ScaleSink(std::string address, Tally& tally)
-      : Node(std::move(address)), tally_(&tally) {}
+  using Node::Node;
   void on_packet(const net::Packet& p, net::Simulator&) override {
     const int total_hops = p.payload[1];
-    tally_->sink_arrivals[total_hops].fetch_add(1, std::memory_order_relaxed);
-    tally_->mix_wire_bytes[total_hops].fetch_add(p.payload.size(),
-                                                 std::memory_order_relaxed);
+    ++counts_.sink_arrivals[total_hops];
+    counts_.mix_wire_bytes[total_hops] += p.payload.size();
   }
 
+  const Tally& counts() const { return counts_; }
+
  private:
-  Tally* tally_;
+  Tally counts_;
 };
 
 class ScaleClient : public net::Node {
  public:
   ScaleClient(std::string address, std::string relay, std::string first_mix,
-              int hops, Tally& tally)
+              int hops)
       : Node(std::move(address)),
         relay_(std::move(relay)),
         first_mix_(std::move(first_mix)),
-        hops_(hops),
-        tally_(&tally) {}
+        hops_(hops) {}
 
   void start(net::Simulator& sim) {
     sim.send(net::Packet{address(), relay_, Bytes(kRequestBytes),
@@ -179,16 +185,16 @@ class ScaleClient : public net::Node {
   }
 
   void on_packet(const net::Packet& p, net::Simulator&) override {
-    if (p.protocol == "ohttp-r") {
-      tally_->ohttp_responses.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (p.protocol == "ohttp-r") ++responses_;
   }
+
+  std::uint64_t responses() const { return responses_; }
 
  private:
   std::string relay_;
   std::string first_mix_;
   int hops_;
-  Tally* tally_;
+  std::uint64_t responses_ = 0;
 };
 
 struct PointResult {
@@ -226,8 +232,9 @@ struct PointResult {
 /// metrics (per-size scopes of the global registry, so the report's
 /// "metrics" section carries real per-point numbers — a throwaway local is
 /// used when null). `on_ready` runs after the topology is built but before
-/// the clock starts, with the live simulator and tally — the hook
-/// bench_profile uses to register telemetry probes.
+/// the clock starts, with the live simulator and the sink — the hook
+/// bench_profile uses to register telemetry probes. A probe may read the
+/// sink's counters: sampler ticks run with every shard worker parked.
 struct PointOptions {
   obs::Registry* registry = nullptr;
   obs::FlowLedger* ledger = nullptr;
@@ -247,10 +254,10 @@ struct PointOptions {
   /// Optional recorded traffic matrix (a prior run's per-shard send rows)
   /// used to scale the partitioner's edge weights under kMinCut.
   std::vector<std::vector<std::uint64_t>> affinity_traffic;
-  std::function<void(net::Simulator&, const Tally&)> on_ready;
+  std::function<void(net::Simulator&, const ScaleSink&)> on_ready;
   /// Runs after sim.run() returns (telemetry already detached) with the
-  /// drained simulator — the hook bench_profile uses to capture run-scoped
-  /// state like the interned protocol-name table.
+  /// drained simulator and the summed tally — the hook bench_profile uses
+  /// to capture run-scoped state like the interned protocol-name table.
   std::function<void(net::Simulator&, const Tally&)> on_done;
 };
 
@@ -279,11 +286,11 @@ inline PointResult run_point(std::size_t n_users,
     });
   }
 
-  Tally tally;
   std::vector<std::unique_ptr<net::Node>> infra;
+  std::vector<const ScaleMix*> mix_nodes;
   std::vector<std::string> relays, mixes;
 
-  ScaleSink sink("sink", tally);
+  ScaleSink sink("sink");
   sim.add_node(sink);
   for (int i = 0; i < kOrigins; ++i) {
     infra.push_back(
@@ -307,9 +314,11 @@ inline PointResult run_point(std::size_t n_users,
     return base + (i - base + 1) % kMixRing;
   };
   for (int i = 0; i < kMixes; ++i) {
-    infra.push_back(std::make_unique<ScaleMix>(mixes[i], mixes[ring_next(i)],
-                                               "sink", tally));
-    sim.add_node(*infra.back());
+    auto mix =
+        std::make_unique<ScaleMix>(mixes[i], mixes[ring_next(i)], "sink");
+    mix_nodes.push_back(mix.get());
+    sim.add_node(*mix);
+    infra.push_back(std::move(mix));
   }
   if (opts.shards > 1) {
     if (opts.affinity == net::Simulator::AffinityPolicy::kMinCut) {
@@ -380,8 +389,7 @@ inline PointResult run_point(std::size_t n_users,
         static_cast<int>((i / static_cast<std::size_t>(kGateways)) %
                          static_cast<std::size_t>(kMixRing));
     clients.push_back(std::make_unique<ScaleClient>(
-        "u" + std::to_string(i), relays[i % kRelays], mixes[mix_idx], hops,
-        tally));
+        "u" + std::to_string(i), relays[i % kRelays], mixes[mix_idx], hops));
     sim.add_node(*clients.back());
     if (opts.shards > 1 &&
         opts.affinity == net::Simulator::AffinityPolicy::kMinCut) {
@@ -403,7 +411,7 @@ inline PointResult run_point(std::size_t n_users,
     sim.at_node(c->address(), (i % 1000) * 1'000, [c, &sim] { c->start(sim); });
   }
 
-  if (opts.on_ready) opts.on_ready(sim, tally);
+  if (opts.on_ready) opts.on_ready(sim, sink);
 
   const auto t0 = std::chrono::steady_clock::now();
   const net::Time end = sim.run();
@@ -412,10 +420,13 @@ inline PointResult run_point(std::size_t n_users,
           .count();
 
   // Detach the point-scoped telemetry before `sim` outlives this frame's
-  // attachments (on_ready-registered probes may reference `tally`).
+  // attachments (on_ready-registered probes may reference `sink`).
   sim.set_sampler(nullptr);
   sim.set_profiler(nullptr);
   sim.set_latency_tracer(nullptr);
+  Tally tally = sink.counts();
+  for (const ScaleMix* m : mix_nodes) tally.add(m->counts());
+  for (const auto& c : clients) tally.ohttp_responses += c->responses();
   if (opts.on_done) opts.on_done(sim, tally);
 
   r.wall_ms = wall_s * 1e3;

@@ -1,9 +1,14 @@
 #include "net/sim.hpp"
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
-#include <barrier>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -81,6 +86,87 @@ class CurrentDeliveryScope {
   PayloadHandle& slot_;
 };
 
+/// The CPUs a threaded run pins its workers to, worker i on cpus[i], one
+/// each and starting at the caller's CPU (so concurrent processes spread
+/// out); none when the process may use fewer CPUs than there are workers.
+/// Workers wait at two barriers every window, and unpinned, the scheduler
+/// has been seen to keep all of them on one CPU for a whole run, which then
+/// runs serially at under half its parallel speed.
+std::vector<int> worker_cpus(std::uint32_t workers) {
+  std::vector<int> cpus;
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0) return {};
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &allowed)) cpus.push_back(c);
+  }
+  if (cpus.size() < workers) return {};
+  const auto here = std::find(cpus.begin(), cpus.end(), sched_getcpu());
+  if (here != cpus.end()) std::rotate(cpus.begin(), here, cpus.end());
+  cpus.resize(workers);
+#else
+  (void)workers;
+#endif
+  return cpus;
+}
+
+/// Restricts the calling thread to `cpu`. Best effort: on failure the
+/// thread keeps running wherever the scheduler puts it.
+void pin_current_thread(int cpu) {
+#if defined(__linux__)
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  pthread_setaffinity_np(pthread_self(), sizeof(one), &one);
+#else
+  (void)cpu;
+#endif
+}
+
+/// How long a pinned worker yields at a window barrier before it sleeps:
+/// a few times the mean wait of a wire-s4 run on an idle host.
+constexpr std::chrono::microseconds kBarrierSpin{500};
+
+/// The barrier that ends each half of a threaded run's window: the last of
+/// `n` arrivals runs `completion` while every other worker is parked, then
+/// releases them. A waiter yields for up to `spin` before it sleeps: on a
+/// VM a sleeping worker halts its vCPU, and the wake-up then waits for the
+/// host to run that vCPU again. A yielding waiter only holds its own CPU
+/// when each worker has one (worker_cpus()); otherwise it would hold up
+/// the worker it waits for, so the spin is zero then.
+class WindowBarrier {
+ public:
+  WindowBarrier(std::uint32_t n, std::chrono::nanoseconds spin,
+                std::function<void()> completion = {})
+      : n_(n), spin_(spin), completion_(std::move(completion)) {}
+
+  void arrive_and_wait() {
+    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == n_) {
+      if (completion_) completion_();
+      arrived_.store(0, std::memory_order_relaxed);
+      phase_.store(phase + 1, std::memory_order_release);
+      phase_.notify_all();
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + spin_;
+    while (phase_.load(std::memory_order_acquire) == phase) {
+      if (std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      } else {
+        phase_.wait(phase, std::memory_order_acquire);
+      }
+    }
+  }
+
+ private:
+  const std::uint32_t n_;
+  const std::chrono::nanoseconds spin_;
+  std::function<void()> completion_;
+  std::atomic<std::uint32_t> arrived_{0};
+  std::atomic<std::uint32_t> phase_{0};
+};
+
 /// Decorrelates per-shard fault RNG streams while leaving the main shard
 /// and worker 0 on the plan's own seed (stream = seed + stride * shard).
 constexpr std::uint64_t kShardSeedStride = 0x9E3779B97F4A7C15ull;
@@ -146,6 +232,7 @@ obs::Counter& Simulator::link_bytes_counter(std::uint64_t link_key,
 }
 
 void Simulator::add_node(Node& node) {
+  reject_if_threaded("add_node");
   const AddressId id = interner_.intern(node.address());
   if (id >= nodes_.size()) nodes_.resize(id + 1, nullptr);
   if (nodes_[id] != nullptr) {
@@ -168,6 +255,7 @@ Simulator::LinkState& Simulator::ensure_link(AddressId a, AddressId b) {
 }
 
 void Simulator::connect(const Address& a, const Address& b, Time latency_us) {
+  reject_if_threaded("connect");
   const AddressId ia = interner_.intern(a);
   const AddressId ib = interner_.intern(b);
   for (LinkState* ls : {&ensure_link(ia, ib), &ensure_link(ib, ia)}) {
@@ -192,10 +280,16 @@ std::optional<Time> Simulator::link_latency(const Address& a,
 
 void Simulator::set_bandwidth(const Address& a, const Address& b,
                               std::uint64_t bytes_per_ms) {
+  reject_if_threaded("set_bandwidth");
   const AddressId ia = interner_.intern(a);
   const AddressId ib = interner_.intern(b);
   ensure_link(ia, ib).bandwidth = bytes_per_ms;
   ensure_link(ib, ia).bandwidth = bytes_per_ms;
+}
+
+void Simulator::set_default_latency(Time latency_us) {
+  reject_if_threaded("set_default_latency");
+  default_latency_ = latency_us;
 }
 
 bool Simulator::partitioned_at(std::uint64_t link_key, Time t) const {
@@ -234,16 +328,11 @@ std::uint32_t Simulator::owner(const Shard& sh, AddressId dst_id) const {
   return &sh == &main_ ? sh.id : shard_of_id(dst_id);
 }
 
-std::shared_lock<std::shared_mutex> Simulator::read_lock(
-    std::shared_mutex& mu) const {
-  if (!sharded_running_) return {};
-  return std::shared_lock(mu);
-}
-
-std::unique_lock<std::shared_mutex> Simulator::write_lock(
-    std::shared_mutex& mu) const {
-  if (!sharded_running_) return {};
-  return std::unique_lock(mu);
+void Simulator::reject_if_threaded(const char* op) const {
+  if (sharded_running_) {
+    throw std::logic_error(std::string("Simulator::") + op +
+                           ": run in progress");
+  }
 }
 
 std::function<void()> Simulator::Shard::take_callback(std::uint32_t slot) {
@@ -255,49 +344,61 @@ std::function<void()> Simulator::Shard::take_callback(std::uint32_t slot) {
   return fn;
 }
 
-AddressId Simulator::intern(const Address& name) {
-  if (const auto id = lookup(name)) return *id;
-  const auto lk = write_lock(interner_mu_);
-  return interner_.intern(name);
-}
-
-std::optional<AddressId> Simulator::lookup(const Address& name) const {
-  const auto lk = read_lock(interner_mu_);
-  return interner_.lookup(name);
+AddressId Simulator::intern(const Shard& sh, const Address& name) {
+  if (const auto id = interner_.lookup(name)) return *id;
+  if (&sh == &main_) return interner_.intern(name);
+  // A worker must not grow the interner its peers read: stage the name.
+  const std::lock_guard<std::mutex> lk(staged_mu_);
+  return static_cast<AddressId>(interner_.size() +
+                                staged_names_.intern(name));
 }
 
 const Address& Simulator::name_of(AddressId id) const {
-  // The returned reference is node-stable (interner keys); only the id ->
-  // pointer table needs the lock.
-  const auto lk = read_lock(interner_mu_);
-  return interner_.name(id);
+  if (id < interner_.size()) return interner_.name(id);
+  // Staged by a worker this window. Interner keys are node-stable, so the
+  // reference outlives the lock (until the next barrier publishes it).
+  const std::lock_guard<std::mutex> lk(staged_mu_);
+  return staged_names_.name(id - static_cast<AddressId>(interner_.size()));
 }
 
-ProtocolId Simulator::intern_protocol(const std::string& name) {
-  {
-    const auto lk = read_lock(protocol_mu_);
-    if (auto it = protocol_ids_.find(name); it != protocol_ids_.end()) {
-      return it->second;
-    }
+void Simulator::publish_staged_names() {
+  // Nothing else interned since these were staged, so interning them in id
+  // order hands out exactly the ids they already carry.
+  for (AddressId k = 0; k < staged_names_.size(); ++k) {
+    interner_.intern(staged_names_.name(k));
   }
-  const auto lk = write_lock(protocol_mu_);
+  staged_names_ = AddressInterner();
+}
+
+ProtocolId Simulator::intern_protocol(Shard& sh, const std::string& name) {
+  if (auto it = sh.protocol_ids.find(name); it != sh.protocol_ids.end()) {
+    return it->second;
+  }
+  const std::lock_guard<std::mutex> lk(protocol_mu_);
   auto [it, inserted] = protocol_ids_.try_emplace(
       name, static_cast<ProtocolId>(protocols_.size()));
   if (inserted) {
     protocols_.push_back(
         std::make_unique<ProtocolInfo>(ProtocolInfo{name, "deliver:" + name}));
   }
+  sh.protocol_ids.emplace(name, it->second);
   return it->second;
 }
 
-const Simulator::ProtocolInfo& Simulator::protocol_info(ProtocolId id) const {
-  // Entries are heap-stable (unique_ptr); the lock covers table growth.
-  const auto lk = read_lock(protocol_mu_);
-  return *protocols_[id];
+const Simulator::ProtocolInfo& Simulator::protocol_info(Shard& sh,
+                                                        ProtocolId id) {
+  if (id >= sh.protocols.size()) {
+    const std::lock_guard<std::mutex> lk(protocol_mu_);
+    for (std::size_t i = sh.protocols.size(); i < protocols_.size(); ++i) {
+      sh.protocols.push_back(protocols_[i].get());
+    }
+  }
+  return *sh.protocols[id];
 }
 
 AddressId Simulator::destination(const Address& dst) const {
-  const std::optional<AddressId> id = lookup(dst);
+  // Destinations are registered nodes, never staged names.
+  const std::optional<AddressId> id = interner_.lookup(dst);
   if (!id || *id >= nodes_.size() || nodes_[*id] == nullptr) {
     throw std::out_of_range("Simulator: unknown destination " + dst);
   }
@@ -422,7 +523,7 @@ obs::TraceContext Simulator::next_trace(Shard& sh) {
 void Simulator::send(Packet packet, Time extra_delay) {
   Shard& sh = current();
   const AddressId dst_id = destination(packet.dst);
-  transmit(sh, intern(packet.src), dst_id, std::move(packet.payload),
+  transmit(sh, intern(sh, packet.src), dst_id, std::move(packet.payload),
            BufferPool::kInvalid, packet.context, packet.protocol, extra_delay);
 }
 
@@ -435,7 +536,7 @@ void Simulator::transmit(Shard& sh, AddressId src_id, AddressId dst_id,
   const std::uint64_t link_key = pack_link(src_id, dst_id);
   const SendPlan plan = plan_send(sh, link_key, src_id, size, extra_delay);
   if (plan.dropped) return;
-  const ProtocolId proto = intern_protocol(protocol);
+  const ProtocolId proto = intern_protocol(sh, protocol);
   const obs::TraceContext tc = next_trace(sh);
   const std::uint32_t dst_shard = owner(sh, dst_id);
   // The delivery event for both the local push and the mailbox hand-off;
@@ -496,7 +597,7 @@ void Simulator::send_shared(const Address& src, const Address& dst,
         "Simulator::send_shared: payload not from this simulator's pool");
   }
   const AddressId dst_id = destination(dst);
-  const AddressId src_id = intern(src);
+  const AddressId src_id = intern(sh, src);
   // Crossing a shard boundary (or sharing main_'s frozen buffer from a
   // worker), ownership must change pools, so the share degrades to one
   // copy. Fault rolls and ordering match send() either way.
@@ -587,7 +688,7 @@ void Simulator::at_node(const Address& affine, Time t,
   // (0 = untagged) for redistribute_initial_events to route on. A worker's
   // handler already runs on a deterministic shard: it schedules like at().
   const std::uint64_t tag =
-      &sh == &main_ ? std::uint64_t{intern(affine)} + 1 : 0;
+      &sh == &main_ ? std::uint64_t{intern(sh, affine)} + 1 : 0;
   schedule(sh, t, tag, std::move(fn));
 }
 
@@ -599,7 +700,7 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
     return;
   }
   sh.latency_hist.record(ev.latency_sample);
-  const ProtocolInfo& proto = protocol_info(ev.protocol);
+  const ProtocolInfo& proto = protocol_info(sh, ev.protocol);
   const Address& src = name_of(link_src(ev.link_key));
   const Address& dst = name_of(dst_id);
   std::optional<obs::Span> span;
@@ -663,7 +764,7 @@ void Simulator::emit(const DeliveryRecord& rec) {
   }
   if (record_trace_ || !wiretaps_.empty()) {
     TraceEntry entry{rec.time, src, dst, rec.size, rec.context,
-                     protocol_info(rec.protocol).name};
+                     protocol_info(main_, rec.protocol).name};
     for (auto& tap : wiretaps_) tap(entry);
     if (record_trace_) trace_.push_back(std::move(entry));
   }
@@ -677,8 +778,8 @@ void Simulator::forward(const Address& src, const Address& dst,
   // delivered payload and the interner untouched.
   const AddressId dst_id = destination(dst);
   Bytes payload = detach_payload(prefix_len);
-  transmit(sh, intern(src), dst_id, std::move(payload), BufferPool::kInvalid,
-           context, protocol, extra_delay);
+  transmit(sh, intern(sh, src), dst_id, std::move(payload),
+           BufferPool::kInvalid, context, protocol, extra_delay);
 }
 
 Bytes Simulator::detach_payload(std::size_t prefix_len) {
@@ -730,7 +831,7 @@ void Simulator::dispatch(Shard& sh, const EngineEvent& ev) {
 }
 
 void Simulator::fire_breach(Shard& sh, const BreachEvent& ev) {
-  const AddressId id = intern(ev.party);
+  const AddressId id = intern(sh, ev.party);
   if (id < breached_.size() && breached_[id] != kNotBreached) {
     return;  // first breach wins
   }
@@ -855,6 +956,7 @@ Time Simulator::run() {
 }
 
 void Simulator::add_wiretap(std::function<void(const TraceEntry&)> tap) {
+  reject_if_threaded("add_wiretap");
   wiretaps_.push_back(std::move(tap));
 }
 
@@ -929,6 +1031,7 @@ void Simulator::set_sampler(obs::TimeSeriesSampler* sampler) {
 }
 
 std::vector<std::string> Simulator::protocol_names() const {
+  const std::lock_guard<std::mutex> lk(protocol_mu_);
   std::vector<std::string> names;
   names.reserve(protocols_.size());
   for (const auto& p : protocols_) names.push_back(p->name);
@@ -973,14 +1076,13 @@ void Simulator::set_shards(std::uint32_t n) {
   if (n == 0) {
     throw std::invalid_argument("Simulator::set_shards: n must be >= 1");
   }
-  if (sharded_running_) {
-    throw std::logic_error("Simulator::set_shards: run in progress");
-  }
+  reject_if_threaded("set_shards");
   shards_ = n;
 }
 
 void Simulator::set_shard_affinity(const Address& address,
                                    std::uint32_t shard) {
+  reject_if_threaded("set_shard_affinity");
   shard_pin_[interner_.intern(address)] = shard;
 }
 
@@ -996,6 +1098,7 @@ std::uint32_t Simulator::shard_of_id(AddressId id) const {
 
 void Simulator::add_affinity_hint(const Address& a, const Address& b,
                                   std::uint64_t weight) {
+  reject_if_threaded("add_affinity_hint");
   if (weight == 0 || a == b) return;
   affinity_hints_.push_back({interner_.intern(a), interner_.intern(b), weight});
 }
@@ -1293,6 +1396,7 @@ Time Simulator::run_sharded() {
     const std::uint32_t lane_saved = obs::FlowLedger::lane();
     obs::FlowLedger::set_lane(shards_);
     try {
+      publish_staged_names();
       ++windows;
       // Incremental commit: everything strictly before the next round's
       // first event is safe — no future event (including a pending-plan
@@ -1337,11 +1441,14 @@ Time Simulator::run_sharded() {
     tls_shard_ = tls_saved;
   };
 
-  std::barrier sends_done(static_cast<std::ptrdiff_t>(shards_));
-  std::barrier window_done(static_cast<std::ptrdiff_t>(shards_),
-                           on_window_complete);
+  const std::vector<int> cpus = worker_cpus(shards_);
+  const std::chrono::nanoseconds spin =
+      cpus.empty() ? std::chrono::nanoseconds{0} : kBarrierSpin;
+  WindowBarrier sends_done(shards_, spin);
+  WindowBarrier window_done(shards_, spin, on_window_complete);
 
   auto worker = [&](std::uint32_t idx) {
+    if (!cpus.empty()) pin_current_thread(cpus[idx]);
     Shard& sh = *shard_v_[idx];
     tls_shard_ = &sh;
     obs::FlowLedger::set_lane(idx);
@@ -1396,6 +1503,7 @@ Time Simulator::run_sharded() {
 
   sharded_running_ = false;
   run_abort_ = nullptr;
+  publish_staged_names();
   // Leave the ledger usable (and flush any last staged ops) even when the
   // run is about to rethrow a worker error.
   if (flow_ != nullptr) flow_->end_staging();

@@ -45,7 +45,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -125,6 +124,12 @@ struct TraceEntry {
 /// trace span per packet delivery plus a span per run(), all carrying
 /// virtual timestamps so traces show where simulated time goes. Spans come
 /// from the main shard only (the tracer is single-threaded).
+///
+/// Workers read the topology without a lock, so the calls that change it —
+/// add_node, connect, set_bandwidth, set_default_latency, set_shards,
+/// set_shard_affinity, add_affinity_hint and add_wiretap — throw
+/// std::logic_error while a threaded run is in progress. Serial runs, and
+/// handlers inside them, may still call them.
 class Simulator {
  public:
   Simulator();
@@ -154,7 +159,7 @@ class Simulator {
                      std::uint64_t bytes_per_ms);
 
   /// Default latency used for address pairs without an explicit link.
-  void set_default_latency(Time latency_us) { default_latency_ = latency_us; }
+  void set_default_latency(Time latency_us);
 
   /// Queues a packet for delivery after link latency (plus `extra_delay`).
   /// Throws std::out_of_range if the destination is unknown.
@@ -477,9 +482,12 @@ class Simulator {
   /// stream, clock and sequence counters, the delivery in flight, and
   /// counters that fold() adds to the registry. main_ is the shard serial
   /// runs execute inline; a threaded run builds one worker per topology
-  /// shard. Between barriers a worker touches only its own Shard — plus
-  /// other shards' mailboxes (internally locked) and the simulator's
-  /// read-only tables (nodes, links, fault windows).
+  /// shard. Between barriers a worker writes only its own Shard, other
+  /// shards' mailboxes (internally locked), and the staged-name and
+  /// protocol tables (each behind its mutex). It reads the simulator's
+  /// tables — interner, nodes, links, placement, fault windows — without a
+  /// lock: they change only while every worker is parked (see "Frozen
+  /// tables" below).
   struct Shard {
     std::uint32_t id = 0;
     /// Namespace of new_context() and fresh trace ids: 0 for main_ and
@@ -532,6 +540,10 @@ class Simulator {
     std::uint64_t mailbox_full_stalls = 0;
     std::vector<std::uint64_t> traffic;
     std::exception_ptr error;
+    // The protocol labels this shard has resolved, both ways: a shard takes
+    // protocol_mu_ only on its first miss per label.
+    std::unordered_map<std::string, ProtocolId> protocol_ids;
+    std::vector<const ProtocolInfo*> protocols;
 
     std::function<void()> take_callback(std::uint32_t slot);
   };
@@ -545,16 +557,20 @@ class Simulator {
   bool spans_on(const Shard& sh) const;
   std::uint64_t sum_over_workers(std::uint64_t Shard::*field) const;
 
-  // Interner and protocol-table access. The tables are shared by every
-  // shard, so these take the table's lock during a threaded run and skip
-  // it otherwise.
-  std::shared_lock<std::shared_mutex> read_lock(std::shared_mutex& mu) const;
-  std::unique_lock<std::shared_mutex> write_lock(std::shared_mutex& mu) const;
-  AddressId intern(const Address& name);
-  std::optional<AddressId> lookup(const Address& name) const;
+  /// Throws std::logic_error naming `op` while a threaded run is in
+  /// progress: the call would write a table workers read without a lock.
+  void reject_if_threaded(const char* op) const;
+
+  // Interner and protocol-table access from the executing shard. A name
+  // first seen on a worker is staged (see staged_names_); name_of resolves
+  // published and staged ids alike.
+  AddressId intern(const Shard& sh, const Address& name);
   const Address& name_of(AddressId id) const;
-  ProtocolId intern_protocol(const std::string& name);
-  const ProtocolInfo& protocol_info(ProtocolId id) const;
+  /// Moves the staged names into the interner under the ids they were
+  /// given. Only while every worker is parked or joined.
+  void publish_staged_names();
+  ProtocolId intern_protocol(Shard& sh, const std::string& name);
+  const ProtocolInfo& protocol_info(Shard& sh, ProtocolId id);
   /// The id of a registered node, without interning anything: throws
   /// std::out_of_range for an unknown destination.
   AddressId destination(const Address& dst) const;
@@ -640,17 +656,27 @@ class Simulator {
   /// records no future event can precede. Pass ~Time{0} to drain fully.
   void replay_deferred(Time cutoff);
 
+  // Frozen tables. The interner, nodes_ and links_ (and the placement and
+  // fault tables further down) change only before run(), in the window
+  // barrier's completion (every worker parked) and after run(), so workers
+  // read them without a lock. An address first seen on a worker — a send
+  // from an unregistered source — goes to staged_names_ instead, under an
+  // id that continues the interner's; the next barrier completion (before
+  // a parked plan install interns its own names) and the end of the run
+  // publish it into the interner under that same id.
   AddressInterner interner_;
-  mutable std::shared_mutex interner_mu_;  // see read_lock()
+  AddressInterner staged_names_;  // id = interner_.size() + staged id
+  mutable std::mutex staged_mu_;  // guards staged_names_ during a run
   std::vector<Node*> nodes_;  // dense, indexed by AddressId; null = no node
   std::unordered_map<std::uint64_t, LinkState> links_;  // pack_link keys
   Time default_latency_ = 10'000;  // 10 ms
-  // unique_ptr per entry: references to a ProtocolInfo stay valid across
-  // the table growing, which threaded runs rely on to read labels outside
-  // the protocol lock.
+  // Protocol labels are first seen mid-run, so this table does grow while
+  // workers run: under protocol_mu_, read through each Shard's caches.
+  // unique_ptr per entry: a ProtocolInfo never moves once added, so the
+  // cached pointers stay valid as the table grows.
   std::vector<std::unique_ptr<ProtocolInfo>> protocols_;
   std::unordered_map<std::string, ProtocolId> protocol_ids_;
-  mutable std::shared_mutex protocol_mu_;  // see read_lock()
+  mutable std::mutex protocol_mu_;
 
   // The main shard: takes every event scheduled outside a threaded run,
   // executes serial runs inline, and during a threaded run stays frozen

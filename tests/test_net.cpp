@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "net/tracing.hpp"
 #include "obs/trace.hpp"
@@ -393,8 +395,37 @@ int make_rejected_calls(Simulator& sim, const std::string& tag,
   return rejected;
 }
 
-/// Makes the rejected calls from inside its first delivery and records the
-/// interner size around them.
+/// Makes every call that writes a table workers read without a lock, each
+/// naming addresses the simulator has never seen or the existing a-b link.
+/// Only valid inside a threaded run, where each must throw before writing.
+/// Returns how many threw the run-in-progress std::logic_error.
+int make_rejected_table_writes(Simulator& sim) {
+  EchoNode extra("handler-node", false);
+  const std::vector<std::function<void()>> calls = {
+      [&] { sim.add_node(extra); },
+      [&] { sim.connect("a", "handler-peer", 100); },
+      [&] { sim.set_bandwidth("a", "b", 1); },
+      [&] { sim.set_default_latency(1); },
+      [&] { sim.set_shard_affinity("handler-pin", 0); },
+      [&] { sim.add_affinity_hint("a", "handler-hint", 1); },
+      [&] { sim.add_wiretap([](const TraceEntry&) {}); },
+  };
+  int rejected = 0;
+  for (const auto& call : calls) {
+    try {
+      call();
+    } catch (const std::logic_error& e) {
+      if (std::string(e.what()).find("run in progress") != std::string::npos) {
+        ++rejected;
+      }
+    }
+  }
+  return rejected;
+}
+
+/// Makes the rejected calls from inside its first delivery — on a worker
+/// thread, the table writes too — and records the interner size and the
+/// link table around them.
 class RejectingNode final : public Node {
  public:
   explicit RejectingNode(Address addr) : Node(std::move(addr)) {}
@@ -402,17 +433,22 @@ class RejectingNode final : public Node {
   void on_packet(const Packet&, Simulator& sim) override {
     size_before = sim.interner().size();
     rejected = make_rejected_calls(sim, "handler", /*in_delivery=*/true);
+    if (sim.shards() > 1) rejected += make_rejected_table_writes(sim);
     size_after = sim.interner().size();
+    peer_linked = sim.has_link("a", "handler-peer");
   }
 
   std::size_t size_before = 0;
   std::size_t size_after = 0;
   int rejected = 0;
+  bool peer_linked = true;
 };
 
 // Interning a name shifts every later AddressId (and with it id-modulo
-// shard placement), and on a worker thread it takes the exclusive interner
-// lock mid-run — so a rejected call must validate before it interns.
+// shard placement), and on a worker thread it would stage the name until
+// the next barrier — so a rejected call must validate before it interns.
+// Mid-run table writes from a worker are rejected outright: the other
+// workers read those tables without a lock.
 TEST(Simulator, RejectedCallsLeaveInternerUnchanged) {
   for (std::uint32_t shards : {1u, 2u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -430,8 +466,11 @@ TEST(Simulator, RejectedCallsLeaveInternerUnchanged) {
 
     sim.send(Packet{"a", "b", Bytes(1), 1, "t"});
     sim.run();
-    EXPECT_EQ(b.rejected, 4);
+    EXPECT_EQ(b.rejected, shards > 1 ? 4 + 7 : 4);
     EXPECT_EQ(b.size_after, b.size_before);
+    EXPECT_FALSE(b.peer_linked);
+    EXPECT_FALSE(sim.has_link("a", "handler-peer"));
+    EXPECT_EQ(sim.link_latency("a", "b").value_or(0), 100u);
 
     // After the run the clock is past zero, so at_node can be in the past.
     EXPECT_EQ(make_rejected_calls(sim, "after", /*in_delivery=*/false), 3);

@@ -9,12 +9,18 @@
 // by design, so stochastic faults are asserted per-count only.
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "net/faults.hpp"
@@ -667,6 +673,134 @@ TEST(ShardApi, SerialRunLeavesShardStatsEmptyAndSharedQueueReusable) {
   const RunResult res = run_workload(opt);
   EXPECT_EQ(res.shard_stats.shards, 0u);  // never populated by serial runs
   EXPECT_GT(res.packets, 0u);
+}
+
+// With at least as many usable CPUs as shards, each worker runs on a CPU
+// of its own for the whole run (DESIGN.md §13, "Worker placement and
+// barrier waits"): every callback on a shard sees one CPU, and no two
+// shards see the same one.
+TEST(ShardApi, WorkersRunOnDistinctCpus) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  const auto usable = static_cast<std::uint32_t>(CPU_COUNT(&allowed));
+  const std::uint32_t shards = std::min<std::uint32_t>(4, usable);
+  if (shards < 2) GTEST_SKIP() << "needs two usable CPUs";
+  Simulator sim;
+  std::vector<std::set<int>> cpus(shards);
+  for (std::uint32_t i = 0; i < shards; ++i) {
+    const Address name = "node" + std::to_string(i);
+    sim.set_shard_affinity(name, i);
+    // 20 ms apart, so the callbacks fall in separate windows.
+    for (Time t = 0; t < 200'000; t += 20'000) {
+      sim.at_node(name, t, [&cpus, i] { cpus[i].insert(sched_getcpu()); });
+    }
+  }
+  sim.set_shards(shards);
+  sim.run();
+  std::set<int> all;
+  for (std::uint32_t i = 0; i < shards; ++i) {
+    ASSERT_EQ(cpus[i].size(), 1u) << "shard " << i;
+    all.insert(*cpus[i].begin());
+  }
+  EXPECT_EQ(all.size(), shards);
+#else
+  GTEST_SKIP() << "worker placement is Linux-only";
+#endif
+}
+
+// --- frozen tables (DESIGN.md §13) ---------------------------------------
+
+/// One delivery as (src, dst, protocol, size): what a receiver can see of a
+/// packet apart from its payload bytes and context.
+using Seen = std::tuple<Address, Address, std::string, std::size_t>;
+
+class RecordingNode final : public Node {
+ public:
+  explicit RecordingNode(std::string name) : Node(std::move(name)) {}
+
+  void on_packet(const Packet& p, Simulator&) override {
+    seen.emplace_back(p.src, address(), p.protocol, p.payload.size());
+  }
+
+  std::vector<Seen> seen;
+};
+
+// Workers read the interner and the protocol table without a lock, so a
+// name first seen mid-run is staged and published at the next barrier,
+// and a label first seen mid-run is added under the table's mutex. Here
+// every shard stages at once: in the first window each sender sends from
+// its own unregistered address and from one shared one, under a label
+// nobody used before run(), to receivers on other shards. A late send,
+// alone on shard 0, is delivered in the window that staged its source.
+TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
+  constexpr std::uint32_t kSenders = 4;
+  constexpr int kSendsPerName = 16;
+  const auto run = [&](std::uint32_t shards,
+                       std::vector<std::string>* protocol_names,
+                       std::set<Address>* interned) {
+    Simulator sim;
+    std::vector<std::unique_ptr<RecordingNode>> nodes;
+    for (std::uint32_t i = 0; i < kSenders; ++i) {
+      for (const char* role : {"sender", "receiver"}) {
+        const Address name = role + std::to_string(i);
+        nodes.push_back(std::make_unique<RecordingNode>(name));
+        sim.add_node(*nodes.back());
+        sim.set_shard_affinity(name, i);
+      }
+    }
+    sim.set_shards(shards);
+    for (std::uint32_t i = 0; i < kSenders; ++i) {
+      const Address own = "ghost" + std::to_string(i);
+      const Address peer = "receiver" + std::to_string((i + 1) % kSenders);
+      const Address far = "receiver" + std::to_string((i + 2) % kSenders);
+      sim.at_node("sender" + std::to_string(i), 0, [&sim, i, own, peer, far] {
+        for (int k = 0; k < kSendsPerName; ++k) {
+          sim.send(Packet{own, peer, Bytes(1 + i), 0, "fresh"});
+          sim.send(Packet{"ghost-shared", far, Bytes(10 + i), 0, "fresh"});
+        }
+      });
+    }
+    sim.at_node("sender0", 1'000'000, [&sim] {
+      sim.send(Packet{"ghost-late", "receiver0", Bytes(7), 0, "fresh"});
+    });
+    sim.run();
+
+    *protocol_names = sim.protocol_names();
+    interned->clear();
+    for (AddressId id = 0; id < sim.interner().size(); ++id) {
+      const Address& name = sim.interner().name(id);
+      EXPECT_EQ(sim.interner().lookup(name).value_or(~AddressId{0}), id)
+          << name;
+      interned->insert(name);
+    }
+    EXPECT_EQ(interned->size(), sim.interner().size());
+    std::vector<Seen> seen;
+    for (const auto& n : nodes) {
+      for (const Seen& s : n->seen) {
+        EXPECT_EQ(std::get<2>(s), "fresh");
+        const Address& src = std::get<0>(s);
+        EXPECT_TRUE(src.rfind("ghost", 0) == 0) << src;
+        seen.push_back(s);
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  };
+
+  std::vector<std::string> serial_protocols, sharded_protocols;
+  std::set<Address> serial_names, sharded_names;
+  const std::vector<Seen> serial = run(1, &serial_protocols, &serial_names);
+  ASSERT_EQ(serial.size(), 2u * kSenders * kSendsPerName + 1);
+  const std::vector<Seen> sharded = run(4, &sharded_protocols, &sharded_names);
+  EXPECT_EQ(sharded, serial);
+  EXPECT_EQ(std::count(sharded_protocols.begin(), sharded_protocols.end(),
+                       "fresh"),
+            1);
+  EXPECT_EQ(sharded_protocols, serial_protocols);
+  // Same names either way: 8 nodes, 4 own ghosts, the shared and late one.
+  EXPECT_EQ(sharded_names, serial_names);
+  EXPECT_EQ(sharded_names.size(), 2u * kSenders + kSenders + 2);
 }
 
 // --- zero-copy wire path (DESIGN.md §14) ----------------------------------
