@@ -94,6 +94,10 @@ int main(int argc, char** argv) {
     run("x25519", 0, [&](std::uint64_t) {
       consume(x25519(kp.private_key, peer.public_key));
     });
+    // The fixed-base comb behind every key pair and HPKE ephemeral key.
+    run("x25519_base", 0, [&](std::uint64_t) {
+      consume(x25519_public(kp.private_key));
+    });
   }
 
   // --- HPKE: per-message KEM vs amortized session context -------------------

@@ -2,10 +2,14 @@
 // from 0 (direct) through 6 (deep onion) and report the cost/benefit curve
 // the paper describes: privacy (minimum colluding set to re-couple) rises
 // with hops, while latency and bytes-on-wire rise too — diminishing privacy
-// return past 2-3 hops at linearly growing cost.
-#include <chrono>
+// return past 2-3 hops at linearly growing cost. The cost per added hop is
+// the least-squares slope of process CPU time over hop count
+// (cpu_ms_per_hop), almost all of it the HPKE seal and open that each onion
+// layer adds.
 #include <cstdio>
+#include <ctime>
 #include <memory>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "report_util.hpp"
@@ -21,7 +25,7 @@ struct RunResult {
   std::uint64_t wire_bytes = 0;   // total bytes delivered in the simulator
   std::size_t min_coalition = 0;  // parties needed to re-couple (0 = n/a)
   bool decoupled = false;
-  double wall_ms = 0;             // host CPU time (crypto cost)
+  double cpu_ms = 0;              // process CPU time (crypto cost)
 };
 
 RunResult run_chain(std::size_t hops, std::size_t fetches) {
@@ -55,7 +59,7 @@ RunResult run_chain(std::size_t hops, std::size_t fetches) {
   sim.add_node(client);
 
   net::Time first_response = 0;
-  const auto wall_start = std::chrono::steady_clock::now();
+  const std::clock_t cpu_start = std::clock();
   for (std::size_t i = 0; i < fetches; ++i) {
     http::Request req;
     req.authority = "origin.example";
@@ -67,13 +71,13 @@ RunResult run_chain(std::size_t hops, std::size_t fetches) {
                             });
   }
   sim.run();
-  const auto wall_end = std::chrono::steady_clock::now();
+  const std::clock_t cpu_end = std::clock();
 
   RunResult r;
   r.latency_us = first_response;
   r.wire_bytes = sim.bytes_delivered();
-  r.wall_ms =
-      std::chrono::duration<double, std::milli>(wall_end - wall_start).count();
+  r.cpu_ms = 1000.0 * static_cast<double>(cpu_end - cpu_start) /
+             CLOCKS_PER_SEC;
 
   core::DecouplingAnalysis a(log);
   r.decoupled = a.is_decoupled("10.0.0.1");
@@ -94,12 +98,13 @@ int main(int argc, char** argv) {
 
   bool shape_ok = true;
   net::Time prev_latency = 0;
+  std::vector<double> cpu_ms;  // indexed by hop count
   for (std::size_t hops = 0; hops <= 6; ++hops) {
     RunResult r = run_chain(hops, kFetches);
     std::printf("%6zu %14.1f %12llu %14zu %10s %12.2f\n", hops,
                 r.latency_us / 1000.0,
                 static_cast<unsigned long long>(r.wire_bytes),
-                r.min_coalition, r.decoupled ? "yes" : "no", r.wall_ms);
+                r.min_coalition, r.decoupled ? "yes" : "no", r.cpu_ms);
     // Shape checks: latency strictly increases with hops; >=2 hops are
     // decoupled, 0-1 hops are not.
     const std::string h = std::to_string(hops);
@@ -107,6 +112,8 @@ int main(int argc, char** argv) {
     rep.value("hops" + h + ".wire_bytes", static_cast<double>(r.wire_bytes));
     rep.value("hops" + h + ".min_coalition",
               static_cast<double>(r.min_coalition));
+    rep.value("hops" + h + ".cpu_ms", r.cpu_ms);
+    cpu_ms.push_back(r.cpu_ms);
     if (hops > 0) {
       shape_ok &= rep.check("latency_grows_hops" + h,
                             r.latency_us > prev_latency);
@@ -115,6 +122,21 @@ int main(int argc, char** argv) {
                           (hops >= 2) == r.decoupled);
     prev_latency = r.latency_us;
   }
+
+  // Least-squares slope of CPU time over hops 0..6: §4.2's per-hop cost.
+  const double n = static_cast<double>(cpu_ms.size());
+  double sx = 0, sy = 0, sxx = 0, sxy = 0;
+  for (std::size_t hops = 0; hops < cpu_ms.size(); ++hops) {
+    const double x = static_cast<double>(hops);
+    sx += x;
+    sy += cpu_ms[hops];
+    sxx += x * x;
+    sxy += x * cpu_ms[hops];
+  }
+  const double cpu_ms_per_hop = (n * sxy - sx * sy) / (n * sxx - sx * sx);
+  rep.value("cpu_ms_per_hop", cpu_ms_per_hop);
+  std::printf("\ncpu per added hop (least squares, %zu fetches): %.2f ms\n",
+              kFetches, cpu_ms_per_hop);
 
   std::printf("\nshape: latency grows ~linearly with hops; a 1-hop chain is "
               "a VPN (not decoupled);\n2 hops suffice for decoupling — "

@@ -311,7 +311,7 @@ BigInt BigInt::gcd(BigInt a, BigInt b) {
   return a;
 }
 
-BigInt BigInt::mod_inverse(const BigInt& modulus) const {
+std::optional<BigInt> BigInt::try_mod_inverse(const BigInt& modulus) const {
   // Iterative extended Euclid with sign tracking: maintain x such that
   // a*x == r (mod modulus), over (magnitude, negative) pairs.
   if (modulus.is_zero()) throw std::invalid_argument("mod_inverse: modulus 0");
@@ -320,9 +320,9 @@ BigInt BigInt::mod_inverse(const BigInt& modulus) const {
   BigInt x0{}, x1{1};
   bool neg0 = false, neg1 = false;
 
+  BigInt q, r2;
   while (!r1.is_zero()) {
-    BigInt q = r0 / r1;
-    BigInt r2 = r0 % r1;
+    divmod(r0, r1, q, r2);
     // x2 = x0 - q * x1 (signed)
     BigInt qx = q * x1;
     BigInt x2;
@@ -339,17 +339,23 @@ BigInt BigInt::mod_inverse(const BigInt& modulus) const {
       x2 = x0 + qx;
       neg2 = neg0;
     }
-    r0 = r1;
-    r1 = r2;
-    x0 = x1;
+    r0 = std::move(r1);
+    r1 = std::move(r2);
+    x0 = std::move(x1);
     neg0 = neg1;
-    x1 = x2;
+    x1 = std::move(x2);
     neg1 = neg2;
   }
-  if (r0 != BigInt(1)) throw std::invalid_argument("mod_inverse: not coprime");
+  if (r0 != BigInt(1)) return std::nullopt;
   BigInt inv = x0 % modulus;
   if (neg0 && !inv.is_zero()) inv = modulus - inv;
   return inv;
+}
+
+BigInt BigInt::mod_inverse(const BigInt& modulus) const {
+  std::optional<BigInt> inv = try_mod_inverse(modulus);
+  if (!inv) throw std::invalid_argument("mod_inverse: not coprime");
+  return std::move(*inv);
 }
 
 BigInt BigInt::random_below(const BigInt& bound, Rng& rng) {
@@ -445,36 +451,32 @@ Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
 
   // R^2 mod n, R = 2^(64k).
   const std::size_t k = n_limbs_.size();
-  r2_ = (BigInt(1) << (128 * k)) % n_;
+  r2_ = ((BigInt(1) << (128 * k)) % n_).limbs_;
+  r2_.resize(k, 0);
 }
 
-std::vector<std::uint64_t> Montgomery::to_mont(const BigInt& a) const {
-  BigInt reduced = a % n_;
-  std::vector<std::uint64_t> al = reduced.limbs();
-  al.resize(n_limbs_.size(), 0);
-  std::vector<std::uint64_t> r2 = r2_.limbs();
-  r2.resize(n_limbs_.size(), 0);
-  return mont_mul(al, r2);
+void Montgomery::to_mont(const BigInt& a, std::uint64_t* out,
+                         std::uint64_t* t) const {
+  std::vector<std::uint64_t> reduced = (a % n_).limbs_;
+  reduced.resize(n_limbs_.size(), 0);
+  mont_mul(reduced.data(), r2_.data(), out, t);
 }
 
-BigInt Montgomery::from_mont(std::vector<std::uint64_t> a) const {
+BigInt Montgomery::from_mont(const std::uint64_t* a, std::uint64_t* t) const {
   std::vector<std::uint64_t> one(n_limbs_.size(), 0);
   one[0] = 1;
-  std::vector<std::uint64_t> res = mont_mul(a, one);
   BigInt out;
-  // Reconstruct via bytes to keep limb invariants encapsulated.
-  Bytes be;
-  for (std::size_t i = res.size(); i-- > 0;) {
-    append(be, be_encode(res[i], 8));
-  }
-  return BigInt::from_bytes_be(be);
+  out.limbs_.resize(n_limbs_.size());
+  mont_mul(a, one.data(), out.limbs_.data(), t);
+  out.trim();
+  return out;
 }
 
-std::vector<std::uint64_t> Montgomery::mont_mul(
-    const std::vector<std::uint64_t>& a,
-    const std::vector<std::uint64_t>& b) const {
+void Montgomery::mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+                          std::uint64_t* out, std::uint64_t* t) const {
   const std::size_t k = n_limbs_.size();
-  std::vector<std::uint64_t> t(k + 2, 0);
+  const std::uint64_t* n = n_limbs_.data();
+  std::fill(t, t + k + 2, 0);
 
   for (std::size_t i = 0; i < k; ++i) {
     // t += a[i] * b
@@ -490,10 +492,10 @@ std::vector<std::uint64_t> Montgomery::mont_mul(
 
     // Reduce: add m * n where m = t[0] * n' mod 2^64, then shift one limb.
     const std::uint64_t m = t[0] * n_prime_;
-    s = static_cast<u128>(m) * n_limbs_[0] + t[0];
+    s = static_cast<u128>(m) * n[0] + t[0];
     carry = static_cast<std::uint64_t>(s >> 64);
     for (std::size_t j = 1; j < k; ++j) {
-      s = static_cast<u128>(m) * n_limbs_[j] + t[j] + carry;
+      s = static_cast<u128>(m) * n[j] + t[j] + carry;
       t[j - 1] = static_cast<std::uint64_t>(s);
       carry = static_cast<std::uint64_t>(s >> 64);
     }
@@ -503,44 +505,73 @@ std::vector<std::uint64_t> Montgomery::mont_mul(
     t[k + 1] = 0;
   }
 
-  // Conditional subtract n.
-  std::vector<std::uint64_t> result(t.begin(), t.begin() + static_cast<long>(k));
+  // out = t - n if t >= n, else t. `out` is written only here, so it may
+  // alias `a` or `b`.
   bool ge = t[k] != 0;
   if (!ge) {
     ge = true;
     for (std::size_t i = k; i-- > 0;) {
-      if (result[i] != n_limbs_[i]) {
-        ge = result[i] > n_limbs_[i];
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
         break;
       }
     }
   }
-  if (ge) {
-    std::uint64_t borrow = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      u128 rhs = static_cast<u128>(n_limbs_[i]) + borrow;
-      u128 lhs = result[i];
-      if (lhs >= rhs) {
-        result[i] = static_cast<std::uint64_t>(lhs - rhs);
-        borrow = 0;
-      } else {
-        result[i] = static_cast<std::uint64_t>((u128{1} << 64) + lhs - rhs);
-        borrow = 1;
-      }
-    }
+  if (!ge) {
+    std::copy(t, t + k, out);
+    return;
   }
-  return result;
+  std::uint64_t borrow = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 d = static_cast<u128>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+}
+
+std::size_t Montgomery::window_bits(std::size_t exponent_bits) {
+  if (exponent_bits > 239) return 5;
+  if (exponent_bits > 79) return 4;
+  if (exponent_bits > 23) return 3;
+  return 1;
 }
 
 BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exponent) const {
-  std::vector<std::uint64_t> result = to_mont(BigInt(1));
-  const std::vector<std::uint64_t> b = to_mont(base);
+  const std::size_t k = n_limbs_.size();
   const std::size_t bits = exponent.bit_length();
-  for (std::size_t i = bits; i-- > 0;) {
-    result = mont_mul(result, result);
-    if (exponent.bit(i)) result = mont_mul(result, b);
+  const std::size_t w = window_bits(bits);
+  const std::size_t entries = std::size_t{1} << w;
+
+  // One allocation: base^0 .. base^(2^w - 1) in Montgomery form, the
+  // accumulator, and k + 2 limbs of mont_mul scratch.
+  std::vector<std::uint64_t> buf((entries + 1) * k + k + 2);
+  std::uint64_t* table = buf.data();
+  std::uint64_t* acc = table + entries * k;
+  std::uint64_t* t = acc + k;
+  to_mont(BigInt(1), table, t);
+  if (bits == 0) return from_mont(table, t);
+  to_mont(base, table + k, t);
+  for (std::size_t j = 2; j < entries; ++j) {
+    mont_mul(table + (j - 1) * k, table + k, table + j * k, t);
   }
-  return from_mont(std::move(result));
+
+  // Fixed windows from the top; the top window holds the top set bit, so
+  // the accumulator starts at a nonzero digit's entry.
+  const auto digit = [&](std::size_t window) {
+    std::size_t d = 0;
+    for (std::size_t b = w; b-- > 0;) {
+      d = (d << 1) | static_cast<std::size_t>(exponent.bit(window * w + b));
+    }
+    return d;
+  };
+  std::size_t window = (bits + w - 1) / w - 1;
+  std::copy_n(table + digit(window) * k, k, acc);
+  while (window-- > 0) {
+    for (std::size_t i = 0; i < w; ++i) mont_mul(acc, acc, acc, t);
+    const std::size_t d = digit(window);
+    if (d != 0) mont_mul(acc, table + d * k, acc, t);
+  }
+  return from_mont(acc, t);
 }
 
 }  // namespace dcpl::crypto

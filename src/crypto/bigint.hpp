@@ -1,13 +1,14 @@
 // Arbitrary-precision unsigned integers with the operations RSA needs:
-// schoolbook mul, Knuth Algorithm D division, Montgomery modular
-// exponentiation, extended-Euclid modular inverse, Miller-Rabin primality,
-// and prime generation.
+// schoolbook mul, Knuth Algorithm D division, fixed-window Montgomery
+// modular exponentiation, extended-Euclid modular inverse, Miller-Rabin
+// primality, and prime generation.
 //
 // Values are non-negative; subtraction that would go negative throws.
 #pragma once
 
 #include <compare>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,6 +67,11 @@ class BigInt {
   /// Multiplicative inverse mod `modulus`; throws if gcd != 1.
   BigInt mod_inverse(const BigInt& modulus) const;
 
+  /// Multiplicative inverse mod `modulus`, or nullopt if gcd != 1 (one
+  /// extended-Euclid pass, so it doubles as a coprimality test). Throws
+  /// only for a zero modulus.
+  std::optional<BigInt> try_mod_inverse(const BigInt& modulus) const;
+
   static BigInt gcd(BigInt a, BigInt b);
 
   /// Uniform value in [0, bound).
@@ -90,6 +96,21 @@ class BigInt {
 };
 
 /// Montgomery context for repeated modular multiplication mod an odd modulus.
+///
+/// mod_exp scans the exponent in fixed windows whose width follows its bit
+/// length: 1 bit up to 23 bits (plain square-and-multiply, so e = 65537
+/// costs 16 squarings and 1 multiplication), 3 bits up to 79, 4 up to 239
+/// and 5 above (the 512-bit CRT exponents of RSA-1024). A w-bit window
+/// costs 2^w - 2 multiplications to build its table, then one per nonzero
+/// window (about bits / w), where bit-by-bit pays one per set bit (about
+/// bits / 2); the squarings are the same.
+///
+/// NOTE: this is not constant-time. Zero windows skip their multiplication,
+/// each window's digit indexes the table directly, and mont_mul's final
+/// subtraction is conditional, so running time and memory access follow
+/// the exponent. The private-key operations that use it (RSA signing,
+/// Miller-Rabin) leak through timing as a result; this library is a
+/// research artifact, not audited constant-time code.
 class Montgomery {
  public:
   explicit Montgomery(const BigInt& modulus);
@@ -97,16 +118,22 @@ class Montgomery {
   /// (base ^ exponent) mod modulus.
   BigInt mod_exp(const BigInt& base, const BigInt& exponent) const;
 
+  /// The window width mod_exp uses for an exponent of `exponent_bits` bits.
+  static std::size_t window_bits(std::size_t exponent_bits);
+
  private:
-  std::vector<std::uint64_t> to_mont(const BigInt& a) const;
-  BigInt from_mont(std::vector<std::uint64_t> a) const;
-  std::vector<std::uint64_t> mont_mul(const std::vector<std::uint64_t>& a,
-                                      const std::vector<std::uint64_t>& b) const;
+  // Limb arrays below hold k = n_limbs_.size() limbs; `t` is k + 2 limbs of
+  // caller-owned scratch, so mont_mul allocates nothing.
+  void to_mont(const BigInt& a, std::uint64_t* out, std::uint64_t* t) const;
+  BigInt from_mont(const std::uint64_t* a, std::uint64_t* t) const;
+  /// out = a * b / R mod n; `out` may alias `a` or `b`.
+  void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
+                std::uint64_t* out, std::uint64_t* t) const;
 
   BigInt n_;
   std::vector<std::uint64_t> n_limbs_;
-  std::uint64_t n_prime_;  // -n^{-1} mod 2^64
-  BigInt r2_;              // R^2 mod n
+  std::uint64_t n_prime_;          // -n^{-1} mod 2^64
+  std::vector<std::uint64_t> r2_;  // R^2 mod n, k limbs
 };
 
 }  // namespace dcpl::crypto

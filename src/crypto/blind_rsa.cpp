@@ -1,5 +1,7 @@
 #include "crypto/blind_rsa.hpp"
 
+#include <optional>
+
 #include "obs/metrics.hpp"
 
 namespace dcpl::crypto {
@@ -11,17 +13,20 @@ BlindingState blind(const RsaPublicKey& pub, BytesView message, Rng& rng) {
   Bytes em = pss_encode(message, em_bits, rng);
   BigInt m = BigInt::from_bytes_be(em);
 
-  // r uniform in [1, n) with gcd(r, n) = 1.
+  // r uniform in [1, n) with gcd(r, n) = 1: the inverse exists exactly
+  // when r is coprime to n, so computing it is the coprimality test.
   BigInt r;
-  do {
+  std::optional<BigInt> inv;
+  while (!inv) {
     r = BigInt::random_below(pub.n, rng);
-  } while (r.is_zero() || BigInt::gcd(r, pub.n) != BigInt(1));
+    if (!r.is_zero()) inv = r.try_mod_inverse(pub.n);
+  }
 
   BigInt blinded = (m * r.mod_exp(pub.e, pub.n)) % pub.n;
 
   BlindingState state;
   state.blinded_message = blinded.to_bytes_be(pub.modulus_bytes());
-  state.inv = r.mod_inverse(pub.n);
+  state.inv = std::move(*inv);
   return state;
 }
 

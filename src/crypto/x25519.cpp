@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "crypto/hkdf.hpp"
 #include "obs/metrics.hpp"
@@ -11,6 +12,10 @@ namespace dcpl::crypto {
 namespace {
 
 // Field element mod p = 2^255 - 19, five 51-bit limbs, little-endian.
+//
+// Limb bounds: fe_mul/fe_sq outputs are below 2^52, and they accept inputs
+// below 2^54. fe_sub adds 2p, so its subtrahend must be such a product (not
+// a sum); the Edwards formulas below order their operations to keep that.
 struct Fe {
   std::uint64_t v[5];
 };
@@ -21,6 +26,7 @@ using u128 = unsigned __int128;
 
 Fe fe_zero() { return Fe{{0, 0, 0, 0, 0}}; }
 Fe fe_one() { return Fe{{1, 0, 0, 0, 0}}; }
+Fe fe_small(std::uint64_t s) { return Fe{{s, 0, 0, 0, 0}}; }
 
 Fe fe_add(const Fe& a, const Fe& b) {
   Fe c;
@@ -39,25 +45,14 @@ Fe fe_sub(const Fe& a, const Fe& b) {
   return c;
 }
 
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
-                      a4 = a.v[4];
-  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
-                      b4 = b.v[4];
-  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
-                      b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
+// Carries a five-column product back to 51-bit limbs; the carry out of the
+// top limb folds into limb 0 times 19 (2^255 = 19 mod p).
+//
+// fe_carry, fe_mul and fe_sq are forced inline: as calls, with the five
+// 128-bit columns passed through memory, they made the ladder about 14%
+// and the comb about 20% slower (gcc 12.2 -O2, x86-64 Xeon).
+[[gnu::always_inline]] inline Fe fe_carry(u128 t0, u128 t1, u128 t2, u128 t3,
+                                          u128 t4) {
   Fe c;
   std::uint64_t carry;
   carry = static_cast<std::uint64_t>(t0 >> 51);
@@ -81,30 +76,51 @@ Fe fe_mul(const Fe& a, const Fe& b) {
   return c;
 }
 
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
+[[gnu::always_inline]] inline Fe fe_mul(const Fe& a, const Fe& b) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                      a4 = a.v[4];
+  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
+                      b4 = b.v[4];
+  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
+                      b4_19 = b4 * 19;
+
+  return fe_carry((u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
+                      (u128)a3 * b2_19 + (u128)a4 * b1_19,
+                  (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
+                      (u128)a3 * b3_19 + (u128)a4 * b2_19,
+                  (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
+                      (u128)a3 * b4_19 + (u128)a4 * b3_19,
+                  (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 +
+                      (u128)a3 * b0 + (u128)a4 * b4_19,
+                  (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 +
+                      (u128)a3 * b1 + (u128)a4 * b0);
+}
+
+// fe_mul(a, a) with the symmetric cross terms computed once: 15 limb
+// products instead of 25.
+[[gnu::always_inline]] inline Fe fe_sq(const Fe& a) {
+  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
+                      a4 = a.v[4];
+  const std::uint64_t d0 = a0 * 2, d1 = a1 * 2, d2 = a2 * 2, d3 = a3 * 2;
+  const std::uint64_t a3_19 = a3 * 19, a4_19 = a4 * 19;
+
+  return fe_carry((u128)a0 * a0 + (u128)d1 * a4_19 + (u128)d2 * a3_19,
+                  (u128)d0 * a1 + (u128)d2 * a4_19 + (u128)a3 * a3_19,
+                  (u128)d0 * a2 + (u128)a1 * a1 + (u128)d3 * a4_19,
+                  (u128)d0 * a3 + (u128)d1 * a2 + (u128)a4 * a4_19,
+                  (u128)d0 * a4 + (u128)d1 * a3 + (u128)a2 * a2);
+}
+
+// a^(2^n).
+Fe fe_sq_n(Fe a, int n) {
+  for (int i = 0; i < n; ++i) a = fe_sq(a);
+  return a;
+}
 
 // Multiply by a small constant (used with a24 = 121665).
 Fe fe_mul_small(const Fe& a, std::uint64_t s) {
-  Fe c;
-  u128 t[5];
-  for (int i = 0; i < 5; ++i) t[i] = (u128)a.v[i] * s;
-  std::uint64_t carry;
-  carry = static_cast<std::uint64_t>(t[0] >> 51);
-  c.v[0] = static_cast<std::uint64_t>(t[0]) & kMask51;
-  t[1] += carry;
-  carry = static_cast<std::uint64_t>(t[1] >> 51);
-  c.v[1] = static_cast<std::uint64_t>(t[1]) & kMask51;
-  t[2] += carry;
-  carry = static_cast<std::uint64_t>(t[2] >> 51);
-  c.v[2] = static_cast<std::uint64_t>(t[2]) & kMask51;
-  t[3] += carry;
-  carry = static_cast<std::uint64_t>(t[3] >> 51);
-  c.v[3] = static_cast<std::uint64_t>(t[3]) & kMask51;
-  t[4] += carry;
-  carry = static_cast<std::uint64_t>(t[4] >> 51);
-  c.v[4] = static_cast<std::uint64_t>(t[4]) & kMask51;
-  c.v[0] += carry * 19;
-  return c;
+  return fe_carry((u128)a.v[0] * s, (u128)a.v[1] * s, (u128)a.v[2] * s,
+                  (u128)a.v[3] * s, (u128)a.v[4] * s);
 }
 
 void fe_cswap(std::uint64_t swap, Fe& a, Fe& b) {
@@ -114,6 +130,12 @@ void fe_cswap(std::uint64_t swap, Fe& a, Fe& b) {
     a.v[i] ^= x;
     b.v[i] ^= x;
   }
+}
+
+// a = b if move == 1, unchanged if move == 0, without branching on it.
+void fe_cmov(Fe& a, const Fe& b, std::uint64_t move) {
+  const std::uint64_t mask = 0 - move;
+  for (int i = 0; i < 5; ++i) a.v[i] ^= mask & (a.v[i] ^ b.v[i]);
 }
 
 std::uint64_t load_le64(const std::uint8_t* p) {
@@ -172,35 +194,217 @@ Bytes fe_tobytes(const Fe& in) {
   return out;
 }
 
-// a^(p-2) via square-and-multiply; exponent p-2 = 2^255 - 21.
-Fe fe_invert(const Fe& a) {
-  // Little-endian exponent bytes: 0xeb, 0xff*30, 0x7f.
-  std::uint8_t e[32];
-  std::memset(e, 0xff, sizeof(e));
-  e[0] = 0xeb;
-  e[31] = 0x7f;
+// z^(2^250 - 1), the common prefix of the inversion and square-root
+// exponents (the curve25519 paper's addition chain); also yields z^11.
+Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
+  const Fe z2 = fe_sq(z);
+  const Fe z9 = fe_mul(fe_sq_n(z2, 2), z);
+  z11 = fe_mul(z9, z2);
+  const Fe z_5 = fe_mul(fe_sq(z11), z9);  // z^(2^5 - 1)
+  const Fe z_10 = fe_mul(fe_sq_n(z_5, 5), z_5);
+  const Fe z_20 = fe_mul(fe_sq_n(z_10, 10), z_10);
+  const Fe z_40 = fe_mul(fe_sq_n(z_20, 20), z_20);
+  const Fe z_50 = fe_mul(fe_sq_n(z_40, 10), z_10);
+  const Fe z_100 = fe_mul(fe_sq_n(z_50, 50), z_50);
+  const Fe z_200 = fe_mul(fe_sq_n(z_100, 100), z_100);
+  return fe_mul(fe_sq_n(z_200, 50), z_50);
+}
 
-  Fe result = fe_one();
-  for (int bit = 254; bit >= 0; --bit) {
-    result = fe_sq(result);
-    if ((e[bit / 8] >> (bit % 8)) & 1) result = fe_mul(result, a);
+// z^(p-2) = z^(2^255 - 21): 254 squarings and 11 multiplications.
+Fe fe_invert(const Fe& z) {
+  Fe z11;
+  const Fe t = fe_pow_2_250_1(z, z11);
+  return fe_mul(fe_sq_n(t, 5), z11);
+}
+
+// ---------------------------------------------------------------------------
+// Fixed-base scalar multiplication on edwards25519
+// (-x^2 + y^2 = 1 + d x^2 y^2), which maps onto curve25519 by
+// u = (1 + y) / (1 - y). Only x25519_public() uses it.
+// ---------------------------------------------------------------------------
+
+// Extended coordinates: x = X/Z, y = Y/Z, x*y = T/Z.
+struct GeP3 {
+  Fe X, Y, Z, T;
+};
+
+// An affine point prepared for mixed addition: (y + x, y - x, 2*d*x*y).
+struct GePrecomp {
+  Fe ypx, ymx, xy2d;
+};
+
+// p + q (madd-2008-hwcd-3 for a = -1): 7 multiplications.
+GeP3 ge_madd(const GeP3& p, const GePrecomp& q) {
+  const Fe a = fe_mul(fe_add(p.Y, p.X), q.ypx);
+  const Fe b = fe_mul(fe_sub(p.Y, p.X), q.ymx);
+  const Fe c = fe_mul(p.T, q.xy2d);
+  const Fe d = fe_add(p.Z, p.Z);
+  const Fe e = fe_sub(a, b), f = fe_sub(d, c), g = fe_add(d, c),
+           h = fe_add(a, b);
+  return GeP3{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
+// 2p (dbl-2008-hwcd for a = -1, every output coordinate negated, which is
+// the same projective point).
+GeP3 ge_dbl(const GeP3& p) {
+  const Fe a = fe_sq(p.X), b = fe_sq(p.Y);
+  const Fe zz = fe_sq(p.Z);
+  const Fe e = fe_sub(fe_sub(fe_sq(fe_add(p.X, p.Y)), a), b);
+  const Fe g = fe_sub(b, a), h = fe_add(a, b);
+  const Fe f = fe_sub(fe_add(fe_add(zz, zz), a), b);
+  return GeP3{fe_mul(e, f), fe_mul(h, g), fe_mul(g, f), fe_mul(e, h)};
+}
+
+// A square root of a square w, for p = 5 mod 8: w^((p+3)/8), times
+// sqrt(-1) = 2^((p-1)/4) when that squares to -w. Table setup only.
+Fe fe_sqrt(const Fe& w) {
+  const auto pow_2_252_3 = [](const Fe& z) {  // z^(2^252 - 3)
+    Fe z11;
+    return fe_mul(fe_sq_n(fe_pow_2_250_1(z, z11), 2), z);
+  };
+  const Fe two = fe_small(2);
+  Fe r = fe_mul(pow_2_252_3(w), w);
+  if (fe_tobytes(fe_sq(r)) != fe_tobytes(w)) {
+    r = fe_mul(r, fe_mul(fe_sq(pow_2_252_3(two)), two));
   }
-  return result;
+  return r;
+}
+
+// Row i holds j * 256^i * B for j = 1..8, so a scalar written in signed
+// radix 16, s = sum e_k 16^k with e_k in [-8, 8], is
+// 16 * sum_i e_{2i+1} row_i + sum_i e_{2i} row_i.
+struct CombTable {
+  GePrecomp row[32][8];
+};
+
+CombTable build_comb_table() {
+  const Fe d = fe_mul(fe_sub(fe_zero(), fe_small(121665)),
+                      fe_invert(fe_small(121666)));
+  const Fe d2 = fe_add(d, d);
+  // The base point B: y = 4/5 (u = 9), x the even root of
+  // x^2 = (y^2 - 1) / (d y^2 + 1).
+  const Fe y = fe_mul(fe_small(4), fe_invert(fe_small(5)));
+  const Fe yy = fe_sq(y);
+  Fe x = fe_sqrt(fe_mul(fe_sub(yy, fe_one()),
+                        fe_invert(fe_add(fe_mul(d, yy), fe_one()))));
+  if (fe_tobytes(x)[0] & 1) x = fe_sub(fe_zero(), x);
+
+  const auto precomp = [&](const GeP3& p, const Fe& z_inv) {
+    const Fe px = fe_mul(p.X, z_inv), py = fe_mul(p.Y, z_inv);
+    return GePrecomp{fe_add(py, px), fe_sub(py, px),
+                     fe_mul(fe_mul(px, py), d2)};
+  };
+
+  // points[8 * i + j] = (j + 1) * 256^i * B, projective.
+  constexpr std::size_t kPoints = 32 * 8;
+  std::vector<GeP3> points(kPoints);
+  GeP3 base{x, y, fe_one(), fe_mul(x, y)};  // 256^i * B
+  for (std::size_t i = 0; i < kPoints; i += 8) {
+    const GePrecomp step = precomp(base, fe_invert(base.Z));
+    points[i] = base;
+    for (std::size_t j = 1; j < 8; ++j) {
+      points[i + j] = ge_madd(points[i + j - 1], step);
+    }
+    for (int k = 0; k < 8; ++k) base = ge_dbl(base);
+  }
+
+  // Normalize all 256 points with one inversion (Montgomery's trick):
+  // prefix[k] is the product of the Z of every point before k.
+  std::vector<Fe> prefix(kPoints);
+  Fe acc = fe_one();
+  for (std::size_t k = 0; k < kPoints; ++k) {
+    prefix[k] = acc;
+    acc = fe_mul(acc, points[k].Z);
+  }
+  CombTable table;
+  GePrecomp* out = &table.row[0][0];
+  Fe inv = fe_invert(acc);  // 1 / (Z_0 * ... * Z_k) at step k
+  for (std::size_t k = kPoints; k-- > 0;) {
+    out[k] = precomp(points[k], fe_mul(inv, prefix[k]));
+    inv = fe_mul(inv, points[k].Z);
+  }
+  return table;
+}
+
+// row[|digit| - 1], negated if digit < 0, or the identity for digit 0. All
+// eight entries are read and merged by mask, as fe_cswap does, so neither
+// the memory access pattern nor any branch depends on the digit.
+GePrecomp ge_select(const GePrecomp (&row)[8], int digit) {
+  const std::uint32_t neg = static_cast<std::uint32_t>(digit) >> 31;
+  const std::uint32_t abs =
+      (static_cast<std::uint32_t>(digit) ^ (0u - neg)) + neg;
+  GePrecomp t{fe_one(), fe_one(), fe_zero()};
+  for (std::uint32_t j = 0; j < 8; ++j) {
+    const std::uint64_t mask =  // all-ones iff abs == j + 1
+        0 - static_cast<std::uint64_t>(((abs ^ (j + 1)) - 1) >> 31);
+    const GePrecomp& u = row[j];
+    for (int l = 0; l < 5; ++l) {
+      t.ypx.v[l] ^= mask & (t.ypx.v[l] ^ u.ypx.v[l]);
+      t.ymx.v[l] ^= mask & (t.ymx.v[l] ^ u.ymx.v[l]);
+      t.xy2d.v[l] ^= mask & (t.xy2d.v[l] ^ u.xy2d.v[l]);
+    }
+  }
+  // -(x, y) = (-x, y): swap y + x with y - x and negate 2dxy.
+  const Fe minus_xy2d = fe_sub(fe_zero(), t.xy2d);
+  fe_cswap(neg, t.ypx, t.ymx);
+  fe_cmov(t.xy2d, minus_xy2d, neg);
+  return t;
+}
+
+// u(k * B) for a clamped scalar k (k[31] <= 127, so the top signed digit
+// is at most 8).
+Fe scalarmult_base_u(const std::uint8_t k[32]) {
+  // Built once, on first use; a function-local static is thread-safe.
+  static const CombTable table = build_comb_table();
+
+  int e[64];
+  for (int i = 0; i < 32; ++i) {
+    e[2 * i] = k[i] & 15;
+    e[2 * i + 1] = k[i] >> 4;
+  }
+  int carry = 0;  // recode to [-8, 8)
+  for (int i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry * 16;
+  }
+  e[63] += carry;
+
+  GeP3 h{fe_zero(), fe_one(), fe_one(), fe_zero()};
+  for (int i = 1; i < 64; i += 2) {
+    h = ge_madd(h, ge_select(table.row[i / 2], e[i]));
+  }
+  for (int i = 0; i < 4; ++i) h = ge_dbl(h);
+  for (int i = 0; i < 64; i += 2) {
+    h = ge_madd(h, ge_select(table.row[i / 2], e[i]));
+  }
+  // u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y); k * B is never the identity
+  // for a clamped k, so Z - Y is nonzero.
+  return fe_mul(fe_add(h.Z, h.Y), fe_invert(fe_sub(h.Z, h.Y)));
+}
+
+// decodeScalar25519 (RFC 7748 §5). Both entry points count as one x25519
+// operation.
+void clamp_scalar(BytesView scalar, std::uint8_t k[32]) {
+  static obs::OpCounter ops("crypto", "x25519");
+  ops.inc();
+  if (scalar.size() != kX25519KeySize) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  std::memcpy(k, scalar.data(), 32);
+  k[0] &= 248;
+  k[31] &= 127;
+  k[31] |= 64;
 }
 
 }  // namespace
 
 Bytes x25519(BytesView scalar, BytesView u) {
-  static obs::OpCounter ops("crypto", "x25519");
-  ops.inc();
-  if (scalar.size() != kX25519KeySize || u.size() != kX25519KeySize) {
+  std::uint8_t k[32];
+  clamp_scalar(scalar, k);
+  if (u.size() != kX25519KeySize) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");
   }
-  std::uint8_t k[32];
-  std::memcpy(k, scalar.data(), 32);
-  k[0] &= 248;
-  k[31] &= 127;
-  k[31] |= 64;
 
   const Fe x1 = fe_frombytes(u);
   Fe x2 = fe_one(), z2 = fe_zero(), x3 = x1, z3 = fe_one();
@@ -234,9 +438,9 @@ Bytes x25519(BytesView scalar, BytesView u) {
 }
 
 Bytes x25519_public(BytesView scalar) {
-  Bytes base(32, 0);
-  base[0] = 9;
-  return x25519(scalar, base);
+  std::uint8_t k[32];
+  clamp_scalar(scalar, k);
+  return fe_tobytes(scalarmult_base_u(k));
 }
 
 X25519KeyPair X25519KeyPair::generate(Rng& rng) {

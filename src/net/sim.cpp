@@ -213,7 +213,18 @@ void Simulator::bind_fault_metrics() {
   }
 }
 
+void Simulator::set_trace_recording(bool on) {
+  reject_if_threaded("set_trace_recording");
+  record_trace_ = on;
+}
+
+void Simulator::set_link_byte_accounting(bool on) {
+  reject_if_threaded("set_link_byte_accounting");
+  link_byte_accounting_ = on;
+}
+
 void Simulator::set_metrics(obs::Registry& registry) {
+  reject_if_threaded("set_metrics");
   fold(main_);  // what was counted so far belongs to the old registry
   metrics_ = &registry;
   link_bytes_m_.clear();
@@ -1019,6 +1030,7 @@ void Simulator::set_fault_plan(FaultPlan plan) {
 }
 
 void Simulator::set_flow(obs::FlowLedger* ledger) {
+  reject_if_threaded("set_flow");
   flow_ = ledger;
   // now(), not main_.now: on a worker thread it stamps the shard's clock,
   // which is the delivering event's exact virtual time.
@@ -1026,8 +1038,19 @@ void Simulator::set_flow(obs::FlowLedger* ledger) {
 }
 
 void Simulator::set_sampler(obs::TimeSeriesSampler* sampler) {
+  reject_if_threaded("set_sampler");
   sampler_ = sampler;
   sampler_next_ = sampler_ != nullptr ? sampler_->next_due() : ~Time{0};
+}
+
+void Simulator::set_profiler(EngineProfiler* profiler) {
+  reject_if_threaded("set_profiler");
+  profiler_ = profiler;
+}
+
+void Simulator::set_latency_tracer(LatencyTracer* tracer) {
+  reject_if_threaded("set_latency_tracer");
+  latency_ = tracer;
 }
 
 std::vector<std::string> Simulator::protocol_names() const {

@@ -125,9 +125,11 @@ struct TraceEntry {
 /// virtual timestamps so traces show where simulated time goes. Spans come
 /// from the main shard only (the tracer is single-threaded).
 ///
-/// Workers read the topology without a lock, so the calls that change it —
-/// add_node, connect, set_bandwidth, set_default_latency, set_shards,
-/// set_shard_affinity, add_affinity_hint and add_wiretap — throw
+/// Workers read the topology and the attached observers without a lock, so
+/// the calls that change them — add_node, connect, set_bandwidth,
+/// set_default_latency, set_shards, set_shard_affinity, add_affinity_hint,
+/// add_wiretap, set_trace_recording, set_link_byte_accounting, set_metrics,
+/// set_flow, set_sampler, set_profiler and set_latency_tracer — throw
 /// std::logic_error while a threaded run is in progress. Serial runs, and
 /// handlers inside them, may still call them.
 class Simulator {
@@ -326,13 +328,13 @@ class Simulator {
   /// Wiretaps, metrics, and packet/byte totals are unaffected. Scale
   /// workloads (bench_scale) turn it off so million-user runs stay bounded
   /// in memory.
-  void set_trace_recording(bool on) { record_trace_ = on; }
+  void set_trace_recording(bool on);
 
   /// Toggles per-link labeled byte counters (on by default). One labeled
   /// counter exists per directed address pair, so workloads with ~10^6
   /// distinct endpoints turn this off; the aggregate packet/byte counters
   /// and totals are unaffected.
-  void set_link_byte_accounting(bool on) { link_byte_accounting_ = on; }
+  void set_link_byte_accounting(bool on);
 
   std::size_t packets_delivered() const { return packets_delivered_; }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
@@ -367,7 +369,7 @@ class Simulator {
   /// Attaches a per-event-kind cost profiler (nullptr detaches). Passive:
   /// event order, fault rolls, and virtual time are unaffected. The
   /// profiler must outlive the simulator or be detached first.
-  void set_profiler(EngineProfiler* profiler) { profiler_ = profiler; }
+  void set_profiler(EngineProfiler* profiler);
   EngineProfiler* profiler() const { return profiler_; }
 
   /// Attaches a request-latency tracer (nullptr detaches). While attached,
@@ -379,7 +381,7 @@ class Simulator {
   /// ids derive from deterministic sequence counters (shard-namespaced
   /// under sharding), never wall clock, so percentiles are reproducible.
   /// The tracer must outlive the simulator or be detached first.
-  void set_latency_tracer(LatencyTracer* tracer) { latency_ = tracer; }
+  void set_latency_tracer(LatencyTracer* tracer);
   LatencyTracer* latency_tracer() const { return latency_; }
 
   /// Redirects this simulator's metrics into `registry` (default: the

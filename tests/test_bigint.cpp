@@ -2,6 +2,9 @@
 // against a reference implementation, inverse, gcd, primality.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/csprng.hpp"
@@ -162,6 +165,36 @@ TEST(BigInt, MontgomeryMatchesNaiveModExp) {
     EXPECT_EQ(base.mod_exp(exp, mod), naive_mod_exp(base, exp, mod))
         << "i=" << i;
   }
+
+  // Every window width mod_exp picks, on exponent lengths that are and are
+  // not multiples of the width (a full or partial top window), all-ones
+  // exponents (a multiplication in every window), 0 and 1, and 1-, 8- and
+  // 16-limb moduli.
+  std::vector<BigInt> exps = {BigInt{}, BigInt(1), BigInt(2), BigInt(65537)};
+  for (std::size_t k : {2u, 7u, 17u, 23u, 24u, 41u, 79u, 80u, 127u, 239u,
+                        240u, 511u, 1023u}) {
+    exps.push_back((BigInt(1) << k) - BigInt(1));
+  }
+  for (std::size_t bits : {512u, 1024u}) {
+    exps.push_back(random_bits(bits - 1, rng) + (BigInt(1) << (bits - 1)));
+  }
+  std::set<std::size_t> widths;
+  for (const BigInt& e : exps) {
+    widths.insert(Montgomery::window_bits(e.bit_length()));
+  }
+  EXPECT_EQ(widths, (std::set<std::size_t>{1, 3, 4, 5}));
+
+  for (std::size_t limbs : {1u, 8u, 16u}) {
+    BigInt mod = random_bits(64 * limbs - 1, rng) +
+                 (BigInt(1) << (64 * limbs - 1));
+    mod = mod + BigInt(mod.is_odd() ? 0 : 1);
+    ASSERT_EQ(mod.limbs().size(), limbs);
+    BigInt base = random_bits(64 * limbs + 17, rng);  // not reduced
+    for (const BigInt& e : exps) {
+      EXPECT_EQ(base.mod_exp(e, mod), naive_mod_exp(base, e, mod))
+          << "limbs=" << limbs << " bits=" << e.bit_length();
+    }
+  }
 }
 
 TEST(BigInt, ModExpSmallKnownValues) {
@@ -194,6 +227,9 @@ TEST(BigInt, ModInverse) {
   BigInt n = BigInt(91);  // 7 * 13
   EXPECT_EQ((BigInt(2) * BigInt(2).mod_inverse(n)) % n, BigInt(1));
   EXPECT_THROW(BigInt(7).mod_inverse(n), std::invalid_argument);
+  EXPECT_FALSE(BigInt(7).try_mod_inverse(n).has_value());
+  EXPECT_FALSE(BigInt{}.try_mod_inverse(n).has_value());
+  EXPECT_EQ(BigInt(2).try_mod_inverse(n), BigInt(2).mod_inverse(n));
 }
 
 TEST(BigInt, Gcd) {

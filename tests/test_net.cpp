@@ -395,12 +395,14 @@ int make_rejected_calls(Simulator& sim, const std::string& tag,
   return rejected;
 }
 
-/// Makes every call that writes a table workers read without a lock, each
-/// naming addresses the simulator has never seen or the existing a-b link.
-/// Only valid inside a threaded run, where each must throw before writing.
+/// Makes every call that writes a table or an observer setting workers read
+/// without a lock; the table writes name addresses the simulator has never
+/// seen or the existing a-b link. Only valid inside a threaded run, where
+/// each must throw before writing.
 /// Returns how many threw the run-in-progress std::logic_error.
 int make_rejected_table_writes(Simulator& sim) {
   EchoNode extra("handler-node", false);
+  obs::Registry registry;
   const std::vector<std::function<void()>> calls = {
       [&] { sim.add_node(extra); },
       [&] { sim.connect("a", "handler-peer", 100); },
@@ -409,6 +411,13 @@ int make_rejected_table_writes(Simulator& sim) {
       [&] { sim.set_shard_affinity("handler-pin", 0); },
       [&] { sim.add_affinity_hint("a", "handler-hint", 1); },
       [&] { sim.add_wiretap([](const TraceEntry&) {}); },
+      [&] { sim.set_trace_recording(false); },
+      [&] { sim.set_link_byte_accounting(false); },
+      [&] { sim.set_metrics(registry); },
+      [&] { sim.set_flow(nullptr); },
+      [&] { sim.set_sampler(nullptr); },
+      [&] { sim.set_profiler(nullptr); },
+      [&] { sim.set_latency_tracer(nullptr); },
   };
   int rejected = 0;
   for (const auto& call : calls) {
@@ -466,7 +475,7 @@ TEST(Simulator, RejectedCallsLeaveInternerUnchanged) {
 
     sim.send(Packet{"a", "b", Bytes(1), 1, "t"});
     sim.run();
-    EXPECT_EQ(b.rejected, shards > 1 ? 4 + 7 : 4);
+    EXPECT_EQ(b.rejected, shards > 1 ? 4 + 14 : 4);
     EXPECT_EQ(b.size_after, b.size_before);
     EXPECT_FALSE(b.peer_linked);
     EXPECT_FALSE(sim.has_link("a", "handler-peer"));

@@ -141,6 +141,27 @@ TEST(BlindRsa, FullProtocolRoundTrip) {
   EXPECT_FALSE(blind_verify(key.pub, to_bytes("token-nonce-124"), sig.value()));
 }
 
+// blind() draws r until it is invertible mod n and keeps r^-1. These bytes
+// were recorded when it tested gcd(r, n) == 1 separately and then inverted
+// r; the single-pass inverse must consume the same draws (the next draw
+// matches too) and produce the same state.
+TEST(BlindRsa, BlindingStateGolden) {
+  const auto& key = test_key();
+  ChaChaRng rng(0xb11d);
+  BlindingState state = blind(key.pub, to_bytes("blind golden"), rng);
+  EXPECT_EQ(to_hex(state.blinded_message),
+            "68427fd4767a4c4a0f31c8b8997bb7a93a64c5a4db6d0bb804d4eaaff11aa000"
+            "f83e116acba65f07816d7c3b4e62f22080e5d101e4944e6273970414aa59166e"
+            "a154c25554f735406b6654754353aad828f5725b04ea638e754f58ac286afa6a"
+            "b4cd814fe16b73169998fc6df8a974760a2d6ecf0244dc474d1a2a415b25de75");
+  EXPECT_EQ(to_hex(state.inv.to_bytes_be(key.pub.modulus_bytes())),
+            "3940493f0043fcd4f70de1e63c54cf8a1bdf6836d80a9dc0b6d6009c89b9b218"
+            "28d9a72b724fe97461d1c68f8902a0f918f16181df69f3b4eb91f6286c1e044c"
+            "3d350eaad3ebdfb763a5b9e3c63d6a34e25a567e16cddfc48a676473992a373c"
+            "61e4dc7813619d6184e4f9c9f1e7a48642b208f7f17289debe72b9bb9ae60e95");
+  EXPECT_EQ(to_hex(rng.bytes(8)), "613bae7e1b1637a3");
+}
+
 TEST(BlindRsa, BlindedMessageHidesMessage) {
   // The same message blinded twice yields unrelated blinded values, and
   // neither equals the PSS encoding itself: the signer learns nothing.

@@ -1,6 +1,8 @@
 // X25519 vectors from RFC 7748 §5.2 and §6.1.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/bytes.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/x25519.hpp"
@@ -98,6 +100,27 @@ TEST(X25519, ClampingIgnoresStrayBits) {
 TEST(X25519, RejectsWrongInputSizes) {
   EXPECT_THROW(x25519(Bytes(31), Bytes(32)), std::invalid_argument);
   EXPECT_THROW(x25519(Bytes(32), Bytes(33)), std::invalid_argument);
+  EXPECT_THROW(x25519_public(Bytes(31)), std::invalid_argument);
+}
+
+// x25519_public runs the fixed-base comb on edwards25519; the ladder on
+// u = 9 is its oracle. Random scalars reach every table row with every
+// signed digit; the edge scalars clamp to the smallest (2^254) and largest
+// (2^255 - 8) scalars the comb sees.
+TEST(X25519, FixedBaseMatchesLadder) {
+  Bytes nine(32, 0);
+  nine[0] = 9;
+  Bytes only_clamped_bits(32, 0);
+  only_clamped_bits[0] = 0x07;
+  only_clamped_bits[31] = 0x80;
+  std::vector<Bytes> scalars = {Bytes(32, 0x00), Bytes(32, 0xff),
+                                only_clamped_bits};
+  ChaChaRng rng(7748);
+  for (int i = 0; i < 1000; ++i) scalars.push_back(rng.bytes(32));
+  for (const Bytes& k : scalars) {
+    ASSERT_EQ(to_hex(x25519_public(k)), to_hex(x25519(k, nine)))
+        << "k=" << to_hex(k);
+  }
 }
 
 TEST(X25519, DeriveIsDeterministic) {
