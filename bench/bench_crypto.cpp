@@ -2,6 +2,12 @@
 // AEAD (including the fused in-place seal the wire path uses), X25519, HPKE
 // single-shot vs multi-message session contexts, and RSA blind signatures.
 //
+// SHA-256 has a CPU-dependent compression (SHA-NI or portable), so the
+// hash keys are named for the path they measured: sha256_1k always runs
+// the portable compression, and keys measured through SHA-NI carry a
+// _shani suffix. A baseline recorded on a host with SHA-NI and a run on a
+// host without it then share only like-for-like keys.
+//
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
 // "crypto" section (per-op iters / ns_per_op / ops_per_sec) plus flat
@@ -16,6 +22,8 @@
 #include "crypto/blind_rsa.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/hkdf.hpp"
+#include "crypto/hmac.hpp"
+#include "crypto/poly1305.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
@@ -46,17 +54,36 @@ int main(int argc, char** argv) {
     return ops.back().ops_per_sec;
   };
 
+  const Sha256Compress shani = sha256_compress_shani();
+  const bool dispatched_shani = sha256_compress_dispatched() == shani;
+  const std::string dispatched_sfx = dispatched_shani ? "_shani" : "";
+  const char* compression = dispatched_shani ? "sha-ni" : "portable";
   std::printf("== crypto substrate throughput (budget %.0f ms/op)\n",
               budget_ms);
+  std::printf("   sha256 compression: %s (dispatched)\n", compression);
 
   // --- hashes / KDF ---------------------------------------------------------
   {
     ChaChaRng rng(1);
     Bytes data = rng.bytes(1024);
+    auto hash_with = [&](Sha256Compress compress) {
+      Sha256 ctx(compress);
+      ctx.update(data);
+      const auto d = ctx.digest();
+      consume(BytesView(d.data(), d.size()));
+    };
     run("sha256_1k", data.size(),
-        [&](std::uint64_t) { consume(Sha256::hash(data)); });
+        [&](std::uint64_t) { hash_with(sha256_compress_portable); });
+    if (shani != nullptr) {
+      run("sha256_1k_shani", data.size(),
+          [&](std::uint64_t) { hash_with(shani); });
+    }
+    // The two HMAC-bound ops below run the dispatched compression.
+    Bytes key = rng.bytes(32), msg = rng.bytes(64);
+    run("hmac_sha256_64" + dispatched_sfx, msg.size(),
+        [&](std::uint64_t) { consume(hmac_sha256(key, msg)); });
     Bytes prk = hkdf_extract(to_bytes("salt"), to_bytes("ikm"));
-    run("hkdf_expand_32", 0,
+    run("hkdf_expand_32" + dispatched_sfx, 0,
         [&](std::uint64_t) { consume(hkdf_expand(prk, to_bytes("info"), 32)); });
   }
 
@@ -83,6 +110,23 @@ int main(int argc, char** argv) {
     run("aead_open_1500", pt.size(), [&](std::uint64_t) {
       auto opened = aead_open(key, nonce, {}, ct);
       consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
+    });
+    // stack's HTTP bodies run from 256 B to 64 KiB; 16 KiB is a mid-size
+    // response, where the ChaCha20 and Poly1305 block loops dominate.
+    Bytes big = rng.bytes(16 * 1024);
+    run("aead_seal_16k", big.size(), [&](std::uint64_t) {
+      consume(aead_seal(key, nonce, {}, big));
+    });
+    Bytes big_ct = aead_seal(key, nonce, {}, big);
+    run("aead_open_16k", big.size(), [&](std::uint64_t) {
+      auto opened = aead_open(key, nonce, {}, big_ct);
+      consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
+    });
+    run("poly1305_16k", big.size(), [&](std::uint64_t) {
+      Poly1305 mac(key);
+      mac.update(big);
+      const auto tag = mac.finish();
+      consume(BytesView(tag.data(), tag.size()));
     });
   }
 
@@ -181,6 +225,7 @@ int main(int argc, char** argv) {
     obs::JsonWriter w;
     w.begin_object();
     w.kv("budget_ms", budget_ms);
+    w.kv("sha256_compression", compression);
     w.key("ops");
     w.begin_object();
     for (const OpResult& r : ops) {

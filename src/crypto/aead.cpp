@@ -11,15 +11,28 @@ namespace dcpl::crypto {
 
 namespace {
 
+// Validates the sizes and returns the ChaCha20 state at block counter 1,
+// where the payload keystream starts; block 0 goes to `otk`, whose first 32
+// bytes are the one-time Poly1305 key. The state is built once per call.
+ChaChaState init(BytesView key, BytesView nonce,
+                 std::uint8_t otk[kChaChaBlockSize]) {
+  if (key.size() != kAeadKeySize) throw std::invalid_argument("aead: key size");
+  if (nonce.size() != kAeadNonceSize) {
+    throw std::invalid_argument("aead: nonce size");
+  }
+  ChaChaState state = chacha20_state(key, 0, nonce);
+  chacha20_block(state, otk);
+  state[12] = 1;
+  return state;
+}
+
 // Folds mac_data = aad || pad16 || ct || pad16 || le64(len(aad)) ||
 // le64(len(ct)) through one incremental Poly1305 pass — nothing is copied
 // into a scratch vector.
-std::array<std::uint8_t, kAeadTagSize> compute_tag(BytesView key,
-                                                   BytesView nonce,
+std::array<std::uint8_t, kAeadTagSize> compute_tag(const std::uint8_t* otk,
                                                    BytesView aad,
                                                    BytesView ct) {
-  const auto block = chacha20_block(key, 0, nonce);
-  Poly1305 mac(BytesView(block.data(), 32));
+  Poly1305 mac(BytesView(otk, kPoly1305KeySize));
   mac.update(aad);
   mac.pad16();
   mac.update(ct);
@@ -39,15 +52,13 @@ void aead_seal_append(BytesView key, BytesView nonce, BytesView aad,
                       BytesView plaintext, Bytes& out) {
   static obs::OpCounter ops("crypto", "aead_seal");
   ops.inc();
-  if (key.size() != kAeadKeySize) throw std::invalid_argument("aead: key size");
-  if (nonce.size() != kAeadNonceSize) {
-    throw std::invalid_argument("aead: nonce size");
-  }
+  std::uint8_t otk[kChaChaBlockSize];
+  const ChaChaState state = init(key, nonce, otk);
   const std::size_t ct_off = out.size();
   out.resize(ct_off + plaintext.size() + kAeadTagSize);
-  chacha20_xor_into(key, 1, nonce, plaintext, out.data() + ct_off);
-  const auto tag = compute_tag(
-      key, nonce, aad, BytesView(out.data() + ct_off, plaintext.size()));
+  chacha20_xor_into(state, plaintext, out.data() + ct_off);
+  const auto tag =
+      compute_tag(otk, aad, BytesView(out.data() + ct_off, plaintext.size()));
   std::copy(tag.begin(), tag.end(),
             out.begin() + static_cast<std::ptrdiff_t>(ct_off + plaintext.size()));
 }
@@ -64,20 +75,20 @@ Result<Bytes> aead_open(BytesView key, BytesView nonce, BytesView aad,
                         BytesView ciphertext) {
   static obs::OpCounter ops("crypto", "aead_open");
   ops.inc();
-  if (key.size() != kAeadKeySize) throw std::invalid_argument("aead: key size");
-  if (nonce.size() != kAeadNonceSize) {
-    throw std::invalid_argument("aead: nonce size");
-  }
+  std::uint8_t otk[kChaChaBlockSize];
+  const ChaChaState state = init(key, nonce, otk);
   if (ciphertext.size() < kAeadTagSize) {
     return Result<Bytes>::failure("aead_open: ciphertext too short");
   }
   BytesView ct = ciphertext.first(ciphertext.size() - kAeadTagSize);
   BytesView tag = ciphertext.last(kAeadTagSize);
-  const auto expected = compute_tag(key, nonce, aad, ct);
+  const auto expected = compute_tag(otk, aad, ct);
   if (!ct_equal(BytesView(expected.data(), expected.size()), tag)) {
     return Result<Bytes>::failure("aead_open: authentication failed");
   }
-  return chacha20_xor(key, 1, nonce, ct);
+  Bytes pt(ct.size());
+  chacha20_xor_into(state, ct, pt.data());
+  return pt;
 }
 
 }  // namespace dcpl::crypto

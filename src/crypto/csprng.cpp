@@ -2,25 +2,27 @@
 
 #include <cstring>
 
-#include "crypto/chacha20.hpp"
 #include "crypto/sha256.hpp"
 
 namespace dcpl::crypto {
 
-ChaChaRng::ChaChaRng(BytesView seed) : key_(Sha256::hash(seed)) {}
+ChaChaRng::ChaChaRng(BytesView seed) {
+  static constexpr std::uint8_t kZeroNonce[kChaChaNonceSize] = {};
+  state_ = chacha20_state(Sha256::hash(seed), 0, BytesView(kZeroNonce));
+}
 
 ChaChaRng::ChaChaRng(std::uint64_t seed)
     : ChaChaRng(BytesView(be_encode(seed, 8))) {}
 
 void ChaChaRng::refill() {
-  // Nonce carries the high 64 bits of the block counter; the ChaCha counter
-  // word carries the low 32. This yields a practically unbounded stream.
-  Bytes nonce(kChaChaNonceSize, 0);
-  std::uint64_t hi = block_counter_ >> 32;
-  std::memcpy(nonce.data() + 4, &hi, 8);
-  auto block = chacha20_block(
-      key_, static_cast<std::uint32_t>(block_counter_ & 0xffffffff), nonce);
-  std::memcpy(buffer_, block.data(), 64);
+  // Nonce bytes 4..11 carry the high 64 bits of the block counter, little
+  // endian; the ChaCha counter word carries the low 32. This yields a
+  // practically unbounded stream.
+  const std::uint64_t hi = block_counter_ >> 32;
+  state_[12] = static_cast<std::uint32_t>(block_counter_);
+  state_[14] = static_cast<std::uint32_t>(hi);
+  state_[15] = static_cast<std::uint32_t>(hi >> 32);
+  chacha20_block(state_, buffer_);
   available_ = 64;
   ++block_counter_;
 }

@@ -5,6 +5,7 @@
 #include <cstdint>
 
 #include "common/rng.hpp"
+#include "crypto/chacha20.hpp"
 
 namespace dcpl::crypto {
 
@@ -22,7 +23,9 @@ class ChaChaRng final : public Rng {
  private:
   void refill();
 
-  Bytes key_;
+  // Key words from the seed; the block counter's low 32 bits go in word 12
+  // and its high 64 bits in the nonce words 14–15 at each refill.
+  ChaChaState state_;
   std::uint64_t block_counter_ = 0;
   std::uint8_t buffer_[64];
   std::size_t available_ = 0;

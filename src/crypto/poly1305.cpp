@@ -1,5 +1,6 @@
 #include "crypto/poly1305.hpp"
 
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
@@ -7,97 +8,91 @@ namespace dcpl::crypto {
 
 namespace {
 
-constexpr std::uint32_t kMask = 0x3ffffff;
+using u128 = unsigned __int128;
 
-std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
+constexpr std::uint64_t kMask44 = (std::uint64_t{1} << 44) - 1;
+constexpr std::uint64_t kMask42 = (std::uint64_t{1} << 42) - 1;
+// The 2^128 pad bit of a whole block, in limb 2 (which starts at bit 88).
+constexpr std::uint64_t kHibit = std::uint64_t{1} << 40;
+
+std::uint64_t load_le64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
+
+void store_le64(std::uint8_t* p, std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, 8);
 }
 
 }  // namespace
 
-// 26-bit limb implementation (poly1305-donna style).
+// h, r and the message blocks are held as three limbs at bits 0, 44 and 88.
 Poly1305::Poly1305(BytesView key) {
   if (key.size() != kPoly1305KeySize) {
     throw std::invalid_argument("poly1305: key size");
   }
-  // r is clamped per the spec.
-  r_[0] = load_le32(key.data() + 0) & 0x3ffffff;
-  r_[1] = (load_le32(key.data() + 3) >> 2) & 0x3ffff03;
-  r_[2] = (load_le32(key.data() + 6) >> 4) & 0x3ffc0ff;
-  r_[3] = (load_le32(key.data() + 9) >> 6) & 0x3f03fff;
-  r_[4] = (load_le32(key.data() + 12) >> 8) & 0x00fffff;
-  for (int i = 0; i < 4; ++i) s_[i] = load_le32(key.data() + 16 + 4 * i);
+  // r is clamped per the spec (r &= 0x0ffffffc0ffffffc0ffffffc0fffffff)
+  // while it is split into limbs.
+  const std::uint64_t t0 = load_le64(key.data());
+  const std::uint64_t t1 = load_le64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  s_[0] = load_le64(key.data() + 16);
+  s_[1] = load_le64(key.data() + 24);
 }
 
-void Poly1305::process_block(const std::uint8_t* block, std::uint32_t hibit) {
-  const std::uint32_t s1 = r_[1] * 5, s2 = r_[2] * 5, s3 = r_[3] * 5,
-                      s4 = r_[4] * 5;
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+void Poly1305::process_blocks(const std::uint8_t* m, std::size_t blocks,
+                              std::uint64_t hibit) {
+  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // A product at bit 132 folds back to bit 0 as 2^132 = 4 * 2^130 ≡ 20.
+  const std::uint64_t s1 = r1 * 20, s2 = r2 * 20;
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  h0 += load_le32(block + 0) & kMask;
-  h1 += (load_le32(block + 3) >> 2) & kMask;
-  h2 += (load_le32(block + 6) >> 4) & kMask;
-  h3 += (load_le32(block + 9) >> 6) & kMask;
-  h4 += (load_le32(block + 12) >> 8) | hibit;
+  for (; blocks != 0; --blocks, m += 16) {
+    const std::uint64_t t0 = load_le64(m);
+    const std::uint64_t t1 = load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
-  std::uint64_t d0 = static_cast<std::uint64_t>(h0) * r_[0] +
-                     static_cast<std::uint64_t>(h1) * s4 +
-                     static_cast<std::uint64_t>(h2) * s3 +
-                     static_cast<std::uint64_t>(h3) * s2 +
-                     static_cast<std::uint64_t>(h4) * s1;
-  std::uint64_t d1 = static_cast<std::uint64_t>(h0) * r_[1] +
-                     static_cast<std::uint64_t>(h1) * r_[0] +
-                     static_cast<std::uint64_t>(h2) * s4 +
-                     static_cast<std::uint64_t>(h3) * s3 +
-                     static_cast<std::uint64_t>(h4) * s2;
-  std::uint64_t d2 = static_cast<std::uint64_t>(h0) * r_[2] +
-                     static_cast<std::uint64_t>(h1) * r_[1] +
-                     static_cast<std::uint64_t>(h2) * r_[0] +
-                     static_cast<std::uint64_t>(h3) * s4 +
-                     static_cast<std::uint64_t>(h4) * s3;
-  std::uint64_t d3 = static_cast<std::uint64_t>(h0) * r_[3] +
-                     static_cast<std::uint64_t>(h1) * r_[2] +
-                     static_cast<std::uint64_t>(h2) * r_[1] +
-                     static_cast<std::uint64_t>(h3) * r_[0] +
-                     static_cast<std::uint64_t>(h4) * s4;
-  std::uint64_t d4 = static_cast<std::uint64_t>(h0) * r_[4] +
-                     static_cast<std::uint64_t>(h1) * r_[3] +
-                     static_cast<std::uint64_t>(h2) * r_[2] +
-                     static_cast<std::uint64_t>(h3) * r_[1] +
-                     static_cast<std::uint64_t>(h4) * r_[0];
+    const u128 d0 = static_cast<u128>(h0) * r0 + static_cast<u128>(h1) * s2 +
+                    static_cast<u128>(h2) * s1;
+    u128 d1 = static_cast<u128>(h0) * r1 + static_cast<u128>(h1) * r0 +
+              static_cast<u128>(h2) * s2;
+    u128 d2 = static_cast<u128>(h0) * r2 + static_cast<u128>(h1) * r1 +
+              static_cast<u128>(h2) * r0;
 
-  std::uint64_t c = d0 >> 26;
-  h0 = static_cast<std::uint32_t>(d0) & kMask;
-  d1 += c;
-  c = d1 >> 26;
-  h1 = static_cast<std::uint32_t>(d1) & kMask;
-  d2 += c;
-  c = d2 >> 26;
-  h2 = static_cast<std::uint32_t>(d2) & kMask;
-  d3 += c;
-  c = d3 >> 26;
-  h3 = static_cast<std::uint32_t>(d3) & kMask;
-  d4 += c;
-  c = d4 >> 26;
-  h4 = static_cast<std::uint32_t>(d4) & kMask;
-  h0 += static_cast<std::uint32_t>(c) * 5;
-  c = h0 >> 26;
-  h0 &= kMask;
-  h1 += static_cast<std::uint32_t>(c);
+    std::uint64_t c = static_cast<std::uint64_t>(d0 >> 44);
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
+    d1 += c;
+    c = static_cast<std::uint64_t>(d1 >> 44);
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
+    d2 += c;
+    c = static_cast<std::uint64_t>(d2 >> 42);
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
+    h0 += c * 5;
+    c = h0 >> 44;
+    h0 &= kMask44;
+    h1 += c;
+  }
 
   h_[0] = h0;
   h_[1] = h1;
   h_[2] = h2;
-  h_[3] = h3;
-  h_[4] = h4;
 }
 
 void Poly1305::update(BytesView data) {
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
+  if (n == 0) return;
   absorbed_ += n;
   if (buffered_ != 0) {
     const std::size_t take = std::min<std::size_t>(16 - buffered_, n);
@@ -106,13 +101,14 @@ void Poly1305::update(BytesView data) {
     p += take;
     n -= take;
     if (buffered_ < 16) return;
-    process_block(buf_, 1u << 24);
+    process_blocks(buf_, 1, kHibit);
     buffered_ = 0;
   }
-  while (n >= 16) {
-    process_block(p, 1u << 24);
-    p += 16;
-    n -= 16;
+  const std::size_t whole = n / 16;
+  if (whole != 0) {
+    process_blocks(p, whole, kHibit);
+    p += 16 * whole;
+    n -= 16 * whole;
   }
   if (n != 0) {
     std::memcpy(buf_, p, n);
@@ -132,74 +128,54 @@ std::array<std::uint8_t, kPoly1305TagSize> Poly1305::finish() {
     // Pad the final partial block with 0x01 then zeros; no high bit.
     buf_[buffered_] = 1;
     for (std::size_t i = buffered_ + 1; i < 16; ++i) buf_[i] = 0;
-    process_block(buf_, 0);
+    process_blocks(buf_, 1, 0);
     buffered_ = 0;
   }
 
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  // Full reduction.
-  std::uint32_t c = h1 >> 26;
-  h1 &= kMask;
+  // Full carry. process_blocks() leaves h0 < 2^44 and h2 < 2^42, so only
+  // h1 can exceed its limb, by a small carry. One pass then makes every
+  // limb canonical: if h1 carries, it is small before the carry that comes
+  // back into it; if it does not, no limb carries.
+  std::uint64_t c = h1 >> 44;
+  h1 &= kMask44;
   h2 += c;
-  c = h2 >> 26;
-  h2 &= kMask;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= kMask;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= kMask;
+  c = h2 >> 42;
+  h2 &= kMask42;
   h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= kMask;
+  c = h0 >> 44;
+  h0 &= kMask44;
   h1 += c;
 
   // Compute h + 5 - 2^130 and select it if non-negative.
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= kMask;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= kMask;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= kMask;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= kMask;
-  std::uint32_t g4 = h4 + c - (1u << 26);
+  std::uint64_t g0 = h0 + 5;
+  c = g0 >> 44;
+  g0 &= kMask44;
+  std::uint64_t g1 = h1 + c;
+  c = g1 >> 44;
+  g1 &= kMask44;
+  const std::uint64_t g2 = h2 + c - (std::uint64_t{1} << 42);
 
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if g >= 2^130, else zero
+  const std::uint64_t mask = (g2 >> 63) - 1;  // all-ones if h >= 2^130 - 5
   h0 = (h0 & ~mask) | (g0 & mask);
   h1 = (h1 & ~mask) | (g1 & mask);
   h2 = (h2 & ~mask) | (g2 & mask);
-  h3 = (h3 & ~mask) | (g3 & mask);
-  h4 = (h4 & ~mask) | (g4 & mask);
 
-  // Convert to 32-bit words and add s (the pad) mod 2^128.
-  std::uint32_t w0 = h0 | (h1 << 26);
-  std::uint32_t w1 = (h1 >> 6) | (h2 << 20);
-  std::uint32_t w2 = (h2 >> 12) | (h3 << 14);
-  std::uint32_t w3 = (h3 >> 18) | (h4 << 8);
-
-  std::uint64_t f = static_cast<std::uint64_t>(w0) + s_[0];
-  w0 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(w1) + s_[1] + (f >> 32);
-  w1 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(w2) + s_[2] + (f >> 32);
-  w2 = static_cast<std::uint32_t>(f);
-  f = static_cast<std::uint64_t>(w3) + s_[3] + (f >> 32);
-  w3 = static_cast<std::uint32_t>(f);
+  // Add s (the pad) mod 2^128.
+  const std::uint64_t t0 = s_[0], t1 = s_[1];
+  h0 += t0 & kMask44;
+  c = h0 >> 44;
+  h0 &= kMask44;
+  h1 += (((t0 >> 44) | (t1 << 20)) & kMask44) + c;
+  c = h1 >> 44;
+  h1 &= kMask44;
+  h2 += (t1 >> 24) + c;
+  h2 &= kMask42;
 
   std::array<std::uint8_t, kPoly1305TagSize> tag;
-  const std::uint32_t words[4] = {w0, w1, w2, w3};
-  for (int i = 0; i < 4; ++i) {
-    tag[4 * i] = static_cast<std::uint8_t>(words[i]);
-    tag[4 * i + 1] = static_cast<std::uint8_t>(words[i] >> 8);
-    tag[4 * i + 2] = static_cast<std::uint8_t>(words[i] >> 16);
-    tag[4 * i + 3] = static_cast<std::uint8_t>(words[i] >> 24);
-  }
+  store_le64(tag.data(), h0 | (h1 << 44));
+  store_le64(tag.data() + 8, (h1 >> 20) | (h2 << 24));
   return tag;
 }
 

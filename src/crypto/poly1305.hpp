@@ -13,8 +13,9 @@ namespace dcpl::crypto {
 constexpr std::size_t kPoly1305KeySize = 32;
 constexpr std::size_t kPoly1305TagSize = 16;
 
-/// Streaming Poly1305 (26-bit limbs, poly1305-donna style). One-time key:
-/// construct, update() any number of times, finish() once.
+/// Streaming Poly1305 (44/44/42-bit limbs with 128-bit products,
+/// poly1305-donna-64 style). One-time key: construct, update() any number
+/// of times, finish() once.
 class Poly1305 {
  public:
   /// Throws std::invalid_argument unless `key` is 32 bytes.
@@ -32,11 +33,14 @@ class Poly1305 {
   std::array<std::uint8_t, kPoly1305TagSize> finish();
 
  private:
-  void process_block(const std::uint8_t* block, std::uint32_t hibit);
+  /// Absorbs `blocks` 16-byte blocks; `hibit` is 2^128 in limb 2's
+  /// position for whole blocks and 0 for the padded final block.
+  void process_blocks(const std::uint8_t* m, std::size_t blocks,
+                      std::uint64_t hibit);
 
-  std::uint32_t r_[5];
-  std::uint32_t s_[4];   // last 16 key bytes, added mod 2^128 at finish
-  std::uint32_t h_[5] = {0, 0, 0, 0, 0};
+  std::uint64_t r_[3];
+  std::uint64_t s_[2];   // last 16 key bytes, added mod 2^128 at finish
+  std::uint64_t h_[3] = {0, 0, 0};
   std::uint8_t buf_[16];
   std::size_t buffered_ = 0;
   std::uint64_t absorbed_ = 0;  // total bytes, for pad16()

@@ -2,6 +2,10 @@
 
 #include <cstring>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 namespace dcpl::crypto {
 
 namespace {
@@ -21,95 +25,176 @@ constexpr std::uint32_t kK[64] = {
 
 std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 
+#if defined(__x86_64__)
+
+// Four rounds per step with the SHA extensions. The rounds instruction
+// holds the working variables as ABEF and CDGH and does two rounds per
+// call; sha256msg1/msg2 extend the message schedule four words at a time:
+// W[g] = msg2(msg1(W[g-4], W[g-3]) + W[g-2..g-1] shifted one word, W[g-1]).
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL,
+                                       0x0405060700010203LL);
+  __m128i tmp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i cdgh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  tmp = _mm_shuffle_epi32(tmp, 0xB1);            // CDAB
+  cdgh = _mm_shuffle_epi32(cdgh, 0x1B);          // EFGH
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);  // ABEF
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);       // CDGH
+
+  for (; blocks != 0; --blocks, data += 64) {
+    const __m128i abef_in = abef, cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * g)),
+            bswap);
+      } else {
+        __m128i t = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        t = _mm_add_epi32(t, _mm_alignr_epi8(w[(g + 3) & 3], w[(g + 2) & 3], 4));
+        w[g & 3] = _mm_sha256msg2_epu32(t, w[(g + 3) & 3]);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3], _mm_loadu_si128(reinterpret_cast<const __m128i*>(kK + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);      // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);     // DCHG
+  abef = _mm_blend_epi16(tmp, cdgh, 0xF0);  // DCBA
+  cdgh = _mm_alignr_epi8(cdgh, tmp, 8);     // HGFE
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), cdgh);
+}
+
+#endif  // __x86_64__
+
 }  // namespace
 
-Sha256::Sha256() {
+void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* data,
+                              std::size_t blocks) {
+  for (; blocks != 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = static_cast<std::uint32_t>(data[4 * i]) << 24 |
+             static_cast<std::uint32_t>(data[4 * i + 1]) << 16 |
+             static_cast<std::uint32_t>(data[4 * i + 2]) << 8 |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      std::uint32_t ch = (e & f) ^ (~e & g);
+      std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
+      std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256Compress sha256_compress_shani() {
+#if defined(__x86_64__)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+           __builtin_cpu_supports("ssse3");
+  }();
+  return available ? compress_shani : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256Compress sha256_compress_dispatched() {
+  const Sha256Compress shani = sha256_compress_shani();
+  return shani != nullptr ? shani : sha256_compress_portable;
+}
+
+Sha256::Sha256() : Sha256(sha256_compress_dispatched()) {}
+
+Sha256::Sha256(Sha256Compress compress) : compress_(compress) {
   static constexpr std::uint32_t kInit[8] = {
       0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
   std::memcpy(h_, kInit, sizeof(h_));
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = static_cast<std::uint32_t>(block[4 * i]) << 24 |
-           static_cast<std::uint32_t>(block[4 * i + 1]) << 16 |
-           static_cast<std::uint32_t>(block[4 * i + 2]) << 8 |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    std::uint32_t s0 = rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    std::uint32_t s1 = rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    std::uint32_t ch = (e & f) ^ (~e & g);
-    std::uint32_t t1 = h + s1 + ch + kK[i] + w[i];
-    std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
-}
-
 void Sha256::update(BytesView data) {
-  total_bytes_ += data.size();
-  std::size_t off = 0;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  if (n == 0) return;
+  total_bytes_ += n;
   if (buffered_ > 0) {
-    std::size_t need = kBlockSize - buffered_;
-    std::size_t take = std::min(need, data.size());
-    std::memcpy(buffer_ + buffered_, data.data(), take);
+    const std::size_t take = std::min(kBlockSize - buffered_, n);
+    std::memcpy(buffer_ + buffered_, p, take);
     buffered_ += take;
-    off += take;
-    if (buffered_ == kBlockSize) {
-      process_block(buffer_);
-      buffered_ = 0;
-    }
+    p += take;
+    n -= take;
+    if (buffered_ < kBlockSize) return;
+    compress_(h_, buffer_, 1);
+    buffered_ = 0;
   }
-  while (off + kBlockSize <= data.size()) {
-    process_block(data.data() + off);
-    off += kBlockSize;
+  const std::size_t whole = n / kBlockSize;
+  if (whole != 0) {
+    compress_(h_, p, whole);
+    p += whole * kBlockSize;
+    n -= whole * kBlockSize;
   }
-  if (off < data.size()) {
-    std::memcpy(buffer_, data.data() + off, data.size() - off);
-    buffered_ = data.size() - off;
+  if (n != 0) {
+    std::memcpy(buffer_, p, n);
+    buffered_ = n;
   }
 }
 
 std::array<std::uint8_t, Sha256::kDigestSize> Sha256::digest() {
   const std::uint64_t bit_len = total_bytes_ * 8;
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  std::uint8_t pad[kBlockSize * 2] = {0x80};
-  std::size_t pad_len =
-      (buffered_ < 56) ? (56 - buffered_) : (120 - buffered_);
-  update(BytesView(pad, pad_len));
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // Padding: 0x80, zeros, 64-bit big-endian bit length, written straight
+  // into the block buffer.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > kBlockSize - 8) {
+    std::memset(buffer_ + buffered_, 0, kBlockSize - buffered_);
+    compress_(h_, buffer_, 1);
+    buffered_ = 0;
   }
-  // Bypass the length counter: feed directly.
-  total_bytes_ -= pad_len;  // keep counter sane though digest() is terminal
-  update(BytesView(len_bytes, 8));
+  std::memset(buffer_ + buffered_, 0, kBlockSize - 8 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[kBlockSize - 8 + i] =
+        static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  compress_(h_, buffer_, 1);
+  buffered_ = 0;
 
   std::array<std::uint8_t, kDigestSize> out;
   for (int i = 0; i < 8; ++i) {

@@ -1,5 +1,8 @@
 #include "hpke/hpke.hpp"
 
+#include <algorithm>
+#include <array>
+#include <span>
 #include <stdexcept>
 
 #include "crypto/aead.hpp"
@@ -11,32 +14,75 @@ namespace dcpl::hpke {
 
 namespace {
 
-Bytes kem_suite_id() { return concat({to_bytes("KEM"), be_encode(kKemId, 2)}); }
+constexpr std::uint8_t kVersionLabel[] = {'H', 'P', 'K', 'E', '-', 'v', '1'};
 
-Bytes hpke_suite_id() {
-  return concat({to_bytes("HPKE"), be_encode(kKemId, 2), be_encode(kKdfId, 2),
-                 be_encode(kAeadId, 2)});
+// suite_id = "KEM" || I2OSP(kem_id, 2) for the DHKEM, and "HPKE" ||
+// I2OSP(kem_id, 2) || I2OSP(kdf_id, 2) || I2OSP(aead_id, 2) for the rest.
+constexpr std::uint8_t kKemSuite[] = {'K', 'E', 'M', kKemId >> 8, kKemId & 0xff};
+constexpr std::uint8_t kHpkeSuite[] = {
+    'H',          'P',           'K',          'E',
+    kKemId >> 8,  kKemId & 0xff, kKdfId >> 8,  kKdfId & 0xff,
+    kAeadId >> 8, kAeadId & 0xff};
+
+using Secret = std::array<std::uint8_t, crypto::HmacSha256::kTagSize>;
+
+BytesView label_view(std::string_view label) {
+  return BytesView(reinterpret_cast<const std::uint8_t*>(label.data()),
+                   label.size());
 }
 
-Bytes labeled_extract(BytesView salt, BytesView suite_id, std::string_view label,
-                      BytesView ikm) {
-  Bytes labeled_ikm =
-      concat({to_bytes("HPKE-v1"), suite_id, to_bytes(label), ikm});
-  return crypto::hkdf_extract(salt, labeled_ikm);
+// HKDF-Extract with no salt keys the HMAC with zeros; the keyed state is
+// the same for every call, so it is built once.
+const crypto::HmacSha256& no_salt() {
+  static const crypto::HmacSha256 keyed{BytesView{}};
+  return keyed;
 }
 
-Bytes labeled_expand(BytesView prk, BytesView suite_id, std::string_view label,
-                     BytesView info, std::size_t length) {
-  Bytes labeled_info = concat({be_encode(length, 2), to_bytes("HPKE-v1"),
-                               suite_id, to_bytes(label), info});
-  return crypto::hkdf_expand(prk, labeled_info, length);
+// LabeledExtract: HKDF-Extract(salt, "HPKE-v1" || suite_id || label || ikm),
+// with the salt already keyed into `salt` and the parts absorbed in turn.
+Secret labeled_extract(crypto::HmacSha256 salt, BytesView suite_id,
+                       std::string_view label, BytesView ikm) {
+  salt.update(kVersionLabel);
+  salt.update(suite_id);
+  salt.update(label_view(label));
+  salt.update(ikm);
+  return salt.finish();
 }
 
-/// DHKEM ExtractAndExpand (RFC 9180 §4.1).
-Bytes extract_and_expand(BytesView dh, BytesView kem_context) {
-  Bytes suite = kem_suite_id();
-  Bytes eae_prk = labeled_extract({}, suite, "eae_prk", dh);
-  return labeled_expand(eae_prk, suite, "shared_secret", kem_context, kNsecret);
+// LabeledExpand: HKDF-Expand(prk, I2OSP(L, 2) || "HPKE-v1" || suite_id ||
+// label || info, L) into `out` (L = out.size()), with the PRK keyed once by
+// the caller and `info` given as up to three parts.
+void labeled_expand(const crypto::HmacSha256& prk, BytesView suite_id,
+                    std::string_view label,
+                    std::initializer_list<BytesView> info,
+                    std::span<std::uint8_t> out) {
+  const std::uint8_t length[2] = {static_cast<std::uint8_t>(out.size() >> 8),
+                                  static_cast<std::uint8_t>(out.size())};
+  std::array<BytesView, 7> parts = {BytesView(length), BytesView(kVersionLabel),
+                                    suite_id, label_view(label)};
+  if (info.size() > parts.size() - 4) {
+    throw std::logic_error("hpke: too many info parts");
+  }
+  std::copy(info.begin(), info.end(), parts.begin() + 4);
+  crypto::hkdf_expand_into(prk, std::span(parts.data(), 4 + info.size()), out);
+}
+
+Bytes labeled_expand(const crypto::HmacSha256& prk, BytesView suite_id,
+                     std::string_view label,
+                     std::initializer_list<BytesView> info,
+                     std::size_t length) {
+  Bytes out(length);
+  labeled_expand(prk, suite_id, label, info, out);
+  return out;
+}
+
+/// DHKEM ExtractAndExpand (RFC 9180 §4.1), with kem_context = enc || pkR.
+Secret extract_and_expand(BytesView dh, BytesView enc, BytesView pk_r) {
+  const Secret eae_prk = labeled_extract(no_salt(), kKemSuite, "eae_prk", dh);
+  Secret shared_secret;
+  labeled_expand(crypto::HmacSha256(eae_prk), kKemSuite, "shared_secret",
+                 {enc, pk_r}, shared_secret);
+  return shared_secret;
 }
 
 }  // namespace
@@ -48,9 +94,9 @@ KeyPair KeyPair::generate(Rng& rng) {
 
 KeyPair KeyPair::derive(BytesView ikm) {
   // RFC 9180 §7.1.3 DeriveKeyPair for X25519.
-  Bytes suite = kem_suite_id();
-  Bytes dkp_prk = labeled_extract({}, suite, "dkp_prk", ikm);
-  Bytes sk = labeled_expand(dkp_prk, suite, "sk", {}, kNpk);
+  const Secret dkp_prk = labeled_extract(no_salt(), kKemSuite, "dkp_prk", ikm);
+  Bytes sk = labeled_expand(crypto::HmacSha256(dkp_prk), kKemSuite, "sk", {},
+                            kNpk);
   Bytes pk = crypto::x25519_public(sk);
   return KeyPair{std::move(sk), std::move(pk)};
 }
@@ -58,7 +104,6 @@ KeyPair KeyPair::derive(BytesView ikm) {
 // Shared key-schedule — RFC 9180 §5.1 (mode_base 0x00 / mode_psk 0x01).
 Context setup_with_schedule(BytesView shared_secret, BytesView info,
                             BytesView psk = {}, BytesView psk_id = {}) {
-  const Bytes suite = hpke_suite_id();
   const bool have_psk = !psk.empty();
   if (have_psk != !psk_id.empty()) {
     throw std::invalid_argument("hpke: psk and psk_id must come together");
@@ -68,21 +113,29 @@ Context setup_with_schedule(BytesView shared_secret, BytesView info,
   }
   const std::uint8_t mode = have_psk ? 0x01 : 0x00;
 
-  Bytes psk_id_hash = labeled_extract({}, suite, "psk_id_hash", psk_id);
-  Bytes info_hash = labeled_extract({}, suite, "info_hash", info);
-  Bytes context = concat({BytesView(&mode, 1), psk_id_hash, info_hash});
+  const Secret psk_id_hash =
+      labeled_extract(no_salt(), kHpkeSuite, "psk_id_hash", psk_id);
+  const Secret info_hash =
+      labeled_extract(no_salt(), kHpkeSuite, "info_hash", info);
+  // key_schedule_context = mode || psk_id_hash || info_hash, as three parts.
+  const std::initializer_list<BytesView> context = {
+      BytesView(&mode, 1), psk_id_hash, info_hash};
 
-  Bytes secret = labeled_extract(shared_secret, suite, "secret", psk);
+  // One keyed PRK serves all three expansions.
+  const crypto::HmacSha256 secret(labeled_extract(
+      crypto::HmacSha256(shared_secret), kHpkeSuite, "secret", psk));
 
   Context ctx;
-  ctx.key_ = labeled_expand(secret, suite, "key", context, kNk);
-  ctx.base_nonce_ = labeled_expand(secret, suite, "base_nonce", context, kNn);
-  ctx.exporter_secret_ = labeled_expand(secret, suite, "exp", context, 32);
+  ctx.key_ = labeled_expand(secret, kHpkeSuite, "key", context, kNk);
+  ctx.base_nonce_ =
+      labeled_expand(secret, kHpkeSuite, "base_nonce", context, kNn);
+  ctx.exporter_secret_ = labeled_expand(secret, kHpkeSuite, "exp", context, 32);
   return ctx;
 }
 
-Bytes Context::compute_nonce() const {
-  Bytes nonce = base_nonce_;
+std::array<std::uint8_t, kNn> Context::compute_nonce() const {
+  std::array<std::uint8_t, kNn> nonce;
+  std::copy(base_nonce_.begin(), base_nonce_.end(), nonce.begin());
   for (int i = 0; i < 8; ++i) {
     nonce[kNn - 1 - i] ^= static_cast<std::uint8_t>(seq_ >> (8 * i));
   }
@@ -117,8 +170,8 @@ Result<Bytes> Context::open(BytesView aad, BytesView ciphertext) {
 
 Bytes Context::export_secret(BytesView exporter_context,
                              std::size_t length) const {
-  return labeled_expand(exporter_secret_, hpke_suite_id(), "sec",
-                        exporter_context, length);
+  return labeled_expand(crypto::HmacSha256(exporter_secret_), kHpkeSuite,
+                        "sec", {exporter_context}, length);
 }
 
 namespace {
@@ -128,8 +181,8 @@ Sender setup_sender_with_ephemeral(const crypto::X25519KeyPair& eph,
   auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
   if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
 
-  Bytes kem_context = concat({eph.public_key, recipient_public});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
+  const Secret shared_secret =
+      extract_and_expand(dh.value(), eph.public_key, recipient_public);
 
   Sender s;
   s.enc = eph.public_key;
@@ -163,8 +216,8 @@ Result<Context> setup_base_recipient(BytesView enc, const KeyPair& kp,
   auto dh = crypto::x25519_shared(kp.private_key, enc);
   if (!dh.ok()) return Result<Context>::failure("hpke: low-order enc");
 
-  Bytes kem_context = concat({enc, kp.public_key});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
+  const Secret shared_secret =
+      extract_and_expand(dh.value(), enc, kp.public_key);
   return setup_with_schedule(shared_secret, info);
 }
 
@@ -176,8 +229,8 @@ Sender setup_psk_sender(BytesView recipient_public, BytesView info,
   auto eph = crypto::X25519KeyPair::generate(rng);
   auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
   if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
-  Bytes kem_context = concat({eph.public_key, recipient_public});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
+  const Secret shared_secret =
+      extract_and_expand(dh.value(), eph.public_key, recipient_public);
 
   Sender s;
   s.enc = eph.public_key;
@@ -193,16 +246,19 @@ Result<Context> setup_psk_recipient(BytesView enc, const KeyPair& kp,
   }
   auto dh = crypto::x25519_shared(kp.private_key, enc);
   if (!dh.ok()) return Result<Context>::failure("hpke: low-order enc");
-  Bytes kem_context = concat({enc, kp.public_key});
-  Bytes shared_secret = extract_and_expand(dh.value(), kem_context);
+  const Secret shared_secret =
+      extract_and_expand(dh.value(), enc, kp.public_key);
   return setup_with_schedule(shared_secret, info, psk, psk_id);
 }
 
 Bytes seal(BytesView recipient_public, BytesView info, BytesView aad,
            BytesView plaintext, Rng& rng) {
   Sender s = setup_base_sender(recipient_public, info, rng);
-  Bytes ct = s.context.seal(aad, plaintext);
-  return concat({s.enc, ct});
+  Bytes out;
+  out.reserve(s.enc.size() + plaintext.size() + kNt);
+  append(out, s.enc);
+  s.context.seal_append(aad, plaintext, out);
+  return out;
 }
 
 Result<Bytes> open(const KeyPair& kp, BytesView info, BytesView aad,

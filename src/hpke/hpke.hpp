@@ -7,6 +7,7 @@
 // mix-net onion layers, MPR tunnels, and the ECH inner ClientHello.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <stdexcept>
 
@@ -94,7 +95,7 @@ class Context {
   friend Context setup_with_schedule(BytesView shared_secret, BytesView info,
                                      BytesView psk, BytesView psk_id);
 
-  Bytes compute_nonce() const;
+  std::array<std::uint8_t, kNn> compute_nonce() const;
 
   Bytes key_;
   Bytes base_nonce_;

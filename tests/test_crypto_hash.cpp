@@ -1,7 +1,10 @@
 // SHA-256 (FIPS 180-4), HMAC-SHA256 (RFC 4231) and HKDF (RFC 5869) vectors.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
@@ -59,6 +62,86 @@ TEST(Sha256, BoundaryLengths) {
   }
 }
 
+// Hashes `msg` through `compress`, feeding it in random update() pieces.
+Bytes hash_in_pieces(Sha256Compress compress, BytesView msg, XoshiroRng& rng) {
+  Sha256 ctx(compress);
+  std::size_t off = 0;
+  while (off < msg.size()) {
+    const std::size_t take = std::min<std::size_t>(
+        msg.size() - off, static_cast<std::size_t>(rng.below(140)));
+    ctx.update(msg.subspan(off, take));
+    off += take;
+  }
+  const auto d = ctx.digest();
+  return Bytes(d.begin(), d.end());
+}
+
+// The portable compression is the oracle for every other path. Its half
+// runs on every CPU: split feeding must not change the digest, and the
+// dispatched default must agree with it.
+TEST(Sha256, PortableSplitsMatchDispatched) {
+  XoshiroRng rng(256);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = rng.bytes(len);
+    EXPECT_EQ(hash_in_pieces(sha256_compress_portable, msg, rng),
+              Sha256::hash(msg))
+        << "len=" << len;
+  }
+}
+
+// digest() pads inside its block buffer, for both compressions. Check it
+// against FIPS 180-4 §5.1.1 padding built by hand and fed straight to the
+// portable compression, across the 55/56-byte boundary of every block.
+TEST(Sha256, PaddingMatchesFips) {
+  XoshiroRng rng(258);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = rng.bytes(len);
+    Bytes padded = msg;
+    padded.push_back(0x80);
+    while (padded.size() % Sha256::kBlockSize != 56) padded.push_back(0);
+    append(padded, be_encode(std::uint64_t{len} * 8, 8));
+    std::uint32_t h[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
+                          0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};
+    sha256_compress_portable(h, padded.data(),
+                             padded.size() / Sha256::kBlockSize);
+    Bytes want;
+    for (std::uint32_t w : h) append(want, be_encode(w, 4));
+    Sha256 ctx(sha256_compress_portable);
+    ctx.update(msg);
+    const auto got = ctx.digest();
+    EXPECT_EQ(Bytes(got.begin(), got.end()), want) << "len=" << len;
+  }
+}
+
+TEST(Sha256, ShaNiMatchesPortable) {
+  const Sha256Compress shani = sha256_compress_shani();
+  if (shani == nullptr) {
+    GTEST_SKIP() << "no SHA extensions on this CPU (or not an x86-64 build); "
+                    "Sha256 runs the portable compression here";
+  }
+  XoshiroRng rng(257);
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = rng.bytes(len);
+    Sha256 portable(sha256_compress_portable);
+    portable.update(msg);
+    const auto want = portable.digest();
+    EXPECT_EQ(hash_in_pieces(shani, msg, rng), Bytes(want.begin(), want.end()))
+        << "len=" << len;
+  }
+  // Multi-block calls carry the state across blocks inside the compression.
+  const Bytes big = rng.bytes(64 * 37 + 5);
+  Sha256 a(shani), b(sha256_compress_portable);
+  a.update(big);
+  b.update(big);
+  EXPECT_EQ(a.digest(), b.digest());
+}
+
+TEST(Sha256, DispatchFollowsCpuid) {
+  const Sha256Compress shani = sha256_compress_shani();
+  EXPECT_EQ(sha256_compress_dispatched(),
+            shani != nullptr ? shani : sha256_compress_portable);
+}
+
 // RFC 4231 test case 1.
 TEST(Hmac, Rfc4231Case1) {
   Bytes key(20, 0x0b);
@@ -87,6 +170,54 @@ TEST(Hmac, LongKeyIsHashedFirst) {
   Bytes short_key = Sha256::hash(long_key);
   Bytes msg = to_bytes("message");
   EXPECT_EQ(hmac_sha256(long_key, msg), hmac_sha256(short_key, msg));
+}
+
+// HMAC as RFC 2104 writes it, with the padded keys concatenated.
+Bytes reference_hmac(BytesView key, BytesView data) {
+  Bytes k(key.begin(), key.end());
+  if (k.size() > Sha256::kBlockSize) k = Sha256::hash(k);
+  k.resize(Sha256::kBlockSize, 0);
+  Bytes ipad(k), opad(k);
+  for (auto& b : ipad) b ^= 0x36;
+  for (auto& b : opad) b ^= 0x5c;
+  return Sha256::hash(concat({opad, Sha256::hash(concat({ipad, data}))}));
+}
+
+// One keyed HmacSha256, copied per message, matches the textbook
+// construction for every key length class and any update() split.
+TEST(Hmac, KeyedCopiesMatchReference) {
+  XoshiroRng rng(4231);
+  for (std::size_t key_len : {0u, 1u, 32u, 63u, 64u, 65u, 100u}) {
+    const Bytes key = rng.bytes(key_len);
+    const HmacSha256 keyed(key);
+    for (std::size_t len : {0u, 1u, 55u, 56u, 64u, 119u, 200u}) {
+      const Bytes msg = rng.bytes(len);
+      HmacSha256 mac = keyed;
+      const std::size_t cut = len / 3;
+      mac.update(BytesView(msg).first(cut));
+      mac.update(BytesView(msg).subspan(cut));
+      const auto tag = mac.finish();
+      EXPECT_EQ(Bytes(tag.begin(), tag.end()), reference_hmac(key, msg))
+          << "key_len=" << key_len << " len=" << len;
+      EXPECT_EQ(hmac_sha256(key, msg), reference_hmac(key, msg));
+    }
+  }
+}
+
+// Info given as parts expands exactly like the concatenated info.
+TEST(Hkdf, ExpandIntoPartsMatchesConcatenatedInfo) {
+  const Bytes prk = hkdf_extract(to_bytes("salt"), to_bytes("ikm"));
+  const Bytes a = to_bytes("HPKE-v1"), b = to_bytes("suite"), c = to_bytes("");
+  const BytesView parts[] = {a, b, c, a};
+  const Bytes joined = concat({a, b, c, a});
+  for (std::size_t len : {0u, 1u, 12u, 32u, 33u, 64u, 65u, 255u * 32}) {
+    Bytes out(len);
+    hkdf_expand_into(HmacSha256(prk), parts, out);
+    EXPECT_EQ(out, hkdf_expand(prk, joined, len)) << "len=" << len;
+  }
+  Bytes too_long(255 * 32 + 1);
+  EXPECT_THROW(hkdf_expand_into(HmacSha256(prk), parts, too_long),
+               std::invalid_argument);
 }
 
 // RFC 5869 test case 1.

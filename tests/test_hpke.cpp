@@ -107,11 +107,27 @@ TEST(Hpke, GoldenKnownAnswer) {
   ASSERT_TRUE(pt.ok());
   EXPECT_EQ(to_string(pt.value()), "golden pt");
 
-  // Recorded hex of the deterministic artifacts (see note above).
-  RecordProperty("enc", to_hex(s.enc).c_str());
-  // These assertions pin byte-exact behaviour.
-  EXPECT_EQ(s.enc.size(), kNenc);
-  EXPECT_EQ(ct.size(), 9u + kNt);
+  // These assertions pin byte-exact behaviour: hex recorded from the
+  // library before the streaming key schedule.
+  EXPECT_EQ(to_hex(s.enc),
+            "dace104ad8da56fd9bf0b931df2a71afd04e1dd8a45d1e6ef4f148a9b48c790a");
+  EXPECT_EQ(to_hex(ct),
+            "17685e30c2a6d6a6302cbf301fa4a0513daa7ec2856cc4927c");
+  EXPECT_EQ(to_hex(s.context.key()),
+            "f76301a81640fcd0f1cd74c4af03f99182692c49ec461d11509992140de96748");
+  EXPECT_EQ(to_hex(s.context.base_nonce()),
+            "9b34f26b58ca77529392357c");
+  EXPECT_EQ(to_hex(s.context.export_secret(to_bytes("golden exporter"), 32)),
+            "e5c0709f0e084ba73de4b72a7b0ebd8ae1fb5f989a7f8a3d6b97161d28400e6b");
+  EXPECT_EQ(r.value().export_secret(to_bytes("golden exporter"), 32),
+            s.context.export_secret(to_bytes("golden exporter"), 32));
+  // At 256 bytes the I2OSP(L, 2) length prefix has a nonzero high byte.
+  const Bytes long_export =
+      s.context.export_secret(to_bytes("golden exporter"), 256);
+  EXPECT_EQ(to_hex(BytesView(long_export).first(32)),
+            "2ed19c7c829bbf9e6abbe4a51623f11c36401940b776ce6eb3061060c9b4d623");
+  EXPECT_EQ(to_hex(BytesView(long_export).last(32)),
+            "6a116ff4152db171ee002fbc58a5d6edea27afb211b81437b68faecac786eaa5");
 }
 
 TEST(Hpke, TruncatedAndCorruptedInputs) {
