@@ -15,6 +15,7 @@
 // gates against the committed BENCH_crypto.json exactly like the scale
 // sweep is gated by BENCH_scale.json.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -185,6 +186,14 @@ int main(int argc, char** argv) {
   {
     ChaChaRng rng(6);
     RsaPrivateKey key = rsa_generate(1024, rng);
+    // The inverse of a blinding factor, most of blind()'s cost (r from its
+    // own stream, so the ops below see the same draws as before).
+    ChaChaRng r_rng(7);
+    const BigInt r = BigInt::random_below(key.pub.n, r_rng);
+    run("rsa1024_mod_inverse", 0, [&](std::uint64_t) {
+      const std::optional<BigInt> inv = r.try_mod_inverse(key.pub.n);
+      consume(inv ? inv->bit_length() : 0);
+    });
     Bytes msg = rng.bytes(32);
     run("rsa1024_blind", 0,
         [&](std::uint64_t) { consume(blind(key.pub, msg, rng).blinded_message); });

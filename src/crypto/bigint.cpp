@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 
 namespace dcpl::crypto {
@@ -302,53 +303,228 @@ BigInt BigInt::mod_exp(const BigInt& exponent, const BigInt& modulus) const {
   return result;
 }
 
-BigInt BigInt::gcd(BigInt a, BigInt b) {
-  while (!b.is_zero()) {
-    BigInt r = a % b;
-    a = b;
-    b = r;
+namespace {
+
+// One column of a product-scanning sum: a 128-bit sum plus a word that
+// counts the carries out of it, so a column holds up to 2^64 products of
+// two limbs.
+struct Column {
+  u128 sum = 0;
+  std::uint64_t carry = 0;
+
+  [[gnu::always_inline]] void add(u128 v) {
+    sum += v;
+    carry += sum < v;
   }
-  return a;
+  [[gnu::always_inline]] void add(const Column& o) {
+    add(o.sum);
+    carry += o.carry;
+  }
+  [[gnu::always_inline]] void mul_add(std::uint64_t x, std::uint64_t y) {
+    add(static_cast<u128>(x) * y);
+  }
+  [[gnu::always_inline]] void twice() {
+    carry = (carry << 1) | static_cast<std::uint64_t>(sum >> 127);
+    sum <<= 1;
+  }
+  /// Returns the low limb and moves the column one limb to the right.
+  [[gnu::always_inline]] std::uint64_t shift() {
+    const auto low = static_cast<std::uint64_t>(sum);
+    sum = (sum >> 64) | (static_cast<u128>(carry) << 64);
+    carry = 0;
+    return low;
+  }
+};
+
+// A Lehmer cosequence (Knuth, TAOCP vol. 2, 4.5.2, Algorithm L): the
+// matrix [[a, b], [c, d]] of the Euclid steps that the leading 63 bits of
+// two remainders decide by themselves. After `steps` steps the current
+// remainders are (a u + b v, c u + d v); a and b, like c and d, have
+// opposite signs (or one is zero), and every step flips them.
+struct Cosequence {
+  std::int64_t a = 1, b = 0, c = 0, d = 1;
+  std::size_t steps = 0;
+};
+
+bool fits_int64(i128 x) {
+  return x >= -std::numeric_limits<std::int64_t>::max() &&
+         x <= std::numeric_limits<std::int64_t>::max();
 }
 
-std::optional<BigInt> BigInt::try_mod_inverse(const BigInt& modulus) const {
-  // Iterative extended Euclid with sign tracking: maintain x such that
-  // a*x == r (mod modulus), over (magnitude, negative) pairs.
-  if (modulus.is_zero()) throw std::invalid_argument("mod_inverse: modulus 0");
-  BigInt r0 = modulus;
-  BigInt r1 = *this % modulus;
-  BigInt x0{}, x1{1};
-  bool neg0 = false, neg1 = false;
+std::uint64_t magnitude(std::int64_t x) {
+  return static_cast<std::uint64_t>(x < 0 ? -x : x);
+}
 
-  BigInt q, r2;
-  while (!r1.is_zero()) {
-    divmod(r0, r1, q, r2);
-    // x2 = x0 - q * x1 (signed)
-    BigInt qx = q * x1;
-    BigInt x2;
-    bool neg2;
-    if (neg0 == neg1) {
-      if (x0 >= qx) {
-        x2 = x0 - qx;
-        neg2 = neg0;
-      } else {
-        x2 = qx - x0;
-        neg2 = !neg0;
-      }
-    } else {
-      x2 = x0 + qx;
-      neg2 = neg0;
+// uh and vh are u >> s and v >> s for one shift s, uh < 2^63 and vh <= uh.
+// A step is taken only when Algorithm L's two quotients, the bounds of the
+// true quotient, agree; an entry that would leave int64 ends the run.
+Cosequence lehmer_cosequence(std::uint64_t uh, std::uint64_t vh) {
+  Cosequence m;
+  for (;;) {
+    const i128 num1 = static_cast<i128>(uh) + m.a;
+    const i128 num2 = static_cast<i128>(uh) + m.b;
+    const i128 den1 = static_cast<i128>(vh) + m.c;
+    const i128 den2 = static_cast<i128>(vh) + m.d;
+    if (den1 <= 0 || den2 <= 0 || num1 < 0 || num2 < 0) break;
+    const std::uint64_t q = static_cast<std::uint64_t>(num1) /
+                            static_cast<std::uint64_t>(den1);
+    if (q != static_cast<std::uint64_t>(num2) /
+                 static_cast<std::uint64_t>(den2)) {
+      break;
     }
-    r0 = std::move(r1);
-    r1 = std::move(r2);
-    x0 = std::move(x1);
-    neg0 = neg1;
-    x1 = std::move(x2);
-    neg1 = neg2;
+    const i128 c = m.a - static_cast<i128>(q) * m.c;
+    const i128 d = m.b - static_cast<i128>(q) * m.d;
+    if (!fits_int64(c) || !fits_int64(d)) break;
+    m.a = m.c;
+    m.b = m.d;
+    m.c = static_cast<std::int64_t>(c);
+    m.d = static_cast<std::int64_t>(d);
+    const std::uint64_t r = uh - q * vh;
+    uh = vh;
+    vh = r;
+    ++m.steps;
   }
-  if (r0 != BigInt(1)) return std::nullopt;
-  BigInt inv = x0 % modulus;
-  if (neg0 && !inv.is_zero()) inv = modulus - inv;
+  return m;
+}
+
+// (u, v) <- (a u + b v, c u + d v) in place over `len` limbs. Both results
+// are remainders of the Euclid sequence, so they are non-negative and fit.
+void apply_to_remainders(const Cosequence& m, std::uint64_t* u,
+                         std::uint64_t* v, std::size_t len) {
+  i128 cu = 0, cv = 0;
+  for (std::size_t i = 0; i < len; ++i) {
+    const i128 ui = u[i], vi = v[i];
+    const i128 tu = m.a * ui + m.b * vi + cu;
+    const i128 tv = m.c * ui + m.d * vi + cv;
+    u[i] = static_cast<std::uint64_t>(tu);
+    v[i] = static_cast<std::uint64_t>(tv);
+    cu = tu >> 64;
+    cv = tv >> 64;
+  }
+}
+
+// (x, y) <- (a x + b y, c x + d y) on magnitudes, in place over `len`
+// limbs; the caller leaves a zero limb on top for the carry.
+void apply_to_cofactors(std::uint64_t a, std::uint64_t b, std::uint64_t c,
+                        std::uint64_t d, std::uint64_t* x, std::uint64_t* y,
+                        std::size_t len) {
+  Column cx, cy;
+  for (std::size_t i = 0; i < len; ++i) {
+    const std::uint64_t xi = x[i], yi = y[i];
+    cx.mul_add(a, xi);
+    cx.mul_add(b, yi);
+    cy.mul_add(c, xi);
+    cy.mul_add(d, yi);
+    x[i] = cx.shift();
+    y[i] = cy.shift();
+  }
+}
+
+// The 63 bits of x starting at bit s (x >> s < 2^63 by the caller).
+std::uint64_t bits_from(const std::uint64_t* x, std::size_t len,
+                        std::size_t s) {
+  const std::size_t limb = s / 64, off = s % 64;
+  std::uint64_t out = x[limb] >> off;
+  if (off != 0 && limb + 1 < len) out |= x[limb + 1] << (64 - off);
+  return out;
+}
+
+}  // namespace
+
+std::optional<BigInt> BigInt::try_mod_inverse(const BigInt& modulus) const {
+  // Extended Euclid on (u, v) = (modulus, this mod modulus), tracking each
+  // remainder's cofactor s with r == s * this (mod modulus). Consecutive
+  // cofactors alternate in sign, so they are kept as magnitudes plus the
+  // sign of u's, and each step only adds: |s'| = |s_prev| + q |s|. Lehmer
+  // (Algorithm L) runs the steps on the leading 63 bits and applies them
+  // to the full remainders and cofactors in batches.
+  if (modulus.is_zero()) throw std::invalid_argument("mod_inverse: modulus 0");
+  const std::size_t k = modulus.limbs_.size();
+  // u and v take k limbs each; the cofactors, at most the modulus, take
+  // k + 1 each so an update has a limb for its carry.
+  std::vector<std::uint64_t> buf(4 * k + 2, 0);
+  std::uint64_t* u = buf.data();
+  std::uint64_t* v = u + k;
+  std::uint64_t* x = v + k;      // |s| of u
+  std::uint64_t* y = x + k + 1;  // |s| of v
+  std::copy(modulus.limbs_.begin(), modulus.limbs_.end(), u);
+  const BigInt reduced = *this % modulus;
+  std::copy(reduced.limbs_.begin(), reduced.limbs_.end(), v);
+  y[0] = 1;
+  bool u_negative = true;  // s of u is 0; s of v is +1
+  std::size_t len = k;     // limbs of u (and so of v)
+  std::size_t clen = 1;    // limbs of the cofactors
+
+  const auto is_zero = [](const std::uint64_t* p, std::size_t n) {
+    return std::all_of(p, p + n, [](std::uint64_t w) { return w == 0; });
+  };
+  const auto to_big = [](const std::uint64_t* p, std::size_t n) {
+    BigInt out;
+    out.limbs_.assign(p, p + n);
+    out.trim();
+    return out;
+  };
+  const auto store = [](const BigInt& val, std::uint64_t* p, std::size_t n) {
+    std::fill(p, p + n, 0);
+    std::copy(val.limbs_.begin(), val.limbs_.end(), p);
+  };
+
+  while (!is_zero(v, len)) {
+    if (len == 1) {
+      // Single precision: run Euclid on the words and apply the row of
+      // the final remainder to the cofactors once. Every entry is at most
+      // the starting u, so the magnitudes fit a word.
+      std::uint64_t uw = u[0], vw = v[0];
+      std::uint64_t a = 1, b = 0, c = 0, d = 1;
+      while (vw != 0) {
+        const std::uint64_t q = uw / vw, r = uw % vw;
+        uw = vw;
+        vw = r;
+        const std::uint64_t c2 = a + q * c, d2 = b + q * d;
+        a = c;
+        b = d;
+        c = c2;
+        d = d2;
+        u_negative = !u_negative;
+      }
+      u[0] = uw;
+      v[0] = 0;
+      apply_to_cofactors(a, b, 0, 0, x, y, clen + 1);
+      if (x[clen] != 0) ++clen;
+      break;
+    }
+    // u's leading 63 bits, and v's bits at the same place.
+    const std::size_t s =
+        64 * len - static_cast<std::size_t>(std::countl_zero(u[len - 1])) - 63;
+    const Cosequence m =
+        lehmer_cosequence(bits_from(u, len, s), bits_from(v, len, s));
+    if (m.steps == 0) {
+      // The leading bits decide no step (a quotient of 2^63 or more, such
+      // as a small v against a large u): take one full division step.
+      BigInt q, r;
+      divmod(to_big(u, len), to_big(v, len), q, r);
+      const BigInt next = to_big(x, clen) + q * to_big(y, clen);
+      std::copy(v, v + len, u);
+      store(r, v, len);
+      std::copy(y, y + clen, x);
+      clen = std::max(clen, next.limbs_.size());
+      store(next, y, clen + 1);
+      u_negative = !u_negative;
+    } else {
+      apply_to_remainders(m, u, v, len);
+      apply_to_cofactors(magnitude(m.a), magnitude(m.b), magnitude(m.c),
+                         magnitude(m.d), x, y, clen + 1);
+      if (x[clen] != 0 || y[clen] != 0) ++clen;
+      if (m.steps % 2 == 1) u_negative = !u_negative;
+    }
+    while (len > 1 && u[len - 1] == 0) --len;
+  }
+
+  // u is the gcd. When it is 1, |s| < modulus (at most half of it, or 0
+  // for modulus 1).
+  if (len != 1 || u[0] != 1) return std::nullopt;
+  BigInt inv = to_big(x, clen);
+  if (u_negative && !inv.is_zero()) inv = modulus - inv;
   return inv;
 }
 
@@ -439,6 +615,84 @@ BigInt BigInt::generate_prime(std::size_t bits, Rng& rng) {
 // Montgomery arithmetic
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// out = a * b / R mod n (kSquare: a * a / R mod n, b unused), by product
+// scanning (Koc, Acar and Kaliski, IEEE Micro 1996): column i of the
+// product and column i of m * n are summed in one Column, and in each of
+// the low k columns m[i] is chosen to zero the column's low limb. A
+// square sums each cross product of a column once, doubles it, and adds
+// the diagonal. m lives in t[0, k); column k + i no longer reads m[i], so
+// the result limbs overwrite it, and `t` needs k + 1 limbs. `out` is
+// written only at the end, so it may alias `a` or `b`.
+//
+// K > 0 fixes the limb count at compile time, so the loops unroll; K == 0
+// takes it from `k` at run time.
+template <std::size_t K, bool kSquare>
+void mont_kernel(const std::uint64_t* a, const std::uint64_t* b,
+                 const std::uint64_t* n, std::uint64_t n_prime,
+                 std::size_t k_runtime, std::uint64_t* out,
+                 std::uint64_t* t) {
+  const std::size_t k = K != 0 ? K : k_runtime;
+  Column c;
+#pragma GCC unroll 32
+  for (std::size_t i = 0; i + 1 < 2 * k; ++i) {
+    // Column i pairs limb j with limb i - j for j in [lo, i] and j < k; of
+    // m, the limbs below hi are known.
+    const std::size_t lo = i < k ? 0 : i - k + 1;
+    const std::size_t hi = i < k ? i : k;
+    if constexpr (kSquare) {
+      Column cross;
+#pragma GCC unroll 16
+      for (std::size_t j = lo; 2 * j < i; ++j) cross.mul_add(a[j], a[i - j]);
+      cross.twice();
+      if (i % 2 == 0) cross.mul_add(a[i / 2], a[i / 2]);
+      c.add(cross);
+    } else {
+      const std::size_t top = i < k ? i + 1 : k;
+#pragma GCC unroll 16
+      for (std::size_t j = lo; j < top; ++j) c.mul_add(a[j], b[i - j]);
+    }
+#pragma GCC unroll 16
+    for (std::size_t j = lo; j < hi; ++j) c.mul_add(t[j], n[i - j]);
+    if (i < k) {
+      t[i] = static_cast<std::uint64_t>(c.sum) * n_prime;
+      c.mul_add(t[i], n[0]);
+      c.shift();  // the low limb is zero by the choice of m[i]
+    } else {
+      t[i - k] = c.shift();
+    }
+  }
+  // What is left is the carry out of column 2k - 2: t < 2n, so t[k] <= 1.
+  t[k - 1] = c.shift();
+  t[k] = static_cast<std::uint64_t>(c.sum);
+
+  // out = t - n if t >= n, else t.
+  bool ge = t[k] != 0;
+  if (!ge) {
+    ge = true;
+    for (std::size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        ge = t[i] > n[i];
+        break;
+      }
+    }
+  }
+  if (!ge) {
+    std::copy(t, t + k, out);
+    return;
+  }
+  std::uint64_t borrow = 0;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < k; ++i) {
+    const u128 d = static_cast<u128>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<std::uint64_t>(d);
+    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
+  }
+}
+
+}  // namespace
+
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
   if (!modulus.is_odd()) throw std::invalid_argument("Montgomery: even modulus");
   n_limbs_ = modulus.limbs();
@@ -453,6 +707,23 @@ Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
   const std::size_t k = n_limbs_.size();
   r2_ = ((BigInt(1) << (128 * k)) % n_).limbs_;
   r2_.resize(k, 0);
+
+  // RSA-1024's modulus has 16 limbs and its CRT halves (and Miller-Rabin
+  // on their 512-bit candidates) 8; other sizes run the same kernel with
+  // the limb count read at run time.
+  switch (k) {
+    case 8:
+      mul_ = &mont_kernel<8, false>;
+      sqr_ = &mont_kernel<8, true>;
+      break;
+    case 16:
+      mul_ = &mont_kernel<16, false>;
+      sqr_ = &mont_kernel<16, true>;
+      break;
+    default:
+      mul_ = &mont_kernel<0, false>;
+      sqr_ = &mont_kernel<0, true>;
+  }
 }
 
 void Montgomery::to_mont(const BigInt& a, std::uint64_t* out,
@@ -474,59 +745,12 @@ BigInt Montgomery::from_mont(const std::uint64_t* a, std::uint64_t* t) const {
 
 void Montgomery::mont_mul(const std::uint64_t* a, const std::uint64_t* b,
                           std::uint64_t* out, std::uint64_t* t) const {
-  const std::size_t k = n_limbs_.size();
-  const std::uint64_t* n = n_limbs_.data();
-  std::fill(t, t + k + 2, 0);
+  mul_(a, b, n_limbs_.data(), n_prime_, n_limbs_.size(), out, t);
+}
 
-  for (std::size_t i = 0; i < k; ++i) {
-    // t += a[i] * b
-    std::uint64_t carry = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      u128 s = static_cast<u128>(a[i]) * b[j] + t[j] + carry;
-      t[j] = static_cast<std::uint64_t>(s);
-      carry = static_cast<std::uint64_t>(s >> 64);
-    }
-    u128 s = static_cast<u128>(t[k]) + carry;
-    t[k] = static_cast<std::uint64_t>(s);
-    t[k + 1] = static_cast<std::uint64_t>(s >> 64);
-
-    // Reduce: add m * n where m = t[0] * n' mod 2^64, then shift one limb.
-    const std::uint64_t m = t[0] * n_prime_;
-    s = static_cast<u128>(m) * n[0] + t[0];
-    carry = static_cast<std::uint64_t>(s >> 64);
-    for (std::size_t j = 1; j < k; ++j) {
-      s = static_cast<u128>(m) * n[j] + t[j] + carry;
-      t[j - 1] = static_cast<std::uint64_t>(s);
-      carry = static_cast<std::uint64_t>(s >> 64);
-    }
-    s = static_cast<u128>(t[k]) + carry;
-    t[k - 1] = static_cast<std::uint64_t>(s);
-    t[k] = t[k + 1] + static_cast<std::uint64_t>(s >> 64);
-    t[k + 1] = 0;
-  }
-
-  // out = t - n if t >= n, else t. `out` is written only here, so it may
-  // alias `a` or `b`.
-  bool ge = t[k] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        ge = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (!ge) {
-    std::copy(t, t + k, out);
-    return;
-  }
-  std::uint64_t borrow = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    const u128 d = static_cast<u128>(t[i]) - n[i] - borrow;
-    out[i] = static_cast<std::uint64_t>(d);
-    borrow = static_cast<std::uint64_t>(d >> 64) & 1;
-  }
+void Montgomery::mont_sqr(const std::uint64_t* a, std::uint64_t* out,
+                          std::uint64_t* t) const {
+  sqr_(a, nullptr, n_limbs_.data(), n_prime_, n_limbs_.size(), out, t);
 }
 
 std::size_t Montgomery::window_bits(std::size_t exponent_bits) {
@@ -543,8 +767,8 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exponent) const {
   const std::size_t entries = std::size_t{1} << w;
 
   // One allocation: base^0 .. base^(2^w - 1) in Montgomery form, the
-  // accumulator, and k + 2 limbs of mont_mul scratch.
-  std::vector<std::uint64_t> buf((entries + 1) * k + k + 2);
+  // accumulator, and k + 1 limbs of kernel scratch.
+  std::vector<std::uint64_t> buf((entries + 1) * k + k + 1);
   std::uint64_t* table = buf.data();
   std::uint64_t* acc = table + entries * k;
   std::uint64_t* t = acc + k;
@@ -567,7 +791,7 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exponent) const {
   std::size_t window = (bits + w - 1) / w - 1;
   std::copy_n(table + digit(window) * k, k, acc);
   while (window-- > 0) {
-    for (std::size_t i = 0; i < w; ++i) mont_mul(acc, acc, acc, t);
+    for (std::size_t i = 0; i < w; ++i) mont_sqr(acc, acc, t);
     const std::size_t d = digit(window);
     if (d != 0) mont_mul(acc, table + d * k, acc, t);
   }

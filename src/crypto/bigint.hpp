@@ -1,7 +1,7 @@
 // Arbitrary-precision unsigned integers with the operations RSA needs:
-// schoolbook mul, Knuth Algorithm D division, fixed-window Montgomery
-// modular exponentiation, extended-Euclid modular inverse, Miller-Rabin
-// primality, and prime generation.
+// schoolbook and Karatsuba mul, Knuth Algorithm D division, fixed-window
+// Montgomery modular exponentiation, a Lehmer extended-GCD modular
+// inverse, Miller-Rabin primality, and prime generation.
 //
 // Values are non-negative; subtraction that would go negative throws.
 #pragma once
@@ -68,11 +68,9 @@ class BigInt {
   BigInt mod_inverse(const BigInt& modulus) const;
 
   /// Multiplicative inverse mod `modulus`, or nullopt if gcd != 1 (one
-  /// extended-Euclid pass, so it doubles as a coprimality test). Throws
-  /// only for a zero modulus.
+  /// extended-GCD pass, so it doubles as a coprimality test). Any modulus,
+  /// odd or even, of any width. Throws only for a zero modulus.
   std::optional<BigInt> try_mod_inverse(const BigInt& modulus) const;
-
-  static BigInt gcd(BigInt a, BigInt b);
 
   /// Uniform value in [0, bound).
   static BigInt random_below(const BigInt& bound, Rng& rng);
@@ -97,6 +95,13 @@ class BigInt {
 
 /// Montgomery context for repeated modular multiplication mod an odd modulus.
 ///
+/// Products and squares run one product-scanning kernel, written once as a
+/// template over the limb count: 8 limbs (RSA-1024's CRT halves) and 16
+/// (its modulus) are compiled with the count known, every other size with
+/// it read at run time. A square computes each cross product once and
+/// doubles it, so a * a takes k(k + 1)/2 limb products where a * b takes
+/// k^2 (the reduction is the same); mod_exp squares with it.
+///
 /// mod_exp scans the exponent in fixed windows whose width follows its bit
 /// length: 1 bit up to 23 bits (plain square-and-multiply, so e = 65537
 /// costs 16 squarings and 1 multiplication), 3 bits up to 79, 4 up to 239
@@ -106,7 +111,7 @@ class BigInt {
 /// bits / 2); the squarings are the same.
 ///
 /// NOTE: this is not constant-time. Zero windows skip their multiplication,
-/// each window's digit indexes the table directly, and mont_mul's final
+/// each window's digit indexes the table directly, and the kernel's final
 /// subtraction is conditional, so running time and memory access follow
 /// the exponent. The private-key operations that use it (RSA signing,
 /// Miller-Rabin) leak through timing as a result; this library is a
@@ -122,18 +127,30 @@ class Montgomery {
   static std::size_t window_bits(std::size_t exponent_bits);
 
  private:
-  // Limb arrays below hold k = n_limbs_.size() limbs; `t` is k + 2 limbs of
-  // caller-owned scratch, so mont_mul allocates nothing.
+  // Limb arrays below hold k = n_limbs_.size() limbs; `t` is k + 1 limbs of
+  // caller-owned scratch, so the kernels allocate nothing.
   void to_mont(const BigInt& a, std::uint64_t* out, std::uint64_t* t) const;
   BigInt from_mont(const std::uint64_t* a, std::uint64_t* t) const;
   /// out = a * b / R mod n; `out` may alias `a` or `b`.
   void mont_mul(const std::uint64_t* a, const std::uint64_t* b,
                 std::uint64_t* out, std::uint64_t* t) const;
+  /// out = a * a / R mod n; `out` may alias `a`.
+  void mont_sqr(const std::uint64_t* a, std::uint64_t* out,
+                std::uint64_t* t) const;
+
+  // The product-scanning kernels for this modulus's limb count (the square
+  // ignores b).
+  using Kernel = void (*)(const std::uint64_t* a, const std::uint64_t* b,
+                          const std::uint64_t* n, std::uint64_t n_prime,
+                          std::size_t k, std::uint64_t* out,
+                          std::uint64_t* t);
 
   BigInt n_;
   std::vector<std::uint64_t> n_limbs_;
   std::uint64_t n_prime_;          // -n^{-1} mod 2^64
   std::vector<std::uint64_t> r2_;  // R^2 mod n, k limbs
+  Kernel mul_;
+  Kernel sqr_;
 };
 
 }  // namespace dcpl::crypto

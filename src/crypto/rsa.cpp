@@ -1,5 +1,6 @@
 #include "crypto/rsa.hpp"
 
+#include <optional>
 #include <stdexcept>
 
 #include "crypto/sha256.hpp"
@@ -18,13 +19,16 @@ RsaPrivateKey rsa_generate(std::size_t bits, Rng& rng) {
     if (p < q) std::swap(p, q);
 
     const BigInt one(1);
-    BigInt phi = (p - one) * (q - one);
-    if (BigInt::gcd(e, phi) != one) continue;
+    const BigInt phi = (p - one) * (q - one);
+    // The inverse exists exactly when gcd(e, phi) == 1, so computing it is
+    // the coprimality test.
+    std::optional<BigInt> d = e.try_mod_inverse(phi);
+    if (!d) continue;
 
     RsaPrivateKey key;
     key.pub.n = p * q;
     key.pub.e = e;
-    key.d = e.mod_inverse(phi);
+    key.d = std::move(*d);
     key.p = p;
     key.q = q;
     key.dp = key.d % (p - one);

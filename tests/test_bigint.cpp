@@ -1,13 +1,15 @@
 // BigInt arithmetic: identities, division invariants, Montgomery modexp
-// against a reference implementation, inverse, gcd, primality.
+// and the Lehmer inverse against reference implementations, primality.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/csprng.hpp"
+#include "crypto/rsa.hpp"
 
 namespace dcpl::crypto {
 namespace {
@@ -184,15 +186,26 @@ TEST(BigInt, MontgomeryMatchesNaiveModExp) {
   }
   EXPECT_EQ(widths, (std::set<std::size_t>{1, 3, 4, 5}));
 
-  for (std::size_t limbs : {1u, 8u, 16u}) {
-    BigInt mod = random_bits(64 * limbs - 1, rng) +
-                 (BigInt(1) << (64 * limbs - 1));
-    mod = mod + BigInt(mod.is_odd() ? 0 : 1);
-    ASSERT_EQ(mod.limbs().size(), limbs);
-    BigInt base = random_bits(64 * limbs + 17, rng);  // not reduced
-    for (const BigInt& e : exps) {
-      EXPECT_EQ(base.mod_exp(e, mod), naive_mod_exp(base, e, mod))
-          << "limbs=" << limbs << " bits=" << e.bit_length();
+  // Limb counts around the kernel's compiled widths (8 and 16) and the
+  // run-time one, each with three moduli: random with the top bit set,
+  // 2^(64k) - 1 (every limb all ones, so t >= n and the final subtraction
+  // happen most often) and 2^(64k - 1) + 1 (only the top bit set). Bases
+  // 0, 1 and n - 1 sit at the edges; the last is not reduced.
+  for (std::size_t limbs : {1u, 2u, 4u, 8u, 9u, 16u, 17u}) {
+    const BigInt top = BigInt(1) << (64 * limbs - 1);
+    BigInt random_mod = random_bits(64 * limbs - 1, rng) + top;
+    random_mod = random_mod + BigInt(random_mod.is_odd() ? 0 : 1);
+    for (const BigInt& mod : {random_mod, (top << 1) - BigInt(1),
+                              top + BigInt(1)}) {
+      ASSERT_EQ(mod.limbs().size(), limbs);
+      for (const BigInt& base : {BigInt{}, BigInt(1), mod - BigInt(1),
+                                 random_bits(64 * limbs + 17, rng)}) {
+        for (const BigInt& e : exps) {
+          EXPECT_EQ(base.mod_exp(e, mod), naive_mod_exp(base, e, mod))
+              << "mod=" << mod.to_hex() << " base=" << base.to_hex()
+              << " bits=" << e.bit_length();
+        }
+      }
     }
   }
 }
@@ -232,11 +245,117 @@ TEST(BigInt, ModInverse) {
   EXPECT_EQ(BigInt(2).try_mod_inverse(n), BigInt(2).mod_inverse(n));
 }
 
-TEST(BigInt, Gcd) {
-  EXPECT_EQ(BigInt::gcd(BigInt(12), BigInt(18)), BigInt(6));
-  EXPECT_EQ(BigInt::gcd(BigInt(17), BigInt(31)), BigInt(1));
-  EXPECT_EQ(BigInt::gcd(BigInt{}, BigInt(5)), BigInt(5));
-  EXPECT_EQ(BigInt::gcd(BigInt(5), BigInt{}), BigInt(5));
+// Textbook extended Euclid, one divmod per step, with the cofactor of
+// `a` kept as a magnitude and a sign: the oracle for the Lehmer inverse.
+std::optional<BigInt> euclid_inverse(const BigInt& a, const BigInt& m) {
+  BigInt r0 = m, r1 = a % m;
+  BigInt s0{}, s1(1);
+  bool neg0 = false, neg1 = false;
+  while (!r1.is_zero()) {
+    BigInt q, r2;
+    BigInt::divmod(r0, r1, q, r2);
+    // s2 = s0 - q * s1
+    const BigInt qs = q * s1;
+    BigInt s2;
+    bool neg2 = neg0;
+    if (neg0 != neg1) {
+      s2 = s0 + qs;
+    } else if (s0 >= qs) {
+      s2 = s0 - qs;
+    } else {
+      s2 = qs - s0;
+      neg2 = !neg0;
+    }
+    r0 = r1;
+    r1 = r2;
+    s0 = s1;
+    neg0 = neg1;
+    s1 = s2;
+    neg1 = neg2;
+  }
+  if (r0 != BigInt(1)) return std::nullopt;
+  BigInt inv = s0 % m;
+  if (neg0 && !inv.is_zero()) inv = m - inv;
+  return inv;
+}
+
+// Checks try_mod_inverse against the oracle, and an inverse by definition.
+void expect_inverse_matches(const BigInt& a, const BigInt& m) {
+  const std::optional<BigInt> got = a.try_mod_inverse(m);
+  const std::optional<BigInt> want = euclid_inverse(a, m);
+  ASSERT_EQ(got, want) << "a=" << a.to_hex() << " m=" << m.to_hex();
+  if (got) {
+    EXPECT_LT(*got, m);
+    EXPECT_EQ((a * *got) % m, BigInt(1) % m);
+  } else {
+    EXPECT_THROW(a.mod_inverse(m), std::invalid_argument);
+  }
+}
+
+// The Lehmer inverse where it differs from plain Euclid: multi-limb
+// remainders, cosequences that stop on the two-quotient test or at the
+// int64 limit, the divmod fallback and the single-precision tail.
+TEST(BigInt, LehmerInverseMatchesTextbookEuclid) {
+  // The key test_rsa.cpp shares (same seed and size).
+  ChaChaRng key_rng(0x5151);
+  const RsaPrivateKey key = rsa_generate(1024, key_rng);
+  const BigInt& n = key.pub.n;
+  XoshiroRng rng(25);
+  for (int i = 0; i < 20; ++i) {
+    expect_inverse_matches(BigInt::random_below(n, rng), n);
+  }
+  // Multiples of p share a factor with n: no inverse.
+  for (int i = 0; i < 5; ++i) {
+    const BigInt r = (BigInt::random_below(key.q - BigInt(1), rng) +
+                      BigInt(1)) * key.p;
+    ASSERT_LT(r, n);
+    EXPECT_FALSE(r.try_mod_inverse(n).has_value());
+    expect_inverse_matches(r, n);
+  }
+  EXPECT_EQ(BigInt(1).try_mod_inverse(n), BigInt(1));
+  EXPECT_EQ((n - BigInt(1)).try_mod_inverse(n), n - BigInt(1));
+  expect_inverse_matches(n + BigInt(5), n);  // not reduced
+  expect_inverse_matches(n * BigInt(7) + random_bits(900, rng), n);
+  // The first quotient, about n / 3, is far above 2^63: no cosequence
+  // step is decided, so a full division step runs.
+  expect_inverse_matches(BigInt(3), n);
+  expect_inverse_matches(BigInt(0xfffffffffffffffdULL), n);
+  // An even modulus: keygen inverts e mod phi(n).
+  const BigInt phi = (key.p - BigInt(1)) * (key.q - BigInt(1));
+  EXPECT_EQ(BigInt(65537).try_mod_inverse(phi), key.d);
+  for (int i = 0; i < 10; ++i) {
+    expect_inverse_matches(BigInt::random_below(phi, rng), phi);
+  }
+  EXPECT_FALSE(BigInt(2).try_mod_inverse(phi).has_value());
+
+  // Consecutive Fibonacci numbers of about 1,024 bits: every quotient is
+  // 1, so the cosequences are the longest there are and their entries
+  // reach toward the int64 limit.
+  BigInt f0(1), f1(1);
+  while (f1.bit_length() < 1024) {
+    BigInt f2 = f0 + f1;
+    f0 = f1;
+    f1 = f2;
+  }
+  expect_inverse_matches(f0, f1);
+  expect_inverse_matches(f1, f0);
+  expect_inverse_matches(f0 * BigInt(3), f1 * BigInt(3));  // gcd 3
+
+  // Moduli of 1, 2, 9 and 17 limbs, odd and even, against values of every
+  // width up to and past the modulus.
+  for (std::size_t limbs : {1u, 2u, 9u, 17u}) {
+    for (int i = 0; i < 12; ++i) {
+      BigInt m = random_bits(64 * limbs - 1, rng) +
+                 (BigInt(1) << (64 * limbs - 1));
+      if (i % 2 == 0) m = m + BigInt(m.is_odd() ? 1 : 0);  // even half
+      ASSERT_EQ(m.limbs().size(), limbs);
+      const std::size_t bits = 1 + (i * 67) % (64 * limbs + 40);
+      expect_inverse_matches(random_bits(bits, rng), m);
+      expect_inverse_matches(BigInt::random_below(m, rng), m);
+    }
+  }
+  expect_inverse_matches(BigInt(5), BigInt(1));  // everything is 0 mod 1
+  expect_inverse_matches(BigInt{}, BigInt(1));
 }
 
 TEST(BigInt, RandomBelowIsUniformEnough) {

@@ -4,6 +4,7 @@
 #include "crypto/blind_rsa.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/rsa.hpp"
+#include "crypto/sha256.hpp"
 
 namespace dcpl::crypto {
 namespace {
@@ -23,6 +24,31 @@ TEST(Rsa, KeyHasExpectedShape) {
   EXPECT_EQ(key.pub.e, BigInt(65537));
   EXPECT_EQ(key.p * key.q, key.pub.n);
   EXPECT_NE(key.p, key.q);
+}
+
+// SHA-256 of each key component's big-endian bytes, recorded from the
+// library before the product-scanning Montgomery kernel and the Lehmer
+// inverse: key generation must take the same Miller-Rabin decisions, the
+// same RNG draws and the same inverses.
+TEST(Rsa, KeyGenerationGolden) {
+  const auto& key = test_key();
+  const auto digest = [](const BigInt& v) {
+    return to_hex(Sha256::hash(v.to_bytes_be()));
+  };
+  EXPECT_EQ(digest(key.pub.n),
+            "418ec409465423f00898d1564846292a0603927acd392b4e22ec32cb4796e097");
+  EXPECT_EQ(digest(key.d),
+            "db4842b8a9150cf3c87882a177a3f3fcde18a214ce9fdec2323fe9c86a1ed429");
+  EXPECT_EQ(digest(key.p),
+            "223db5c7a23ed5f8b0544e107e9444c3fa4b6921aa9e9117170c0cddf4176c23");
+  EXPECT_EQ(digest(key.q),
+            "049df5b4cd577604562f34944fea17efa2d13799da7bb53b0789f06b1a2cba43");
+  EXPECT_EQ(digest(key.dp),
+            "ec3372b63a0c160c8a44b64773ed891cc172f4345d68f2fc7afe907ef909ab1b");
+  EXPECT_EQ(digest(key.dq),
+            "7e87fc8a8c8e764e94a23d61f9a3a8b242816c661c1d99348b3448bc863d4edf");
+  EXPECT_EQ(digest(key.qinv),
+            "befb061013b9958b39501d2723e2774ddfbb435eebbd036756938052b9911085");
 }
 
 TEST(Rsa, RawRoundTrip) {
@@ -118,6 +144,19 @@ TEST(RsaPss, SignVerify) {
   EXPECT_FALSE(rsa_pss_verify(key.pub, msg, Bytes(sig.size() - 1)));
 }
 
+// Recorded from the library before the product-scanning kernel: pins the
+// CRT signature byte for byte, and the salt draw.
+TEST(RsaPss, SignGolden) {
+  ChaChaRng rng(0x9551);
+  Bytes sig = rsa_pss_sign(test_key(), to_bytes("pss golden"), rng);
+  EXPECT_EQ(to_hex(sig),
+            "2e139a44ba7cbe38f02eafe092dead76ff7a785561bfef009d84651028e15faa"
+            "5dd8800b40f2be0475fb897ba1a378ada4a0cc57fbeb31b2573f52bbbb3dffc0"
+            "9f517447b15204965642410d77bb0c8b711cdf9856f9f85dc8afee7a8f8d6670"
+            "c3b8330d647596beb53788c6ed13f6ddb9d65be96789d06f61327b30bfe73a47");
+  EXPECT_EQ(to_hex(rng.bytes(8)), "318708166130377e");
+}
+
 TEST(RsaPss, VerifyRejectsSignatureGeN) {
   const auto& key = test_key();
   Bytes too_big = key.pub.n.to_bytes_be(key.pub.modulus_bytes());
@@ -160,6 +199,21 @@ TEST(BlindRsa, BlindingStateGolden) {
             "3d350eaad3ebdfb763a5b9e3c63d6a34e25a567e16cddfc48a676473992a373c"
             "61e4dc7813619d6184e4f9c9f1e7a48642b208f7f17289debe72b9bb9ae60e95");
   EXPECT_EQ(to_hex(rng.bytes(8)), "613bae7e1b1637a3");
+}
+
+// The issuer's signature on BlindingStateGolden's blinded message,
+// recorded from the library before the product-scanning kernel.
+TEST(BlindRsa, BlindSignGolden) {
+  const auto& key = test_key();
+  ChaChaRng rng(0xb11d);
+  BlindingState state = blind(key.pub, to_bytes("blind golden"), rng);
+  auto sig = blind_sign(key, state.blinded_message);
+  ASSERT_TRUE(sig.ok());
+  EXPECT_EQ(to_hex(sig.value()),
+            "5a6c03daa48d944dcc12aae7e4b3e93fdd0412f240d9321dc16c76b59d7e3ae4"
+            "a658c9576cc389f1811ced890c84e970b94fb074f19a63f61dfecd2827e2fc63"
+            "4b0cd411fd28f3c087d346da5555b2e34b840110271c7ac56d12e490beb0e05a"
+            "f249a3433f36dd2b9e3032bc1f487f67238d1935e56eefb6e81063970fb5384c");
 }
 
 TEST(BlindRsa, BlindedMessageHidesMessage) {
