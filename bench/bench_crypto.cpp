@@ -5,8 +5,11 @@
 // SHA-256 has a CPU-dependent compression (SHA-NI or portable), so the
 // hash keys are named for the path they measured: sha256_1k always runs
 // the portable compression, and keys measured through SHA-NI carry a
-// _shani suffix. A baseline recorded on a host with SHA-NI and a run on a
-// host without it then share only like-for-like keys.
+// _shani suffix. The X25519 ladder is named the same way: x25519 always
+// runs the portable ladder, x25519_ifma the AVX-512 IFMA one, and the
+// single-shot HPKE keys carry an _ifma suffix when the dispatched ladder
+// is IFMA. A baseline recorded on a host with these extensions and a run
+// on a host without them then share only like-for-like keys.
 //
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
@@ -59,9 +62,14 @@ int main(int argc, char** argv) {
   const bool dispatched_shani = sha256_compress_dispatched() == shani;
   const std::string dispatched_sfx = dispatched_shani ? "_shani" : "";
   const char* compression = dispatched_shani ? "sha-ni" : "portable";
+  const X25519Ladder ifma = x25519_ladder_ifma();
+  const bool dispatched_ifma = x25519_ladder_dispatched() == ifma;
+  const std::string ladder_sfx = dispatched_ifma ? "_ifma" : "";
+  const char* ladder = dispatched_ifma ? "ifma" : "portable";
   std::printf("== crypto substrate throughput (budget %.0f ms/op)\n",
               budget_ms);
   std::printf("   sha256 compression: %s (dispatched)\n", compression);
+  std::printf("   x25519 ladder: %s (dispatched)\n", ladder);
 
   // --- hashes / KDF ---------------------------------------------------------
   {
@@ -137,8 +145,13 @@ int main(int argc, char** argv) {
     auto kp = X25519KeyPair::generate(rng);
     auto peer = X25519KeyPair::generate(rng);
     run("x25519", 0, [&](std::uint64_t) {
-      consume(x25519(kp.private_key, peer.public_key));
+      consume(x25519_ladder_portable(kp.private_key, peer.public_key));
     });
+    if (ifma != nullptr) {
+      run("x25519_ifma", 0, [&](std::uint64_t) {
+        consume(ifma(kp.private_key, peer.public_key));
+      });
+    }
     // The fixed-base comb behind every key pair and HPKE ephemeral key.
     run("x25519_base", 0, [&](std::uint64_t) {
       consume(x25519_public(kp.private_key));
@@ -146,16 +159,18 @@ int main(int argc, char** argv) {
   }
 
   // --- HPKE: per-message KEM vs amortized session context -------------------
+  // A single-shot seal or open runs the dispatched X25519 ladder.
   double single_seal_ops = 0, context_seal_ops = 0;
   {
     ChaChaRng rng(4);
     auto kp = hpke::KeyPair::generate(rng);
     Bytes pt = rng.bytes(256);
-    single_seal_ops = run("hpke_single_seal_256", pt.size(), [&](std::uint64_t) {
-      consume(hpke::seal(kp.public_key, {}, {}, pt, rng));
-    });
+    single_seal_ops = run("hpke_single_seal_256" + ladder_sfx, pt.size(),
+                          [&](std::uint64_t) {
+                            consume(hpke::seal(kp.public_key, {}, {}, pt, rng));
+                          });
     Bytes ct = hpke::seal(kp.public_key, {}, {}, rng.bytes(256), rng);
-    run("hpke_single_open_256", 0, [&](std::uint64_t) {
+    run("hpke_single_open_256" + ladder_sfx, 0, [&](std::uint64_t) {
       auto opened = hpke::open(kp, {}, {}, ct);
       consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
     });
@@ -235,6 +250,7 @@ int main(int argc, char** argv) {
     w.begin_object();
     w.kv("budget_ms", budget_ms);
     w.kv("sha256_compression", compression);
+    w.kv("x25519_ladder", ladder);
     w.key("ops");
     w.begin_object();
     for (const OpResult& r : ops) {

@@ -1,6 +1,7 @@
 #include "crypto/bigint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <limits>
 #include <stdexcept>
@@ -553,14 +554,50 @@ constexpr std::uint32_t kSmallPrimes[] = {
     47,  53,  59,  61,  67,  71,  73,  79,  83,  89,  97,  101, 103, 107,
     109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181,
     191, 193, 197, 199, 211, 223, 227, 229, 233, 239, 241, 251};
+
+// kSmallPrimes cut, in order, into runs whose products fit in one limb:
+// n mod p is (n mod product) mod p for every p of a run.
+struct PrimeRun {
+  std::uint64_t product = 1;
+  std::size_t end = 0;  // one past the run's last index in kSmallPrimes
+};
+
+constexpr std::size_t kPrimeRuns = 6;
+
+constexpr std::array<PrimeRun, kPrimeRuns> make_prime_runs() {
+  std::array<PrimeRun, kPrimeRuns> runs{};
+  std::size_t r = 0;
+  for (std::size_t i = 0; i < std::size(kSmallPrimes); ++i) {
+    if (runs[r].product > std::numeric_limits<std::uint64_t>::max() /
+                              kSmallPrimes[i]) {
+      ++r;  // out of range at compile time if kPrimeRuns is too small
+    }
+    runs[r].product *= kSmallPrimes[i];
+    runs[r].end = i + 1;
+  }
+  return runs;
+}
+
+constexpr std::array<PrimeRun, kPrimeRuns> kRuns = make_prime_runs();
+static_assert(kRuns.back().end == std::size(kSmallPrimes));
 }  // namespace
 
 bool BigInt::is_probable_prime(int rounds, Rng& rng) const {
-  if (*this < BigInt(2)) return false;
-  for (std::uint32_t p : kSmallPrimes) {
-    BigInt bp(p);
-    if (*this == bp) return true;
-    if ((*this % bp).is_zero()) return false;
+  if (bit_length() < 2) return false;
+  // Trial division by each prime in table order, with the same early exits
+  // as dividing n itself: each run's remainder takes one allocation-free
+  // pass over the limbs, made only when the run is reached.
+  for (std::size_t r = 0, i = 0; r < kPrimeRuns; ++r) {
+    std::uint64_t rem = 0;
+    for (std::size_t j = limbs_.size(); j-- > 0;) {
+      rem = static_cast<std::uint64_t>(
+          ((static_cast<u128>(rem) << 64) | limbs_[j]) % kRuns[r].product);
+    }
+    for (; i < kRuns[r].end; ++i) {
+      const std::uint64_t p = kSmallPrimes[i];
+      if (limbs_.size() == 1 && limbs_[0] == p) return true;
+      if (rem % p == 0) return false;
+    }
   }
 
   // Write n-1 = d * 2^s.

@@ -385,6 +385,31 @@ TEST(BigInt, KnownPrimesAndComposites) {
   EXPECT_FALSE(((BigInt(1) << 67) - BigInt(1)).is_probable_prime(10, rng));
 }
 
+// Every composite below 2^16 has a prime factor of at most 251, the largest
+// trial divisor, so trial division alone decides it, and Miller-Rabin never
+// rejects a prime: the answers below 2^16 are exact. Multiples of a
+// two-limb prime by each trial divisor reach every remainder run.
+TEST(BigInt, TrialDivisionIsExact) {
+  XoshiroRng rng(22);
+  std::vector<bool> composite(1 << 16, false);
+  for (std::size_t i = 2; i < composite.size(); ++i) {
+    for (std::size_t j = 2 * i; j < composite.size(); j += i) {
+      composite[j] = true;
+    }
+  }
+  for (std::uint64_t n = 0; n < composite.size(); ++n) {
+    ASSERT_EQ(BigInt(n).is_probable_prime(4, rng), n >= 2 && !composite[n])
+        << "n=" << n;
+  }
+  const BigInt m127 = (BigInt(1) << 127) - BigInt(1);
+  EXPECT_TRUE(m127.is_probable_prime(10, rng));
+  for (std::uint64_t p = 2; p < 256; ++p) {
+    if (!composite[p]) {
+      EXPECT_FALSE((m127 * BigInt(p)).is_probable_prime(10, rng)) << p;
+    }
+  }
+}
+
 TEST(BigInt, GeneratePrimeHasExactBitLength) {
   XoshiroRng rng(21);
   for (std::size_t bits : {64u, 128u, 256u}) {

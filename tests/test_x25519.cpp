@@ -64,16 +64,46 @@ TEST(X25519, SharedSecretAgreesForRandomKeys) {
   }
 }
 
+// The seven standard encodings of small-order u: 0, 1, two points of
+// order 8, p - 1, p and p + 1. Any clamped scalar is a multiple of 8, so
+// X25519 maps each of them, with or without bit 255 set, to zero.
+std::vector<Bytes> small_order_points() {
+  std::vector<Bytes> points;
+  for (const char* hex :
+       {"0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"}) {
+    Bytes u = from_hex(hex);
+    points.push_back(u);
+    u[31] |= 0x80;
+    points.push_back(u);
+  }
+  return points;
+}
+
+// The ladders available on this CPU: portable always, IFMA where CPUID
+// reports it.
+std::vector<X25519Ladder> ladders() {
+  std::vector<X25519Ladder> all = {x25519_ladder_portable};
+  if (X25519Ladder ifma = x25519_ladder_ifma()) all.push_back(ifma);
+  return all;
+}
+
 TEST(X25519, RejectsLowOrderPoint) {
   ChaChaRng rng(1);
   auto kp = X25519KeyPair::generate(rng);
-  Bytes zero_point(32, 0);  // order-1 point -> all-zero shared secret
-  EXPECT_FALSE(x25519_shared(kp.private_key, zero_point).ok());
-  Bytes one_point(32, 0);
-  one_point[0] = 1;  // order-2 point u=1? (u=1 is on the twist, low order)
-  // x25519(k, 1) yields zero for low-order inputs only; for u=1 the result
-  // is well-defined and nonzero, so just check the call does not throw.
-  (void)x25519(kp.private_key, one_point);
+  const Bytes zero(32, 0);
+  for (const Bytes& u : small_order_points()) {
+    for (X25519Ladder ladder : ladders()) {
+      EXPECT_EQ(to_hex(ladder(kp.private_key, u)), to_hex(zero))
+          << "u=" << to_hex(u);
+    }
+    EXPECT_FALSE(x25519_shared(kp.private_key, u).ok()) << "u=" << to_hex(u);
+  }
 }
 
 TEST(X25519, ClampingIgnoresStrayBits) {
@@ -98,29 +128,74 @@ TEST(X25519, ClampingIgnoresStrayBits) {
 }
 
 TEST(X25519, RejectsWrongInputSizes) {
+  for (X25519Ladder ladder : ladders()) {
+    EXPECT_THROW(ladder(Bytes(31), Bytes(32)), std::invalid_argument);
+    EXPECT_THROW(ladder(Bytes(32), Bytes(33)), std::invalid_argument);
+  }
   EXPECT_THROW(x25519(Bytes(31), Bytes(32)), std::invalid_argument);
-  EXPECT_THROW(x25519(Bytes(32), Bytes(33)), std::invalid_argument);
   EXPECT_THROW(x25519_public(Bytes(31)), std::invalid_argument);
 }
 
-// x25519_public runs the fixed-base comb on edwards25519; the ladder on
-// u = 9 is its oracle. Random scalars reach every table row with every
-// signed digit; the edge scalars clamp to the smallest (2^254) and largest
-// (2^255 - 8) scalars the comb sees.
-TEST(X25519, FixedBaseMatchesLadder) {
-  Bytes nine(32, 0);
-  nine[0] = 9;
+// Scalars that clamp to the smallest (2^254) and largest (2^255 - 8)
+// clamped values.
+std::vector<Bytes> edge_scalars() {
   Bytes only_clamped_bits(32, 0);
   only_clamped_bits[0] = 0x07;
   only_clamped_bits[31] = 0x80;
-  std::vector<Bytes> scalars = {Bytes(32, 0x00), Bytes(32, 0xff),
-                                only_clamped_bits};
+  return {Bytes(32, 0x00), Bytes(32, 0xff), only_clamped_bits};
+}
+
+// x25519_public runs the fixed-base comb on edwards25519; the portable
+// ladder on u = 9 is its oracle. Random scalars reach every table row with
+// every signed digit.
+TEST(X25519, FixedBaseMatchesLadder) {
+  Bytes nine(32, 0);
+  nine[0] = 9;
+  std::vector<Bytes> scalars = edge_scalars();
   ChaChaRng rng(7748);
   for (int i = 0; i < 1000; ++i) scalars.push_back(rng.bytes(32));
   for (const Bytes& k : scalars) {
-    ASSERT_EQ(to_hex(x25519_public(k)), to_hex(x25519(k, nine)))
+    ASSERT_EQ(to_hex(x25519_public(k)),
+              to_hex(x25519_ladder_portable(k, nine)))
         << "k=" << to_hex(k);
   }
+}
+
+// The IFMA ladder against the portable one: seeded pairs, and every edge
+// scalar against u values that stress the limb bounds (non-canonical
+// encodings up to 2^256 - 1, which decode with bit 255 cleared) and the
+// small-order points.
+TEST(X25519, IfmaLadderMatchesPortable) {
+  const X25519Ladder ifma = x25519_ladder_ifma();
+  if (ifma == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F, VL or IFMA";
+
+  std::vector<Bytes> us = small_order_points();
+  for (const char* hex :
+       {"0900000000000000000000000000000000000000000000000000000000000000",
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"}) {
+    us.push_back(from_hex(hex));
+  }
+  ChaChaRng rng(25519);
+  std::vector<Bytes> scalars = edge_scalars();
+  for (int i = 0; i < 16; ++i) scalars.push_back(rng.bytes(32));
+  for (const Bytes& k : scalars) {
+    for (const Bytes& u : us) {
+      ASSERT_EQ(to_hex(ifma(k, u)), to_hex(x25519_ladder_portable(k, u)))
+          << "k=" << to_hex(k) << " u=" << to_hex(u);
+    }
+  }
+  for (int i = 0; i < 4000; ++i) {
+    const Bytes k = rng.bytes(32), u = rng.bytes(32);
+    ASSERT_EQ(to_hex(ifma(k, u)), to_hex(x25519_ladder_portable(k, u)))
+        << "k=" << to_hex(k) << " u=" << to_hex(u);
+  }
+}
+
+TEST(X25519, DispatchFollowsCpuid) {
+  const X25519Ladder ifma = x25519_ladder_ifma();
+  EXPECT_EQ(x25519_ladder_dispatched(),
+            ifma != nullptr ? ifma : x25519_ladder_portable);
 }
 
 TEST(X25519, DeriveIsDeterministic) {
