@@ -5,11 +5,15 @@
 // SHA-256 has a CPU-dependent compression (SHA-NI or portable), so the
 // hash keys are named for the path they measured: sha256_1k always runs
 // the portable compression, and keys measured through SHA-NI carry a
-// _shani suffix. The X25519 ladder is named the same way: x25519 always
-// runs the portable ladder, x25519_ifma the AVX-512 IFMA one, and the
-// single-shot HPKE keys carry an _ifma suffix when the dispatched ladder
-// is IFMA. A baseline recorded on a host with these extensions and a run
-// on a host without them then share only like-for-like keys.
+// _shani suffix. X25519 is named the same way: x25519 always runs the
+// portable ladder and x25519_ifma the AVX-512 IFMA one; x25519_base (the
+// comb on B alone) and x25519_pair (X25519(k, 9) and X25519(k, u) through a
+// peer's comb table, a seal's two operations) always run the portable comb,
+// and their _ifma keys the IFMA comb; the single-shot HPKE keys carry an
+// _ifma suffix when the dispatched ladder and comb are IFMA.
+// x25519_table_build is the one-off cost of a peer's table, which the first
+// seal to a key pays. A baseline recorded on a host with these extensions
+// and a run on a host without them then share only like-for-like keys.
 //
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
@@ -66,10 +70,14 @@ int main(int argc, char** argv) {
   const bool dispatched_ifma = x25519_ladder_dispatched() == ifma;
   const std::string ladder_sfx = dispatched_ifma ? "_ifma" : "";
   const char* ladder = dispatched_ifma ? "ifma" : "portable";
+  const X25519Comb comb_ifma = x25519_comb_ifma();
+  const char* comb =
+      x25519_comb_dispatched() == comb_ifma ? "ifma" : "portable";
   std::printf("== crypto substrate throughput (budget %.0f ms/op)\n",
               budget_ms);
   std::printf("   sha256 compression: %s (dispatched)\n", compression);
   std::printf("   x25519 ladder: %s (dispatched)\n", ladder);
+  std::printf("   x25519 comb: %s (dispatched)\n", comb);
 
   // --- hashes / KDF ---------------------------------------------------------
   {
@@ -152,14 +160,36 @@ int main(int argc, char** argv) {
         consume(ifma(kp.private_key, peer.public_key));
       });
     }
-    // The fixed-base comb behind every key pair and HPKE ephemeral key.
+    // The fixed-base comb behind every key pair.
     run("x25519_base", 0, [&](std::uint64_t) {
-      consume(x25519_public(kp.private_key));
+      consume(x25519_comb_portable(kp.private_key, nullptr).public_key);
     });
+    if (comb_ifma != nullptr) {
+      run("x25519_base_ifma", 0, [&](std::uint64_t) {
+        consume(comb_ifma(kp.private_key, nullptr).public_key);
+      });
+    }
+    // A seal's two operations, enc and the shared secret, through the
+    // recipient's table, and the one-off cost of that table.
+    run("x25519_table_build", 0, [&](std::uint64_t) {
+      consume(static_cast<std::uint64_t>(
+          x25519_comb_table(peer.public_key) != nullptr));
+    });
+    const auto table = x25519_comb_table(peer.public_key);
+    run("x25519_pair", 0, [&](std::uint64_t) {
+      consume(x25519_comb_portable(kp.private_key, table.get()).shared);
+    });
+    if (comb_ifma != nullptr) {
+      run("x25519_pair_ifma", 0, [&](std::uint64_t) {
+        consume(comb_ifma(kp.private_key, table.get()).shared);
+      });
+    }
   }
 
   // --- HPKE: per-message KEM vs amortized session context -------------------
-  // A single-shot seal or open runs the dispatched X25519 ladder.
+  // A single-shot seal runs the dispatched comb pair through the recipient's
+  // cached table (built by the first seal, before the timed passes); an open
+  // runs the dispatched X25519 ladder.
   double single_seal_ops = 0, context_seal_ops = 0;
   {
     ChaChaRng rng(4);
@@ -251,6 +281,7 @@ int main(int argc, char** argv) {
     w.kv("budget_ms", budget_ms);
     w.kv("sha256_compression", compression);
     w.kv("x25519_ladder", ladder);
+    w.kv("x25519_comb", comb);
     w.key("ops");
     w.begin_object();
     for (const OpResult& r : ops) {

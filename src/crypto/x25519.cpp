@@ -1,8 +1,12 @@
 #include "crypto/x25519.hpp"
 
+#include <sys/mman.h>
+
+#include <array>
 #include <cstring>
+#include <memory>
+#include <new>
 #include <stdexcept>
-#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -224,8 +228,29 @@ Fe fe_invert(const Fe& z) {
 // ---------------------------------------------------------------------------
 // Fixed-base scalar multiplication on edwards25519
 // (-x^2 + y^2 = 1 + d x^2 y^2), which maps onto curve25519 by
-// u = (1 + y) / (1 - y). Only x25519_public() uses it.
+// u = (1 + y) / (1 - y). One comb serves every base point P: P's table of
+// 128 multiples is built once, and each k * P is then 64 mixed additions and
+// 12 doublings.
 // ---------------------------------------------------------------------------
+
+// d = -121665 / 121666, 2d and sqrt(-1) = 2^((p - 1) / 4), carried.
+constexpr Fe kD{{0x34dca135978a3ULL, 0x1a8283b156ebdULL, 0x5e7a26001c029ULL,
+                 0x739c663a03cbbULL, 0x52036cee2b6ffULL}};
+constexpr Fe kD2{{0x69b9426b2f159ULL, 0x35050762add7aULL, 0x3cf44c0038052ULL,
+                  0x6738cc7407977ULL, 0x2406d9dc56dffULL}};
+constexpr Fe kSqrtM1{{0x61b274a0ea0b0ULL, 0x0d5a5fc8f189dULL,
+                      0x7ef5e9cbd0c60ULL, 0x78595a6804c9eULL,
+                      0x2b8324804fc1dULL}};
+
+// a with its limbs carried to at most 2^51, for sums and differences.
+Fe fe_carried(const Fe& a) {
+  return fe_carry(a.v[0], a.v[1], a.v[2], a.v[3], a.v[4]);
+}
+
+// Compares canonical encodings. Table setup only: it works on public data.
+bool fe_equal(const Fe& a, const Fe& b) {
+  return fe_tobytes(a) == fe_tobytes(b);
+}
 
 // Extended coordinates: x = X/Z, y = Y/Z, x*y = T/Z.
 struct GeP3 {
@@ -248,6 +273,19 @@ GeP3 ge_madd(const GeP3& p, const GePrecomp& q) {
   return GeP3{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
 }
 
+// p + q, both projective (add-2008-hwcd-3 for a = -1, complete): 9
+// multiplications. Table setup only.
+GeP3 ge_add(const GeP3& p, const GeP3& q) {
+  const Fe a = fe_mul(fe_add(p.Y, p.X), fe_add(q.Y, q.X));
+  const Fe b = fe_mul(fe_sub(p.Y, p.X), fe_sub(q.Y, q.X));
+  const Fe c = fe_mul(fe_mul(p.T, q.T), kD2);
+  const Fe zz = fe_mul(p.Z, q.Z);
+  const Fe d = fe_add(zz, zz);
+  const Fe e = fe_sub(a, b), f = fe_sub(d, c), g = fe_add(d, c),
+           h = fe_add(a, b);
+  return GeP3{fe_mul(e, f), fe_mul(g, h), fe_mul(f, g), fe_mul(e, h)};
+}
+
 // 2p (dbl-2008-hwcd for a = -1, every output coordinate negated, which is
 // the same projective point).
 GeP3 ge_dbl(const GeP3& p) {
@@ -259,109 +297,126 @@ GeP3 ge_dbl(const GeP3& p) {
   return GeP3{fe_mul(e, f), fe_mul(h, g), fe_mul(g, f), fe_mul(e, h)};
 }
 
-// A square root of a square w, for p = 5 mod 8: w^((p+3)/8), times
-// sqrt(-1) = 2^((p-1)/4) when that squares to -w. Table setup only.
-Fe fe_sqrt(const Fe& w) {
-  const auto pow_2_252_3 = [](const Fe& z) {  // z^(2^252 - 3)
-    Fe z11;
-    return fe_mul(fe_sq_n(fe_pow_2_250_1(z, z11), 2), z);
-  };
-  const Fe two = fe_small(2);
-  Fe r = fe_mul(pow_2_252_3(w), w);
-  if (fe_tobytes(fe_sq(r)) != fe_tobytes(w)) {
-    r = fe_mul(r, fe_mul(fe_sq(pow_2_252_3(two)), two));
-  }
-  return r;
+// A square root of w into root, for p = 5 mod 8: w^((p+3)/8), times sqrt(-1)
+// when that squares to -w. False when w is not a square. Table setup only.
+bool fe_sqrt(const Fe& w, Fe& root) {
+  Fe z11;
+  root = fe_mul(fe_mul(fe_sq_n(fe_pow_2_250_1(w, z11), 2), w), w);
+  if (!fe_equal(fe_sq(root), w)) root = fe_mul(root, kSqrtM1);
+  return fe_equal(fe_sq(root), w);
 }
 
-// Row i holds j * 256^i * B for j = 1..8, so a scalar written in signed
+// The edwards25519 point p with u(p) = u, or false for the u the comb does
+// not serve (see x25519_comb_table in the header). x's sign is free: u(-p) =
+// u(p). Table setup only.
+bool ge_from_u(const Fe& u, GeP3& p) {
+  // y = (u - 1) / (u + 1) and x^2 = (y^2 - 1) / (d y^2 + 1) = -4u / n with
+  // n = d (u - 1)^2 + (u + 1)^2, both from one inversion of (u + 1) n; n is
+  // (u + 1)^2 (d y^2 + 1), nonzero since -1/d is not a square.
+  const Fe um1 = fe_sub(u, fe_one()), up1 = fe_add(u, fe_one());
+  if (fe_equal(up1, fe_zero())) return false;  // u = -1: no edwards25519 image
+  const Fe n = fe_add(fe_mul(kD, fe_sq(um1)), fe_sq(up1));
+  const Fe inv = fe_invert(fe_mul(up1, n));
+  const Fe y = fe_mul(fe_mul(um1, n), inv);
+  const Fe xx = fe_mul(fe_mul(fe_sub(fe_zero(), fe_mul_small(u, 4)), up1), inv);
+  Fe x;
+  if (!fe_sqrt(xx, x)) return false;  // a point of the twist
+  p = GeP3{x, y, fe_one(), fe_mul(x, y)};
+  // 8p is the identity (x = 0) exactly when p's order divides 8; otherwise
+  // p has a component of prime order l, and no clamped k (8 | k, 2^254 <=
+  // k < 2^255 < 8l) is a multiple of l, so k * p is never the identity.
+  GeP3 q = p;
+  for (int i = 0; i < 3; ++i) q = ge_dbl(q);
+  return !fe_equal(q.X, fe_zero());
+}
+
+constexpr int kCombRows = 16;
+constexpr int kCombCols = 8;
+
+// One stored multiple: (y + x, y - x, 2dxy) with every limb carried to at
+// most 2^51, limb-interleaved (limb l of the three at words 3l, 3l + 1 and
+// 3l + 2), so the IFMA comb loads each limb's triple with one masked load.
+using CombEntry = std::uint64_t[15];
+
+}  // namespace
+
+// Row i holds j * 2^(16i) * P for j = 1..8, so a scalar written in signed
 // radix 16, s = sum e_k 16^k with e_k in [-8, 8], is
-// 16 * sum_i e_{2i+1} row_i + sum_i e_{2i} row_i.
-struct CombTable {
-  GePrecomp row[32][8];
+// sum_{r < 4} 16^r sum_i e_{4i + r} row_i: 4 digit groups of 16 additions,
+// 4 doublings apart.
+struct X25519CombTable {
+  CombEntry row[kCombRows][kCombCols];
 };
 
-CombTable build_comb_table() {
-  const Fe d = fe_mul(fe_sub(fe_zero(), fe_small(121665)),
-                      fe_invert(fe_small(121666)));
-  const Fe d2 = fe_add(d, d);
-  // The base point B: y = 4/5 (u = 9), x the even root of
-  // x^2 = (y^2 - 1) / (d y^2 + 1).
-  const Fe y = fe_mul(fe_small(4), fe_invert(fe_small(5)));
-  const Fe yy = fe_sq(y);
-  Fe x = fe_sqrt(fe_mul(fe_sub(yy, fe_one()),
-                        fe_invert(fe_add(fe_mul(d, yy), fe_one()))));
-  if (fe_tobytes(x)[0] & 1) x = fe_sub(fe_zero(), x);
+namespace {
 
-  const auto precomp = [&](const GeP3& p, const Fe& z_inv) {
-    const Fe px = fe_mul(p.X, z_inv), py = fe_mul(p.Y, z_inv);
-    return GePrecomp{fe_add(py, px), fe_sub(py, px),
-                     fe_mul(fe_mul(px, py), d2)};
-  };
-
-  // points[8 * i + j] = (j + 1) * 256^i * B, projective.
-  constexpr std::size_t kPoints = 32 * 8;
-  std::vector<GeP3> points(kPoints);
-  GeP3 base{x, y, fe_one(), fe_mul(x, y)};  // 256^i * B
-  for (std::size_t i = 0; i < kPoints; i += 8) {
-    const GePrecomp step = precomp(base, fe_invert(base.Z));
-    points[i] = base;
-    for (std::size_t j = 1; j < 8; ++j) {
-      points[i + j] = ge_madd(points[i + j - 1], step);
-    }
-    for (int k = 0; k < 8; ++k) base = ge_dbl(base);
+void entry_store(CombEntry& e, const Fe& a, const Fe& b, const Fe& c) {
+  for (int l = 0; l < 5; ++l) {
+    e[3 * l] = a.v[l];
+    e[3 * l + 1] = b.v[l];
+    e[3 * l + 2] = c.v[l];
   }
+}
 
-  // Normalize all 256 points with one inversion (Montgomery's trick):
-  // prefix[k] is the product of the Z of every point before k.
-  std::vector<Fe> prefix(kPoints);
+void entry_load(const CombEntry& e, Fe& a, Fe& b, Fe& c) {
+  for (int l = 0; l < 5; ++l) {
+    a.v[l] = e[3 * l];
+    b.v[l] = e[3 * l + 1];
+    c.v[l] = e[3 * l + 2];
+  }
+}
+
+// Fills p's table in place. Each multiple is first stored projective, as
+// (X, Y, Z) in its entry's place, while prefix[k] collects the product of
+// the Z of every multiple before it; one inversion then normalizes all 128
+// (Montgomery's trick). Public data only.
+void build_comb_table(const GeP3& p, X25519CombTable& table) {
+  constexpr int kPoints = kCombRows * kCombCols;
+  std::array<Fe, kPoints> prefix;
   Fe acc = fe_one();
-  for (std::size_t k = 0; k < kPoints; ++k) {
-    prefix[k] = acc;
-    acc = fe_mul(acc, points[k].Z);
+  GeP3 base = p;  // 2^(16i) * p
+  for (int i = 0; i < kCombRows; ++i) {
+    GeP3 m = base;  // (j + 1) * base
+    for (int j = 0; j < kCombCols; ++j) {
+      if (j > 0) m = ge_add(m, base);
+      entry_store(table.row[i][j], m.X, m.Y, m.Z);
+      prefix[i * kCombCols + j] = acc;
+      acc = fe_mul(acc, m.Z);
+    }
+    if (i + 1 < kCombRows) {  // 2^16 * base = 2^13 * (8 * base)
+      base = m;
+      for (int k = 0; k < 13; ++k) base = ge_dbl(base);
+    }
   }
-  CombTable table;
-  GePrecomp* out = &table.row[0][0];
   Fe inv = fe_invert(acc);  // 1 / (Z_0 * ... * Z_k) at step k
-  for (std::size_t k = kPoints; k-- > 0;) {
-    out[k] = precomp(points[k], fe_mul(inv, prefix[k]));
-    inv = fe_mul(inv, points[k].Z);
+  for (int k = kPoints; k-- > 0;) {
+    CombEntry& e = table.row[k / kCombCols][k % kCombCols];
+    Fe X, Y, Z;
+    entry_load(e, X, Y, Z);
+    const Fe z_inv = fe_mul(inv, prefix[k]);
+    inv = fe_mul(inv, Z);
+    const Fe x = fe_mul(X, z_inv), y = fe_mul(Y, z_inv);
+    entry_store(e, fe_carried(fe_add(y, x)), fe_carried(fe_sub(y, x)),
+                fe_mul(fe_mul(x, y), kD2));
   }
+}
+
+// B's table (u = 9), built once, on first use; a function-local static is
+// thread-safe.
+const X25519CombTable& base_table() {
+  static const X25519CombTable table = [] {
+    GeP3 b;
+    ge_from_u(fe_small(9), b);  // B is a point of prime order
+    X25519CombTable t;
+    build_comb_table(b, t);
+    return t;
+  }();
   return table;
 }
 
-// row[|digit| - 1], negated if digit < 0, or the identity for digit 0. All
-// eight entries are read and merged by mask, as fe_cswap does, so neither
-// the memory access pattern nor any branch depends on the digit.
-GePrecomp ge_select(const GePrecomp (&row)[8], int digit) {
-  const std::uint32_t neg = static_cast<std::uint32_t>(digit) >> 31;
-  const std::uint32_t abs =
-      (static_cast<std::uint32_t>(digit) ^ (0u - neg)) + neg;
-  GePrecomp t{fe_one(), fe_one(), fe_zero()};
-  for (std::uint32_t j = 0; j < 8; ++j) {
-    const std::uint64_t mask =  // all-ones iff abs == j + 1
-        0 - static_cast<std::uint64_t>(((abs ^ (j + 1)) - 1) >> 31);
-    const GePrecomp& u = row[j];
-    for (int l = 0; l < 5; ++l) {
-      t.ypx.v[l] ^= mask & (t.ypx.v[l] ^ u.ypx.v[l]);
-      t.ymx.v[l] ^= mask & (t.ymx.v[l] ^ u.ymx.v[l]);
-      t.xy2d.v[l] ^= mask & (t.xy2d.v[l] ^ u.xy2d.v[l]);
-    }
-  }
-  // -(x, y) = (-x, y): swap y + x with y - x and negate 2dxy.
-  const Fe minus_xy2d = fe_sub(fe_zero(), t.xy2d);
-  fe_cswap(neg, t.ypx, t.ymx);
-  fe_cmov(t.xy2d, minus_xy2d, neg);
-  return t;
-}
-
-// u(k * B) for a clamped scalar k (k[31] <= 127, so the top signed digit
-// is at most 8).
-Fe scalarmult_base_u(const std::uint8_t k[32]) {
-  // Built once, on first use; a function-local static is thread-safe.
-  static const CombTable table = build_comb_table();
-
-  int e[64];
+// The signed radix-16 digits e_k in [-8, 8] of a clamped scalar k =
+// sum e_k 16^k (k[31] <= 127, so the top digit is at most 8).
+void recode(const std::uint8_t k[32], int e[64]) {
   for (int i = 0; i < 32; ++i) {
     e[2 * i] = k[i] & 15;
     e[2 * i + 1] = k[i] >> 4;
@@ -373,25 +428,59 @@ Fe scalarmult_base_u(const std::uint8_t k[32]) {
     e[i] -= carry * 16;
   }
   e[63] += carry;
-
-  GeP3 h{fe_zero(), fe_one(), fe_one(), fe_zero()};
-  for (int i = 1; i < 64; i += 2) {
-    h = ge_madd(h, ge_select(table.row[i / 2], e[i]));
-  }
-  for (int i = 0; i < 4; ++i) h = ge_dbl(h);
-  for (int i = 0; i < 64; i += 2) {
-    h = ge_madd(h, ge_select(table.row[i / 2], e[i]));
-  }
-  // u = (1 + y) / (1 - y) = (Z + Y) / (Z - Y); k * B is never the identity
-  // for a clamped k, so Z - Y is nonzero.
-  return fe_mul(fe_add(h.Z, h.Y), fe_invert(fe_sub(h.Z, h.Y)));
 }
 
-// decodeScalar25519 (RFC 7748 §5). Every entry point counts as one x25519
-// operation.
-void clamp_scalar(BytesView scalar, std::uint8_t k[32]) {
+// |digit| and whether digit < 0 (1 or 0), without branching on the digit.
+struct Digit {
+  std::uint32_t abs, neg;
+};
+
+Digit split_digit(int digit) {
+  const std::uint32_t neg = static_cast<std::uint32_t>(digit) >> 31;
+  return {(static_cast<std::uint32_t>(digit) ^ (0u - neg)) + neg, neg};
+}
+
+// row[|digit| - 1], negated if digit < 0, or the identity for digit 0. All
+// eight entries are read and merged by mask, as fe_cswap does, so neither
+// the memory access pattern nor any branch depends on the digit.
+GePrecomp ge_select(const CombEntry (&row)[kCombCols], int digit) {
+  const Digit dg = split_digit(digit);
+  CombEntry t = {1, 1, 0};  // the identity (1, 1, 0)
+  for (std::uint32_t j = 0; j < kCombCols; ++j) {
+    const std::uint64_t mask =  // all-ones iff abs == j + 1
+        0 - static_cast<std::uint64_t>(((dg.abs ^ (j + 1)) - 1) >> 31);
+    for (int w = 0; w < 15; ++w) t[w] ^= mask & (t[w] ^ row[j][w]);
+  }
+  GePrecomp q;
+  entry_load(t, q.ypx, q.ymx, q.xy2d);
+  // -(x, y) = (-x, y): swap y + x with y - x and negate 2dxy.
+  const Fe minus_xy2d = fe_sub(fe_zero(), q.xy2d);
+  fe_cswap(dg.neg, q.ypx, q.ymx);
+  fe_cmov(q.xy2d, minus_xy2d, dg.neg);
+  return q;
+}
+
+// k * P over P's table, from k's digits e: the projective Y and Z, all that
+// u = (Z + Y) / (Z - Y) needs.
+void comb_portable(const int e[64], const X25519CombTable& table, Fe& y,
+                   Fe& z) {
+  GeP3 h{fe_zero(), fe_one(), fe_one(), fe_zero()};
+  for (int r = 3; r >= 0; --r) {
+    for (int i = 0; r < 3 && i < 4; ++i) h = ge_dbl(h);
+    for (int i = 0; i < kCombRows; ++i) {
+      h = ge_madd(h, ge_select(table.row[i], e[4 * i + r]));
+    }
+  }
+  y = h.Y;
+  z = h.Z;
+}
+
+// decodeScalar25519 (RFC 7748 §5). Every entry point counts one x25519
+// operation per X25519 output it computes.
+void clamp_scalar(BytesView scalar, std::uint8_t k[32],
+                  std::uint64_t outputs = 1) {
   static obs::OpCounter ops("crypto", "x25519");
-  ops.inc();
+  ops.inc(outputs);
   if (scalar.size() != kX25519KeySize) {
     throw std::invalid_argument("x25519: inputs must be 32 bytes");
   }
@@ -658,6 +747,134 @@ void ladder_ifma(const std::uint8_t k[32], const Fe& x1, Fe& x2_out,
   }
 }
 
+// ---------------------------------------------------------------------------
+// The comb on AVX-512 IFMA: one point per Fe4, as [X, Y, Z, T]. A mixed
+// addition and a doubling are two four-lane products each (the 4-way
+// parallel formulas of Hisil et al., "Twisted Edwards Curves Revisited",
+// ASIACRYPT 2008), and the table is comb_portable's.
+// ---------------------------------------------------------------------------
+
+// Lanes [y + x, y - x, 2dxy, 0] of a stored entry: each limb's triple by one
+// masked load with the fixed mask 0b0111 (the masked lane is not read).
+[[gnu::always_inline]] inline Fe4 fe4_load_entry(const CombEntry& e) {
+  Fe4 r;
+#pragma GCC unroll 5
+  for (int l = 0; l < 5; ++l) {
+    r.v[l] = _mm256_maskz_loadu_epi64(0b0111, e + 3 * l);
+  }
+  return r;
+}
+
+[[gnu::always_inline]] inline Fe4 fe4_zero() {
+  Fe4 r;
+#pragma GCC unroll 5
+  for (int i = 0; i < 5; ++i) r.v[i] = _mm256_setzero_si256();
+  return r;
+}
+
+// Each lane from a, or from b where `take` is all-ones (0 or 0xff).
+[[gnu::always_inline]] inline Fe4 fe4_merge(const Fe4& a, const Fe4& b,
+                                            __mmask8 take) {
+  Fe4 r;
+#pragma GCC unroll 5
+  for (int i = 0; i < 5; ++i) {
+    r.v[i] = _mm256_mask_blend_epi64(take, a.v[i], b.v[i]);
+  }
+  return r;
+}
+
+// ge_select on four lanes: row[|digit| - 1] as fe4_load_entry gives it,
+// negated if digit < 0, or the identity [1, 1, 0, 0] for digit 0. Every
+// entry is loaded with the same fixed mask and merged under a mask computed
+// from the digit, and so is the negation; no load mask, branch or index
+// depends on the digit. Stored limbs are at most 2^51, so the negated 2dxy,
+// 2p - 2dxy, has limbs below 2^52.
+[[gnu::always_inline]] inline Fe4 fe4_select(const CombEntry (&row)[kCombCols],
+                                             int digit) {
+  const Digit dg = split_digit(digit);
+  const __m256i abs = _mm256_set1_epi64x(dg.abs);
+  Fe4 t = fe4_zero();
+  t.v[0] = _mm256_set_epi64x(0, 0, 1, 1);
+#pragma GCC unroll 8
+  for (int j = 0; j < kCombCols; ++j) {
+    const __mmask8 take =
+        _mm256_cmpeq_epi64_mask(abs, _mm256_set1_epi64x(j + 1));
+    t = fe4_merge(t, fe4_load_entry(row[j]), take);
+  }
+  // -(x, y) = (-x, y): swap y + x with y - x and negate 2dxy.
+  const Fe4 neg = fe4_blend<0b0100>(fe4_permute<_MM_SHUFFLE(3, 2, 0, 1)>(t),
+                                    fe4_sub(fe4_zero(), t));
+  return fe4_merge(t, neg, static_cast<__mmask8>(0u - dg.neg));
+}
+
+// p + q as ge_madd, for p = [X, Y, Z, T] carried (as fe4_mul leaves it)
+// and q = [y + x, y - x, 2dxy, 0] with limbs below 2^52; the result is
+// carried too.
+[[gnu::always_inline]] inline Fe4 ge4_madd(const Fe4& p, const Fe4& q) {
+  // [Y + X, Y - X, T, Z], carried: the sum and the 2p-biased difference
+  // reach 2^53.
+  const Fe4 yytz = fe4_permute<_MM_SHUFFLE(2, 3, 1, 1)>(p);
+  const Fe4 xx00 =
+      fe4_blend<0b1100>(fe4_permute<_MM_SHUFFLE(0, 0, 0, 0)>(p), fe4_zero());
+  const Fe4 l =
+      fe4_carry(fe4_blend<0b0010>(fe4_add(yytz, xx00), fe4_sub(yytz, xx00)));
+  // [a, b, c, 0] = [(Y + X)(y + x), (Y - X)(y - x), T * 2dxy, 0].
+  const Fe4 abc = fe4_mul(l, q);
+  // [e, h, f, g] = [a, a, d, d] -+ [b, b, c, c] with d = 2Z (below 2^53);
+  // b and c are carried products, as fe4_sub needs. Carried for the product.
+  const Fe4 aadd =
+      fe4_blend<0b1100>(fe4_permute<_MM_SHUFFLE(0, 0, 0, 0)>(abc),
+                        fe4_permute<_MM_SHUFFLE(2, 2, 2, 2)>(fe4_add(p, p)));
+  const Fe4 bbcc = fe4_permute<_MM_SHUFFLE(2, 2, 1, 1)>(abc);
+  const Fe4 ehfg =
+      fe4_carry(fe4_blend<0b1010>(fe4_sub(aadd, bbcc), fe4_add(aadd, bbcc)));
+  // [e, g, f, e] * [f, h, g, h] = [ef, gh, fg, eh]: the new [X, Y, Z, T].
+  return fe4_mul(fe4_permute<_MM_SHUFFLE(0, 2, 3, 0)>(ehfg),
+                 fe4_permute<_MM_SHUFFLE(1, 3, 1, 2)>(ehfg));
+}
+
+// 2p as ge_dbl, for p = [X, Y, Z, .] carried; the result is carried too.
+[[gnu::always_inline]] inline Fe4 ge4_dbl(const Fe4& p) {
+  // [A, B, ZZ, S] = [X, Y, Z, X + Y]^2, the sum carried first.
+  const Fe4 s = fe4_carry(fe4_add(
+      fe4_permute<_MM_SHUFFLE(1, 2, 1, 0)>(p),
+      fe4_blend<0b0111>(fe4_permute<_MM_SHUFFLE(0, 0, 0, 0)>(p), fe4_zero())));
+  const Fe4 q = fe4_mul(s, s);
+  // [e, h, g, f] = [S - A - B, A + B, B - A, 2ZZ + A - B] in two steps:
+  // [S, A, B, 2ZZ] - [A, 0, A, B], then - B, + B, + 0 and + A by lane. Each
+  // subtrahend is 0 or a carried product, as fe4_sub needs, and the sums stay
+  // below 2^55. Carried for the product.
+  const Fe4 sabz = fe4_permute<_MM_SHUFFLE(2, 1, 0, 3)>(q);
+  const Fe4 a0ab =
+      fe4_blend<0b0010>(fe4_permute<_MM_SHUFFLE(1, 0, 0, 0)>(q), fe4_zero());
+  const Fe4 bb0a =
+      fe4_blend<0b0100>(fe4_permute<_MM_SHUFFLE(0, 1, 1, 1)>(q), fe4_zero());
+  const Fe4 r =
+      fe4_sub(fe4_add(sabz, fe4_blend<0b0111>(sabz, fe4_zero())), a0ab);
+  const Fe4 ehgf =
+      fe4_carry(fe4_blend<0b1110>(fe4_sub(r, bb0a), fe4_add(r, bb0a)));
+  // [e, h, g, e] * [f, g, f, h] = [ef, hg, gf, eh]: the new [X, Y, Z, T].
+  return fe4_mul(fe4_permute<_MM_SHUFFLE(0, 2, 1, 0)>(ehgf),
+                 fe4_permute<_MM_SHUFFLE(1, 3, 2, 3)>(ehgf));
+}
+
+// comb_portable on four lanes.
+void comb_ifma(const int e[64], const X25519CombTable& table, Fe& y, Fe& z) {
+  Fe4 h = fe4_pack(fe_zero(), fe_one(), fe_one(), fe_zero());
+  for (int r = 3; r >= 0; --r) {
+    for (int i = 0; r < 3 && i < 4; ++i) h = ge4_dbl(h);
+    for (int i = 0; i < kCombRows; ++i) {
+      h = ge4_madd(h, fe4_select(table.row[i], e[4 * i + r]));
+    }
+  }
+  alignas(32) std::uint64_t lanes[4];
+  for (int i = 0; i < 5; ++i) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), h.v[i]);
+    y.v[i] = lanes[1];
+    z.v[i] = lanes[2];
+  }
+}
+
 #pragma GCC pop_options
 #endif  // __x86_64__
 
@@ -675,6 +892,48 @@ Bytes x25519_with(BytesView scalar, BytesView u) {
   return fe_tobytes(fe_mul(x2, fe_invert(z2)));
 }
 
+// k * P over P's table from k's digits, as projective Y and Z.
+using CombCore = void (*)(const int e[64], const X25519CombTable& table,
+                          Fe& y, Fe& z);
+
+// X25519(k, 9) and, with a peer table, X25519(k, u) by the given comb. The
+// u-coordinates are (Z + Y) / (Z - Y), and both share one inversion
+// (Montgomery's trick). Z - Y is nonzero: k * P is never the identity for a
+// clamped k and a point that has a table (see ge_from_u).
+template <CombCore kComb>
+X25519CombOutput comb_with(BytesView scalar, const X25519CombTable* peer) {
+  std::uint8_t k[32];
+  clamp_scalar(scalar, k, peer != nullptr ? 2 : 1);
+  int e[64];
+  recode(k, e);
+  Fe y, z;
+  kComb(e, base_table(), y, z);
+  const Fe num = fe_add(z, y), den = fe_sub(z, y);
+  if (peer == nullptr) return {fe_tobytes(fe_mul(num, fe_invert(den))), {}};
+  Fe peer_y, peer_z;
+  kComb(e, *peer, peer_y, peer_z);
+  const Fe peer_num = fe_add(peer_z, peer_y),
+           peer_den = fe_sub(peer_z, peer_y);
+  const Fe inv = fe_invert(fe_mul(den, peer_den));
+  return {fe_tobytes(fe_mul(fe_mul(num, peer_den), inv)),
+          fe_tobytes(fe_mul(fe_mul(peer_num, den), inv))};
+}
+
+// Whether CPUID reports AVX-512F, VL and IFMA; checked once per process.
+bool cpu_has_ifma() {
+#if defined(__x86_64__)
+  static const bool available = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("avx512ifma");
+  }();
+  return available;
+#else
+  return false;
+#endif
+}
+
 }  // namespace
 
 Bytes x25519_ladder_portable(BytesView scalar, BytesView u) {
@@ -683,16 +942,9 @@ Bytes x25519_ladder_portable(BytesView scalar, BytesView u) {
 
 X25519Ladder x25519_ladder_ifma() {
 #if defined(__x86_64__)
-  static const bool available = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512vl") &&
-           __builtin_cpu_supports("avx512ifma");
-  }();
-  return available ? x25519_with<ladder_ifma> : nullptr;
-#else
-  return nullptr;
+  if (cpu_has_ifma()) return x25519_with<ladder_ifma>;
 #endif
+  return nullptr;
 }
 
 X25519Ladder x25519_ladder_dispatched() {
@@ -704,10 +956,46 @@ Bytes x25519(BytesView scalar, BytesView u) {
   return x25519_ladder_dispatched()(scalar, u);
 }
 
+std::shared_ptr<const X25519CombTable> x25519_comb_table(BytesView u) {
+  if (u.size() != kX25519KeySize) {
+    throw std::invalid_argument("x25519: inputs must be 32 bytes");
+  }
+  GeP3 p;
+  if (!ge_from_u(fe_frombytes(u), p)) return nullptr;
+  // Each table has its own anonymous mapping. A table is built mid-run, at
+  // its key's first seal, and heap chunks of this size placed then raised
+  // the peak RSS of a `perfbench` `stack` run by about 1.7 times the
+  // tables' size; a mapping adds only its own pages.
+  void* mem = mmap(nullptr, sizeof(X25519CombTable), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) throw std::bad_alloc();
+  std::shared_ptr<X25519CombTable> table(
+      new (mem) X25519CombTable, [](X25519CombTable* t) {
+        munmap(t, sizeof(X25519CombTable));
+      });
+  build_comb_table(p, *table);
+  return table;
+}
+
+X25519CombOutput x25519_comb_portable(BytesView scalar,
+                                      const X25519CombTable* peer) {
+  return comb_with<comb_portable>(scalar, peer);
+}
+
+X25519Comb x25519_comb_ifma() {
+#if defined(__x86_64__)
+  if (cpu_has_ifma()) return comb_with<comb_ifma>;
+#endif
+  return nullptr;
+}
+
+X25519Comb x25519_comb_dispatched() {
+  const X25519Comb ifma = x25519_comb_ifma();
+  return ifma != nullptr ? ifma : x25519_comb_portable;
+}
+
 Bytes x25519_public(BytesView scalar) {
-  std::uint8_t k[32];
-  clamp_scalar(scalar, k);
-  return fe_tobytes(scalarmult_base_u(k));
+  return x25519_comb_dispatched()(scalar, nullptr).public_key;
 }
 
 X25519KeyPair X25519KeyPair::generate(Rng& rng) {

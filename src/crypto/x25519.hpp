@@ -1,33 +1,44 @@
 // X25519 Diffie-Hellman (RFC 7748) over GF(2^255 - 19), 51-bit limbs.
 //
-// Three paths compute the same function:
-//   - x25519_ladder_portable(k, u) runs the Montgomery ladder one field
-//     element at a time, on every CPU. It is the fallback and the oracle
-//     the other two paths are tested against.
-//   - The IFMA ladder (x86-64 builds, CPUs with AVX-512F, VL and IFMA)
-//     holds the ladder state [x2, z2, x3, z3] as four 64-bit lanes of one
-//     field vector and does each ladder step as three four-lane products
-//     with vpmadd52luq/vpmadd52huq.
-//   - x25519_public(k) computes k * B on edwards25519 with a signed
-//     radix-16 comb over a table of 256 multiples of B, then maps the
-//     result to u = (1 + y) / (1 - y). The table is computed on first use
-//     from the curve equation (d = -121665/121666, B's y = 4/5) and kept in
-//     a function-local static; the portable ladder is its reference in the
-//     tests.
-// x25519(k, u), and with it every HPKE seal and open, runs the IFMA ladder
-// when CPUID reports it and the portable ladder otherwise; the choice is
-// made once per process. Every path ends with the same 51-bit field
-// inversion, z^(p-2) by the fixed addition chain of 254 squarings and 11
+// Two kinds of path compute X25519(k, u), each portable and, on x86-64 CPUs
+// whose CPUID reports AVX-512F, VL and IFMA, four-lane IFMA; the choice is
+// made once per process:
+//   - The Montgomery ladder takes any u. x25519_ladder_portable(k, u) runs it
+//     one field element at a time on every CPU; it is the fallback and the
+//     oracle the other paths are tested against. The IFMA ladder holds the
+//     state [x2, z2, x3, z3] as the four 64-bit lanes of one field vector and
+//     does each ladder step as three four-lane products with
+//     vpmadd52luq/vpmadd52huq. x25519(k, u) runs the dispatched ladder; so
+//     does every HPKE open, whose u (enc) is new with every message.
+//   - The fixed-base comb takes a point P whose table was built beforehand:
+//     16 rows of 8 multiples j * 2^(16i) * P on edwards25519 (15 KiB), built
+//     with one field inversion. k * P is then 64 mixed additions and 12
+//     doublings, mapped to u = (1 + y) / (1 - y). The IFMA comb holds a point
+//     as [X, Y, Z, T] in one field vector, so an addition or a doubling is
+//     two four-lane products. B's table (u = 9) is built on first use and
+//     kept in a function-local static; x25519_public(k) runs the dispatched
+//     comb on it. A comb call given a peer table computes X25519(k, 9) and
+//     X25519(k, u) for one k, and both share one inversion: this is the
+//     sender half of a DHKEM encapsulation to a long-term key (hpke.hpp).
+// x25519_comb_table(u) returns no table, and leaves u to the ladder, for a
+// point of the twist, for u = -1 (no edwards25519 image) and for the points
+// of order dividing 8. Every path ends with the same 51-bit field inversion,
+// z^(p-2) by the fixed addition chain of 254 squarings and 11
 // multiplications, and the same encoding.
 //
 // NOTE: the portable ladder swaps with masks (fe_cswap); the IFMA ladder
 // swaps by a fixed lane permute merged under an all-ones or all-zero mask,
-// and its blends and permutes are fixed per step. The comb picks each table
-// entry by a masked scan of all eight entries in its row and negates it by
-// mask, and the inversion chain is the same for every input. So on every
-// path no branch or memory index depends on the scalar. Still, this
-// library is a research artifact, not audited constant-time code.
+// and its blends and permutes are fixed per step. Both combs load all eight
+// entries of a row for every digit (the IFMA comb with one fixed 3-lane load
+// mask), keep the digit's entry by a mask computed from the digit, and
+// negate it by mask; their formulas, permutes and blends are fixed. The
+// inversion chain is the same for every input. So on every path no branch,
+// load mask or memory index depends on the scalar. Building a table works
+// on the point, which is public. Still, this library is a research
+// artifact, not audited constant-time code.
 #pragma once
+
+#include <memory>
 
 #include "common/bytes.hpp"
 #include "common/result.hpp"
@@ -55,8 +66,44 @@ X25519Ladder x25519_ladder_dispatched();
 /// ladder.
 Bytes x25519(BytesView scalar, BytesView u);
 
+/// A fixed-base comb table for one point of curve25519 (see the file
+/// comment). Immutable once built.
+struct X25519CombTable;
+
+/// Builds the comb table of the point with u-coordinate `u`, decoded as
+/// x25519() decodes it (bit 255 ignored, values of p and above reduced), so
+/// the encodings of one field element share a table. Returns nullptr when u
+/// is a point of the twist (u^3 + 486662 u^2 + u not a square mod p),
+/// u = -1, or a point of order dividing 8. Throws std::invalid_argument
+/// when u is not 32 bytes.
+std::shared_ptr<const X25519CombTable> x25519_comb_table(BytesView u);
+
+/// What a comb call computes for one scalar k.
+struct X25519CombOutput {
+  Bytes public_key;  // X25519(k, 9)
+  Bytes shared;      // X25519(k, u) for the peer table's u; empty without one
+};
+
+/// A fixed-base comb implementation: X25519(k, 9) and, when `peer` is not
+/// null, X25519(k, u) for peer's u. Clamps the scalar and throws
+/// std::invalid_argument when it is not 32 bytes; counts one x25519
+/// operation per output.
+using X25519Comb = X25519CombOutput (*)(BytesView scalar,
+                                        const X25519CombTable* peer);
+
+/// The comb on the portable 51-bit field code.
+X25519CombOutput x25519_comb_portable(BytesView scalar,
+                                      const X25519CombTable* peer);
+
+/// The four-lane AVX-512 IFMA comb, or nullptr where the IFMA ladder is.
+X25519Comb x25519_comb_ifma();
+
+/// The comb x25519_public() and HPKE seals run: IFMA when available, else
+/// portable.
+X25519Comb x25519_comb_dispatched();
+
 /// Derives the public key for a 32-byte private scalar: X25519(k, 9), by
-/// the fixed-base comb.
+/// the dispatched comb.
 Bytes x25519_public(BytesView scalar);
 
 /// An X25519 key pair.

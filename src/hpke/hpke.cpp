@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <stdexcept>
 
@@ -92,11 +95,19 @@ KeyPair KeyPair::generate(Rng& rng) {
   return KeyPair{std::move(kp.private_key), std::move(kp.public_key)};
 }
 
-KeyPair KeyPair::derive(BytesView ikm) {
-  // RFC 9180 §7.1.3 DeriveKeyPair for X25519.
+namespace {
+
+// The private key of RFC 9180 §7.1.3 DeriveKeyPair for X25519.
+Bytes derive_private_key(BytesView ikm) {
   const Secret dkp_prk = labeled_extract(no_salt(), kKemSuite, "dkp_prk", ikm);
-  Bytes sk = labeled_expand(crypto::HmacSha256(dkp_prk), kKemSuite, "sk", {},
-                            kNpk);
+  return labeled_expand(crypto::HmacSha256(dkp_prk), kKemSuite, "sk", {},
+                        kNpk);
+}
+
+}  // namespace
+
+KeyPair KeyPair::derive(BytesView ikm) {
+  Bytes sk = derive_private_key(ikm);
   Bytes pk = crypto::x25519_public(sk);
   return KeyPair{std::move(sk), std::move(pk)};
 }
@@ -176,36 +187,96 @@ Bytes Context::export_secret(BytesView exporter_context,
 
 namespace {
 
-Sender setup_sender_with_ephemeral(const crypto::X25519KeyPair& eph,
-                                   BytesView recipient_public, BytesView info) {
-  auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
-  if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
+// The comb tables of the recipient keys senders seal to, and the keys that
+// have none (see hpke.hpp).
+class RecipientTables {
+ public:
+  std::shared_ptr<const crypto::X25519CombTable> find_or_build(
+      BytesView recipient_public) {
+    Key key;
+    std::copy(recipient_public.begin(), recipient_public.end(), key.begin());
+    {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (const Entry* e = find(key)) return e->table;
+    }
+    // Built outside the lock, so a first seal to one key does not hold up
+    // seals to the others; if two threads build one key at once, the first
+    // insert wins.
+    auto table = crypto::x25519_comb_table(recipient_public);
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (const Entry* e = find(key)) return e->table;
+    entries_.push_back(Entry{key, table});
+    if (entries_.size() > kRecipientTableCacheKeys) entries_.pop_front();
+    return table;
+  }
+
+ private:
+  using Key = std::array<std::uint8_t, kNpk>;
+  struct Entry {
+    Key key;
+    std::shared_ptr<const crypto::X25519CombTable> table;  // null: no table
+  };
+
+  const Entry* find(const Key& key) const {
+    for (const Entry& e : entries_) {
+      if (e.key == key) return &e;
+    }
+    return nullptr;
+  }
+
+  std::mutex mu_;
+  std::deque<Entry> entries_;  // oldest first; guarded by mu_
+};
+
+RecipientTables& recipient_tables() {
+  static RecipientTables tables;
+  return tables;
+}
+
+// Every sender setup: DHKEM Encap (RFC 9180 §4.1), then the key schedule.
+// The ephemeral private key skE comes from make_ephemeral(), called once the
+// recipient key's size has been checked. enc = X25519(skE, 9) and
+// dh = X25519(skE, pkR) come from one comb call through pkR's table, or,
+// for a key without one, from the comb and the ladder.
+template <typename MakeEphemeral>
+Sender encapsulate(BytesView recipient_public, BytesView info, BytesView psk,
+                   BytesView psk_id, MakeEphemeral&& make_ephemeral) {
+  if (recipient_public.size() != kNpk) {
+    throw std::invalid_argument("hpke: recipient public key size");
+  }
+  const Bytes ephemeral_private = make_ephemeral();
+  crypto::X25519CombOutput dh;
+  if (const auto table = recipient_tables().find_or_build(recipient_public)) {
+    dh = crypto::x25519_comb_dispatched()(ephemeral_private, table.get());
+  } else {
+    dh.public_key = crypto::x25519_public(ephemeral_private);
+    dh.shared = crypto::x25519(ephemeral_private, recipient_public);
+  }
+  static constexpr std::uint8_t kZero[kNsecret] = {};
+  if (ct_equal(dh.shared, BytesView(kZero, kNsecret))) {
+    throw std::invalid_argument("hpke: bad recipient public key");
+  }
 
   const Secret shared_secret =
-      extract_and_expand(dh.value(), eph.public_key, recipient_public);
-
+      extract_and_expand(dh.shared, dh.public_key, recipient_public);
   Sender s;
-  s.enc = eph.public_key;
-  s.context = setup_with_schedule(shared_secret, info);
+  s.enc = std::move(dh.public_key);
+  s.context = setup_with_schedule(shared_secret, info, psk, psk_id);
   return s;
 }
 
 }  // namespace
 
 Sender setup_base_sender(BytesView recipient_public, BytesView info, Rng& rng) {
-  if (recipient_public.size() != kNpk) {
-    throw std::invalid_argument("hpke: recipient public key size");
-  }
-  return setup_sender_with_ephemeral(crypto::X25519KeyPair::generate(rng),
-                                     recipient_public, info);
+  return encapsulate(recipient_public, info, {}, {},
+                     [&] { return rng.bytes(crypto::kX25519KeySize); });
 }
 
 Sender setup_base_sender_deterministic(BytesView recipient_public,
                                        BytesView info,
                                        BytesView ephemeral_ikm) {
-  KeyPair kp = KeyPair::derive(ephemeral_ikm);
-  crypto::X25519KeyPair eph{kp.private_key, kp.public_key};
-  return setup_sender_with_ephemeral(eph, recipient_public, info);
+  return encapsulate(recipient_public, info, {}, {},
+                     [&] { return derive_private_key(ephemeral_ikm); });
 }
 
 Result<Context> setup_base_recipient(BytesView enc, const KeyPair& kp,
@@ -223,19 +294,8 @@ Result<Context> setup_base_recipient(BytesView enc, const KeyPair& kp,
 
 Sender setup_psk_sender(BytesView recipient_public, BytesView info,
                         BytesView psk, BytesView psk_id, Rng& rng) {
-  if (recipient_public.size() != kNpk) {
-    throw std::invalid_argument("hpke: recipient public key size");
-  }
-  auto eph = crypto::X25519KeyPair::generate(rng);
-  auto dh = crypto::x25519_shared(eph.private_key, recipient_public);
-  if (!dh.ok()) throw std::invalid_argument("hpke: bad recipient public key");
-  const Secret shared_secret =
-      extract_and_expand(dh.value(), eph.public_key, recipient_public);
-
-  Sender s;
-  s.enc = eph.public_key;
-  s.context = setup_with_schedule(shared_secret, info, psk, psk_id);
-  return s;
+  return encapsulate(recipient_public, info, psk, psk_id,
+                     [&] { return rng.bytes(crypto::kX25519KeySize); });
 }
 
 Result<Context> setup_psk_recipient(BytesView enc, const KeyPair& kp,

@@ -109,7 +109,23 @@ struct Sender {
   Context context;
 };
 
+/// Every sender setup below (and seal()) treats `recipient_public` as a
+/// long-term key. The first seal to a key builds its X25519 comb table
+/// (crypto/x25519.hpp: 15 KiB, about 0.1 ms, a few seals' worth of X25519
+/// work) into a process-wide cache keyed by the 32 key bytes, which holds
+/// up to kRecipientTableCacheKeys keys and, when full, evicts the one
+/// inserted first. Each seal then computes enc and the shared secret by two
+/// fixed-base combs and one inversion instead of a comb and a ladder. Keys
+/// that get no table (twist and small-order points) are remembered as such
+/// and take the ladder. A std::mutex guards the cache's entries only: a
+/// table is built outside it and shared, immutable, through a shared_ptr,
+/// and when two threads build one key's table at once the first insert
+/// wins. Sender setups may run on several threads at once.
+constexpr std::size_t kRecipientTableCacheKeys = 32;
+
 /// SetupBaseS: encapsulate to `recipient_public` with application `info`.
+/// Throws std::invalid_argument when the key is not kNpk bytes or is a
+/// small-order point (the DH output is zero); so do the other sender setups.
 Sender setup_base_sender(BytesView recipient_public, BytesView info, Rng& rng);
 
 /// Deterministic variant used by tests: the ephemeral key comes from

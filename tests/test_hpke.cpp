@@ -3,8 +3,14 @@
 // pin the implementation against regressions).
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "crypto/csprng.hpp"
 #include "hpke/hpke.hpp"
+#include "obs/metrics.hpp"
 
 namespace dcpl::hpke {
 namespace {
@@ -130,6 +136,113 @@ TEST(Hpke, GoldenKnownAnswer) {
             "6a116ff4152db171ee002fbc58a5d6edea27afb211b81437b68faecac786eaa5");
 }
 
+// Single-shot seals, enc || ct, pinned byte for byte: two seals to each of
+// three curve keys (the first builds the key's comb table, the second runs
+// on the cached one) and two to u = 2, a point of the twist, which has no
+// table and takes the ladder. Hex recorded from the library before sender
+// setups used comb tables. Each seal counts two x25519 operations on
+// either path. Sealing to a small-order point still throws, and draws the
+// ephemeral key first, as it did.
+TEST(Hpke, SealGoldenOnEveryPath) {
+  crypto::ChaChaRng rng(9180);
+  std::vector<KeyPair> keys;
+  for (int i = 0; i < 3; ++i) keys.push_back(KeyPair::generate(rng));
+  Bytes twist(32, 0);
+  twist[0] = 2;
+  keys.push_back(KeyPair{{}, twist});
+  const char* const kGolden[4][2] = {
+      {"490c00027ad3f1cbd1c677c8cdad5007bfcf7432e0b3703da6b8220953824a2a"
+       "7bb7e8e34c5c41c66d0b9483f3c72336ddf45fa8f80ee564a5e502e5fa98b9",
+       "050eb1b3500616277a2847b6fbe6a8b63f45feb25c2e9a211e458c5ad44bdc38"
+       "aaa7de0acf916f755071721d61db3fe5cd3801716b19fb4c8ca184ddcd06d3"},
+      {"fd9686f20ffd70fb8af50f74dd495f399804fbd522451be0616f0295df3f431e"
+       "cfe1936d01c1488e9ed6816263625bede8be89a26a3073ad375523a6f1f4d5",
+       "fb294ff2cbda2229ded3d0009225db8230857066b82c91bbf6c4a9e330845b1a"
+       "17e966f01c21c11c37b89f538da145c3a417bcbf7b870e9ae106ff3dd8d037"},
+      {"c4a24bf23a97fb6dfe461a2c88ffb8271186258658f0fc8e151144e0403d752e"
+       "0a4654dd070ac9627c867bb073356f97185f9995f423ba4b00f917f28c04a0",
+       "0eefc2f8d5180903319947c3ea16b51d5764d7035de31057669468a7d8dd3149"
+       "291085390047551dcd96c7ce3e45a746a11f1ff5ee0990eb3d9c21d61cec82"},
+      {"6056eb76af1dfd89e53a36538538f384dea08a461ae0861078bc615f7a787e5c"
+       "ad294992fd60cfe6d238dd3e549858fdde383e5a77bf4740157ce37d77a708",
+       "9ef81c4fa7fe6d7d08bad55aa9bfba0ca30a9bf0b10f70a8f7391171e4b04057"
+       "3166efa66bf486f2c2bf9bf887913f0078e9e65aa85d3a2cfde437f9766f53"}};
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (int j = 0; j < 2; ++j) {
+      const std::string pt =
+          "seal " + std::to_string(j) + " to key " + std::to_string(i);
+      const std::uint64_t ops = obs::op_counter("crypto", "x25519").value();
+      const Bytes ct = seal(keys[i].public_key, to_bytes("golden info"),
+                            to_bytes("golden aad"), to_bytes(pt), rng);
+      EXPECT_EQ(to_hex(ct), kGolden[i][j]) << "key " << i << " seal " << j;
+      EXPECT_EQ(obs::op_counter("crypto", "x25519").value(), ops + 2);
+      if (!keys[i].private_key.empty()) {
+        auto opened = open(keys[i], to_bytes("golden info"),
+                           to_bytes("golden aad"), ct);
+        ASSERT_TRUE(opened.ok());
+        EXPECT_EQ(to_string(opened.value()), pt);
+      }
+    }
+  }
+  for (const char* hex :
+       {"0000000000000000000000000000000000000000000000000000000000000000",
+        "0100000000000000000000000000000000000000000000000000000000000000",
+        "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+        "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+        "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+        "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"}) {
+    Bytes u = from_hex(hex);
+    EXPECT_THROW(seal(u, {}, {}, to_bytes("x"), rng), std::invalid_argument);
+    u[31] |= 0x80;
+    EXPECT_THROW(seal(u, {}, {}, to_bytes("x"), rng), std::invalid_argument);
+  }
+  EXPECT_EQ(to_hex(rng.bytes(8)), "b645fe46ab200b01");
+}
+
+// Four threads make their first seals to one fresh key at once, so they
+// race to build and insert its comb table; every ciphertext opens.
+TEST(Hpke, FirstSealsToOneKeyFromSeveralThreads) {
+  const KeyPair kp = KeyPair::derive(to_bytes("first seals from 4 threads"));
+  constexpr int kThreads = 4;
+  std::vector<Bytes> cts(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      crypto::ChaChaRng rng(100 + t);
+      start.arrive_and_wait();
+      cts[t] = seal(kp.public_key, to_bytes("i"), to_bytes("a"),
+                    to_bytes("from thread " + std::to_string(t)), rng);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    auto pt = open(kp, to_bytes("i"), to_bytes("a"), cts[t]);
+    ASSERT_TRUE(pt.ok()) << "thread " << t;
+    EXPECT_EQ(to_string(pt.value()), "from thread " + std::to_string(t));
+  }
+}
+
+// Seals to more recipient keys than the table cache holds, twice round:
+// the oldest tables are evicted while others are in use, and every
+// ciphertext, to an evicted key or not, opens.
+TEST(Hpke, SealsToMoreKeysThanTheTableCacheHolds) {
+  crypto::ChaChaRng rng(34);
+  std::vector<KeyPair> keys;
+  for (std::size_t i = 0; i < kRecipientTableCacheKeys + 8; ++i) {
+    keys.push_back(KeyPair::generate(rng));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (const KeyPair& kp : keys) {
+      const Bytes ct = seal(kp.public_key, {}, {}, to_bytes("x"), rng);
+      auto pt = open(kp, {}, {}, ct);
+      ASSERT_TRUE(pt.ok());
+      EXPECT_EQ(to_string(pt.value()), "x");
+    }
+  }
+}
+
 TEST(Hpke, TruncatedAndCorruptedInputs) {
   crypto::ChaChaRng rng(7);
   KeyPair kp = KeyPair::generate(rng);
@@ -142,6 +255,26 @@ TEST(Hpke, TruncatedAndCorruptedInputs) {
   bad = ct;
   bad.back() ^= 1;  // corrupt tag
   EXPECT_FALSE(open(kp, {}, {}, bad).ok());
+
+  // A truncated recipient key: every sender setup rejects it first, with
+  // one message.
+  const Bytes short_key(kp.public_key.begin(), kp.public_key.end() - 1);
+  const auto expect_size_error = [](auto&& setup) {
+    try {
+      setup();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "hpke: recipient public key size");
+    }
+  };
+  expect_size_error([&] { setup_base_sender(short_key, {}, rng); });
+  expect_size_error([&] {
+    setup_base_sender_deterministic(short_key, {}, to_bytes("eph"));
+  });
+  expect_size_error([&] {
+    setup_psk_sender(short_key, {}, Bytes(32, 7), to_bytes("id"), rng);
+  });
+  expect_size_error([&] { seal(short_key, {}, {}, to_bytes("x"), rng); });
 }
 
 TEST(Hpke, RecipientRejectsLowOrderEnc) {

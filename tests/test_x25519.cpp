@@ -1,9 +1,12 @@
 // X25519 vectors from RFC 7748 §5.2 and §6.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/bigint.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/x25519.hpp"
 
@@ -127,6 +130,14 @@ TEST(X25519, ClampingIgnoresStrayBits) {
   }
 }
 
+// The combs available on this CPU: portable always, IFMA where CPUID
+// reports it.
+std::vector<X25519Comb> combs() {
+  std::vector<X25519Comb> all = {x25519_comb_portable};
+  if (X25519Comb ifma = x25519_comb_ifma()) all.push_back(ifma);
+  return all;
+}
+
 TEST(X25519, RejectsWrongInputSizes) {
   for (X25519Ladder ladder : ladders()) {
     EXPECT_THROW(ladder(Bytes(31), Bytes(32)), std::invalid_argument);
@@ -134,6 +145,14 @@ TEST(X25519, RejectsWrongInputSizes) {
   }
   EXPECT_THROW(x25519(Bytes(31), Bytes(32)), std::invalid_argument);
   EXPECT_THROW(x25519_public(Bytes(31)), std::invalid_argument);
+  Bytes nine(32, 0);
+  nine[0] = 9;
+  const auto table = x25519_comb_table(nine);
+  for (X25519Comb comb : combs()) {
+    EXPECT_THROW(comb(Bytes(31), nullptr), std::invalid_argument);
+    EXPECT_THROW(comb(Bytes(33), table.get()), std::invalid_argument);
+  }
+  EXPECT_THROW(x25519_comb_table(Bytes(31)), std::invalid_argument);
 }
 
 // Scalars that clamp to the smallest (2^254) and largest (2^255 - 8)
@@ -145,20 +164,112 @@ std::vector<Bytes> edge_scalars() {
   return {Bytes(32, 0x00), Bytes(32, 0xff), only_clamped_bits};
 }
 
-// x25519_public runs the fixed-base comb on edwards25519; the portable
-// ladder on u = 9 is its oracle. Random scalars reach every table row with
+// The bases the comb is checked on: B (u = 9) and its non-canonical
+// encoding 9 + p; seeded public keys, which lie in the prime-order
+// subgroup, and the same with bit 255 set; and seeded random u that get a
+// table, which mostly carry an 8-torsion component.
+std::vector<Bytes> comb_bases() {
+  std::vector<Bytes> bases = {
+      from_hex(
+          "0900000000000000000000000000000000000000000000000000000000000000"),
+      from_hex(
+          "f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f")};
+  ChaChaRng rng(9);
+  for (int i = 0; i < 3; ++i) {
+    Bytes u = X25519KeyPair::generate(rng).public_key;
+    bases.push_back(u);
+    u[31] |= 0x80;
+    bases.push_back(u);
+  }
+  for (int found = 0; found < 3;) {
+    const Bytes u = rng.bytes(32);
+    if (x25519_comb_table(u) != nullptr) {
+      bases.push_back(u);
+      ++found;
+    }
+  }
+  return bases;
+}
+
+class X25519CombPath : public ::testing::TestWithParam<std::string> {};
+
+// Each comb against the portable ladder on every base: X25519(k, 9) alone
+// and paired with X25519(k, u), and x25519_public (the dispatched comb) on
+// B. The edge scalars and 1,000 seeded ones reach every table row with
 // every signed digit.
-TEST(X25519, FixedBaseMatchesLadder) {
+TEST_P(X25519CombPath, FixedBaseMatchesLadder) {
+  const X25519Comb comb =
+      GetParam() == "portable" ? x25519_comb_portable : x25519_comb_ifma();
+  if (comb == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F, VL or IFMA";
+
   Bytes nine(32, 0);
   nine[0] = 9;
   std::vector<Bytes> scalars = edge_scalars();
   ChaChaRng rng(7748);
   for (int i = 0; i < 1000; ++i) scalars.push_back(rng.bytes(32));
+  std::vector<std::string> publics;
   for (const Bytes& k : scalars) {
-    ASSERT_EQ(to_hex(x25519_public(k)),
-              to_hex(x25519_ladder_portable(k, nine)))
-        << "k=" << to_hex(k);
+    publics.push_back(to_hex(x25519_ladder_portable(k, nine)));
+    ASSERT_EQ(to_hex(x25519_public(k)), publics.back()) << "k=" << to_hex(k);
+    const X25519CombOutput alone = comb(k, nullptr);
+    ASSERT_EQ(to_hex(alone.public_key), publics.back()) << "k=" << to_hex(k);
+    ASSERT_TRUE(alone.shared.empty());
   }
+  for (const Bytes& u : comb_bases()) {
+    const auto table = x25519_comb_table(u);
+    ASSERT_NE(table, nullptr) << "u=" << to_hex(u);
+    for (std::size_t i = 0; i < scalars.size(); ++i) {
+      const Bytes& k = scalars[i];
+      const X25519CombOutput pair = comb(k, table.get());
+      ASSERT_EQ(to_hex(pair.public_key), publics[i]) << "k=" << to_hex(k);
+      ASSERT_EQ(to_hex(pair.shared), to_hex(x25519_ladder_portable(k, u)))
+          << "k=" << to_hex(k) << " u=" << to_hex(u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Combs, X25519CombPath,
+                         ::testing::Values("portable", "ifma"),
+                         [](const auto& info) { return info.param; });
+
+// u (32 bytes, little-endian) as x25519 decodes it: bit 255 cleared and the
+// value reduced mod p.
+BigInt decode_u(const Bytes& u, const BigInt& p) {
+  Bytes be(u.rbegin(), u.rend());
+  be[0] &= 0x7f;
+  return BigInt::from_bytes_be(be) % p;
+}
+
+// A table exists exactly for a point of the curve, u^3 + 486662 u^2 + u a
+// nonzero square mod p (Euler's criterion), that is not a small-order
+// point; every other u is the ladder's. Among the small-order encodings,
+// with and without bit 255, is p - 1, which has no edwards25519 image.
+TEST(X25519, CombTableExistsExactlyForLargeOrderCurvePoints) {
+  const BigInt p = BigInt::from_hex(
+      "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed");
+  const BigInt half = (p - 1) >> 1;
+  std::vector<BigInt> small;
+  for (const Bytes& u : small_order_points()) {
+    small.push_back(decode_u(u, p));
+    EXPECT_EQ(x25519_comb_table(u), nullptr) << "u=" << to_hex(u);
+  }
+  std::vector<Bytes> us = small_order_points();
+  ChaChaRng rng(486662);
+  for (int i = 0; i < 400; ++i) us.push_back(rng.bytes(32));
+  int tables = 0;
+  for (const Bytes& u : us) {
+    const BigInt x = decode_u(u, p);
+    const BigInt f = (x * x % p * x + BigInt(486662) * x % p * x + x) % p;
+    const bool expected = !f.is_zero() && f.mod_exp(half, p) == BigInt(1) &&
+                          std::find(small.begin(), small.end(), x) ==
+                              small.end();
+    const bool has_table = x25519_comb_table(u) != nullptr;
+    EXPECT_EQ(has_table, expected) << "u=" << to_hex(u);
+    tables += has_table;
+  }
+  // About half of all u lie on the curve, the rest on its twist.
+  EXPECT_GT(tables, 150);
+  EXPECT_LT(tables, 250);
 }
 
 // The IFMA ladder against the portable one: seeded pairs, and every edge
@@ -196,6 +307,10 @@ TEST(X25519, DispatchFollowsCpuid) {
   const X25519Ladder ifma = x25519_ladder_ifma();
   EXPECT_EQ(x25519_ladder_dispatched(),
             ifma != nullptr ? ifma : x25519_ladder_portable);
+  const X25519Comb comb_ifma = x25519_comb_ifma();
+  EXPECT_EQ(comb_ifma != nullptr, ifma != nullptr);
+  EXPECT_EQ(x25519_comb_dispatched(),
+            comb_ifma != nullptr ? comb_ifma : x25519_comb_portable);
 }
 
 TEST(X25519, DeriveIsDeterministic) {
