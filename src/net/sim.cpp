@@ -251,6 +251,7 @@ void Simulator::add_node(Node& node) {
                                 node.address());
   }
   nodes_[id] = &node;
+  for (const Address& src : node.also_sends_from()) interner_.intern(src);
 }
 
 Simulator::LinkState& Simulator::ensure_link(AddressId a, AddressId b) {
@@ -357,28 +358,10 @@ std::function<void()> Simulator::Shard::take_callback(std::uint32_t slot) {
 
 AddressId Simulator::intern(const Shard& sh, const Address& name) {
   if (const auto id = interner_.lookup(name)) return *id;
-  if (&sh == &main_) return interner_.intern(name);
-  // A worker must not grow the interner its peers read: stage the name.
-  const std::lock_guard<std::mutex> lk(staged_mu_);
-  return static_cast<AddressId>(interner_.size() +
-                                staged_names_.intern(name));
-}
-
-const Address& Simulator::name_of(AddressId id) const {
-  if (id < interner_.size()) return interner_.name(id);
-  // Staged by a worker this window. Interner keys are node-stable, so the
-  // reference outlives the lock (until the next barrier publishes it).
-  const std::lock_guard<std::mutex> lk(staged_mu_);
-  return staged_names_.name(id - static_cast<AddressId>(interner_.size()));
-}
-
-void Simulator::publish_staged_names() {
-  // Nothing else interned since these were staged, so interning them in id
-  // order hands out exactly the ids they already carry.
-  for (AddressId k = 0; k < staged_names_.size(); ++k) {
-    interner_.intern(staged_names_.name(k));
+  if (&sh != &main_) {
+    throw std::out_of_range("Simulator: unknown source " + name);
   }
-  staged_names_ = AddressInterner();
+  return interner_.intern(name);
 }
 
 ProtocolId Simulator::intern_protocol(Shard& sh, const std::string& name) {
@@ -408,7 +391,6 @@ const Simulator::ProtocolInfo& Simulator::protocol_info(Shard& sh,
 }
 
 AddressId Simulator::destination(const Address& dst) const {
-  // Destinations are registered nodes, never staged names.
   const std::optional<AddressId> id = interner_.lookup(dst);
   if (!id || *id >= nodes_.size() || nodes_[*id] == nullptr) {
     throw std::out_of_range("Simulator: unknown destination " + dst);
@@ -424,8 +406,8 @@ void Simulator::fault_span(const Shard& sh, const char* what,
                            std::uint64_t link_key) {
   if (!spans_on(sh)) return;
   obs::Span span(*tracer_, what, "net");
-  span.arg("src", name_of(link_src(link_key)));
-  span.arg("dst", name_of(link_dst(link_key)));
+  span.arg("src", interner_.name(link_src(link_key)));
+  span.arg("dst", interner_.name(link_dst(link_key)));
 }
 
 Simulator::SendPlan Simulator::plan_send(Shard& sh, std::uint64_t link_key,
@@ -712,8 +694,8 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
   }
   sh.latency_hist.record(ev.latency_sample);
   const ProtocolInfo& proto = protocol_info(sh, ev.protocol);
-  const Address& src = name_of(link_src(ev.link_key));
-  const Address& dst = name_of(dst_id);
+  const Address& src = interner_.name(link_src(ev.link_key));
+  const Address& dst = interner_.name(dst_id);
   std::optional<obs::Span> span;
   if (spans_on(sh)) {
     span.emplace(*tracer_, proto.deliver_label, "net");
@@ -739,7 +721,7 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
     if (&sh == &main_) {
       emit(rec);
     } else {
-      sh.deferred.push_back(rec);
+      deferred_.push(sh.id, rec);
     }
   }
   CurrentDeliveryScope current(sh.current_handle, ev.handle);
@@ -768,8 +750,8 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
 }
 
 void Simulator::emit(const DeliveryRecord& rec) {
-  const Address& src = name_of(link_src(rec.link_key));
-  const Address& dst = name_of(link_dst(rec.link_key));
+  const Address& src = interner_.name(link_src(rec.link_key));
+  const Address& dst = interner_.name(link_dst(rec.link_key));
   if (link_byte_accounting_) {
     link_bytes_counter(rec.link_key, src, dst).inc(rec.size);
   }
@@ -788,9 +770,10 @@ void Simulator::forward(const Address& src, const Address& dst,
   // Validate before detaching or interning: a rejected forward leaves the
   // delivered payload and the interner untouched.
   const AddressId dst_id = destination(dst);
+  const AddressId src_id = intern(sh, src);
   Bytes payload = detach_payload(prefix_len);
-  transmit(sh, intern(sh, src), dst_id, std::move(payload),
-           BufferPool::kInvalid, context, protocol, extra_delay);
+  transmit(sh, src_id, dst_id, std::move(payload), BufferPool::kInvalid,
+           context, protocol, extra_delay);
 }
 
 Bytes Simulator::detach_payload(std::size_t prefix_len) {
@@ -842,11 +825,9 @@ void Simulator::dispatch(Shard& sh, const EngineEvent& ev) {
 }
 
 void Simulator::fire_breach(Shard& sh, const BreachEvent& ev) {
-  const AddressId id = intern(sh, ev.party);
-  if (id < breached_.size() && breached_[id] != kNotBreached) {
-    return;  // first breach wins
-  }
-  if (id >= breached_.size()) breached_.resize(id + 1, kNotBreached);
+  // install_plan interned the party and sized breached_ to cover it.
+  const AddressId id = interner_.lookup(ev.party).value();
+  if (breached_[id] != kNotBreached) return;  // first breach wins
   breached_[id] = sh.now;
   ++sh.stats.breaches_fired;
   std::optional<obs::Span> span;
@@ -989,6 +970,9 @@ void Simulator::rebuild_fault_tables() {
   for (const auto& [party, windows] : fault_plan_->offline_windows()) {
     offline_m_[interner_.intern(party)] = &windows;
   }
+  for (const BreachEvent& ev : fault_plan_->breaches()) {
+    interner_.intern(ev.party);
+  }
 }
 
 void Simulator::reseed(Shard& sh) {
@@ -1003,9 +987,9 @@ void Simulator::install_plan(FaultPlan plan, Shard& home, Time floor) {
   }
   fault_plan_ = std::move(plan);
   fault_stats_ = FaultStats{};
-  breached_.assign(breached_.size(), kNotBreached);
   bind_fault_metrics();
   rebuild_fault_tables();
+  breached_.assign(interner_.size(), kNotBreached);
   reseed(main_);
   for (auto& sh : shard_v_) reseed(*sh);
   for (const BreachEvent& ev : fault_plan_->breaches()) {
@@ -1287,35 +1271,10 @@ void Simulator::drain_inbox_into_queue(Shard& sh) {
 }
 
 void Simulator::replay_deferred(Time cutoff) {
-  // K-way merge of the per-shard buffers by (time, shard, buffer order),
-  // stopping at `cutoff`. Each buffer is already time-sorted (shards
-  // process nondecreasing times), so a linear index per shard suffices —
-  // and every record left behind carries time >= cutoff, so successive
-  // prefix replays concatenate into the same global order one end-of-run
-  // merge would produce. Incremental barrier work is O(newly safe records).
-  std::vector<std::size_t> idx(shard_v_.size(), 0);
-  for (;;) {
-    std::size_t best = shard_v_.size();
-    Time best_time = 0;
-    for (std::size_t s = 0; s < shard_v_.size(); ++s) {
-      const auto& dq = shard_v_[s]->deferred;
-      if (idx[s] >= dq.size()) continue;
-      const Time t = dq[idx[s]].time;
-      if (t >= cutoff) continue;
-      if (best == shard_v_.size() || t < best_time) {
-        best = s;
-        best_time = t;
-      }
-    }
-    if (best == shard_v_.size()) break;
-    const DeliveryRecord& rec = shard_v_[best]->deferred[idx[best]++];
+  deferred_.commit_before(cutoff, [this](const DeliveryRecord& rec) {
     main_.now = rec.time;  // taps reading the main clock see the event's time
     emit(rec);
-  }
-  for (std::size_t s = 0; s < shard_v_.size(); ++s) {
-    auto& dq = shard_v_[s]->deferred;
-    dq.erase(dq.begin(), dq.begin() + static_cast<std::ptrdiff_t>(idx[s]));
-  }
+  });
 }
 
 Time Simulator::run_sharded() {
@@ -1336,6 +1295,7 @@ Time Simulator::run_sharded() {
         "link latency (the lookahead window would be empty)");
   }
   build_shards();
+  deferred_.reset(shards_);
   redistribute_initial_events();
   // One lane per shard plus a dedicated coordinator lane: wiretap taps that
   // record flow ops during the barrier replay must not interleave into a
@@ -1419,7 +1379,6 @@ Time Simulator::run_sharded() {
     const std::uint32_t lane_saved = obs::FlowLedger::lane();
     obs::FlowLedger::set_lane(shards_);
     try {
-      publish_staged_names();
       ++windows;
       // Incremental commit: everything strictly before the next round's
       // first event is safe — no future event (including a pending-plan
@@ -1526,7 +1485,6 @@ Time Simulator::run_sharded() {
 
   sharded_running_ = false;
   run_abort_ = nullptr;
-  publish_staged_names();
   // Leave the ledger usable (and flush any last staged ops) even when the
   // run is about to rethrow a worker error.
   if (flow_ != nullptr) flow_->end_staging();

@@ -51,6 +51,7 @@
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
+#include "common/time_lanes.hpp"
 #include "net/address.hpp"
 #include "net/engine.hpp"
 #include "net/faults.hpp"
@@ -96,6 +97,11 @@ class Node {
 
   const Address& address() const { return address_; }
 
+  /// Other source addresses this node sends from, such as a pseudonym.
+  /// add_node interns them without a node, so they are never valid
+  /// destinations.
+  virtual std::vector<Address> also_sends_from() const { return {}; }
+
   /// Invoked when a packet addressed to this node is delivered. The packet
   /// (including its payload buffer) is only valid for the duration of the
   /// call — copy what must outlive it.
@@ -131,14 +137,18 @@ struct TraceEntry {
 /// add_wiretap, set_trace_recording, set_link_byte_accounting, set_metrics,
 /// set_flow, set_sampler, set_profiler and set_latency_tracer — throw
 /// std::logic_error while a threaded run is in progress. Serial runs, and
-/// handlers inside them, may still call them.
+/// handlers inside them, may still call them. Likewise a worker sends only
+/// from an interned source (a node's address, one a node declared, or one
+/// named before run()): send, send_shared and forward throw
+/// std::out_of_range there for any other source, which serial runs intern.
 class Simulator {
  public:
   Simulator();
   ~Simulator();
 
-  /// Registers a node. The caller retains ownership and must keep the node
-  /// alive until run() returns.
+  /// Registers a node and interns the extra source addresses it declares
+  /// (Node::also_sends_from). The caller retains ownership and must keep
+  /// the node alive until run() returns.
   void add_node(Node& node);
 
   /// Sets one-way latency between two addresses (both directions).
@@ -164,7 +174,8 @@ class Simulator {
   void set_default_latency(Time latency_us);
 
   /// Queues a packet for delivery after link latency (plus `extra_delay`).
-  /// Throws std::out_of_range if the destination is unknown.
+  /// Throws std::out_of_range if the destination is unknown, or, on a
+  /// worker of a threaded run, if the source is.
   void send(Packet packet, Time extra_delay = 0);
 
   /// Moves `bytes` into this simulator's payload pool and returns a
@@ -468,10 +479,11 @@ class Simulator {
   };
 
   /// What wiretaps, the trace and link-byte accounting learn about one
-  /// delivery. The main shard emits it inline; workers buffer it for the
-  /// coordinator to replay at the next barrier in (time, shard, seq) order,
-  /// so observers see one causally ordered stream. Flow-ledger ops take
-  /// the FlowLedger staging path instead (see obs/flow.hpp).
+  /// delivery. The main shard emits it inline; a worker appends it to its
+  /// lane of deferred_, which the coordinator replays at the next barrier
+  /// in (time, shard, append order), so observers see one causally ordered
+  /// stream. Flow-ledger ops take the FlowLedger staging path instead (see
+  /// obs/flow.hpp).
   struct DeliveryRecord {
     Time time = 0;
     std::uint64_t link_key = 0;
@@ -484,9 +496,9 @@ class Simulator {
   /// stream, clock and sequence counters, the delivery in flight, and
   /// counters that fold() adds to the registry. main_ is the shard serial
   /// runs execute inline; a threaded run builds one worker per topology
-  /// shard. Between barriers a worker writes only its own Shard, other
-  /// shards' mailboxes (internally locked), and the staged-name and
-  /// protocol tables (each behind its mutex). It reads the simulator's
+  /// shard. Between barriers a worker writes only its own Shard, its own
+  /// lane of deferred_, other shards' mailboxes (internally locked), and
+  /// the protocol table (behind its mutex). It reads the simulator's
   /// tables — interner, nodes, links, placement, fault windows — without a
   /// lock: they change only while every worker is parked (see "Frozen
   /// tables" below).
@@ -528,11 +540,10 @@ class Simulator {
     // Worker exchange: the inbox (bounded: big enough that barrier-rate
     // draining never backpressures in practice, small enough to bound
     // memory under a pathological window), drained-but-not-enqueued
-    // events, the outgoing merge key, and buffered delivery records.
+    // events, and the outgoing merge key.
     ShardMailbox inbox{16384};
     std::vector<ShardEvent> staged;
     std::uint64_t xfer_seq = 0;
-    std::vector<DeliveryRecord> deferred;
     // Contention telemetry: wall time split between processing and barrier
     // waits, failed mailbox pushes, and the outgoing traffic row
     // (traffic[dst] = events pushed to shard dst, diagonal = same-shard
@@ -563,14 +574,9 @@ class Simulator {
   /// progress: the call would write a table workers read without a lock.
   void reject_if_threaded(const char* op) const;
 
-  // Interner and protocol-table access from the executing shard. A name
-  // first seen on a worker is staged (see staged_names_); name_of resolves
-  // published and staged ids alike.
+  /// The id of a send's source. main_ interns a new name; a worker must
+  /// not grow the interner its peers read, so it throws std::out_of_range.
   AddressId intern(const Shard& sh, const Address& name);
-  const Address& name_of(AddressId id) const;
-  /// Moves the staged names into the interner under the ids they were
-  /// given. Only while every worker is parked or joined.
-  void publish_staged_names();
   ProtocolId intern_protocol(Shard& sh, const std::string& name);
   const ProtocolInfo& protocol_info(Shard& sh, ProtocolId id);
   /// The id of a registered node, without interning anything: throws
@@ -651,24 +657,19 @@ class Simulator {
   void build_shards();
   void redistribute_initial_events();
   void drain_inbox_into_queue(Shard& sh);
-  /// Replays deferred delivery records with time < cutoff in global
-  /// (time, shard, buffer-order) order and erases the replayed prefixes.
-  /// Per-shard buffers are time-nondecreasing (shard clocks are monotone),
-  /// so a prefix cutoff at the next window's start commits exactly the
-  /// records no future event can precede. Pass ~Time{0} to drain fully.
+  /// Emits the deferred delivery records with time < cutoff (see
+  /// TimeLanes::commit_before). A cutoff at the next window's start commits
+  /// exactly the records no future event can precede; ~Time{0} drains all.
   void replay_deferred(Time cutoff);
 
   // Frozen tables. The interner, nodes_ and links_ (and the placement and
   // fault tables further down) change only before run(), in the window
   // barrier's completion (every worker parked) and after run(), so workers
-  // read them without a lock. An address first seen on a worker — a send
-  // from an unregistered source — goes to staged_names_ instead, under an
-  // id that continues the interner's; the next barrier completion (before
-  // a parked plan install interns its own names) and the end of the run
-  // publish it into the interner under that same id.
+  // read them without a lock. Every address a worker can meet is in the
+  // interner before its window opens: destinations are nodes, a source is
+  // a node, declared by one or interned before run(), and a fault plan
+  // interns its parties when it is installed.
   AddressInterner interner_;
-  AddressInterner staged_names_;  // id = interner_.size() + staged id
-  mutable std::mutex staged_mu_;  // guards staged_names_ during a run
   std::vector<Node*> nodes_;  // dense, indexed by AddressId; null = no node
   std::unordered_map<std::uint64_t, LinkState> links_;  // pack_link keys
   Time default_latency_ = 10'000;  // 10 ms
@@ -756,6 +757,8 @@ class Simulator {
   std::vector<AffinityHint> affinity_hints_;
   std::vector<std::vector<std::uint64_t>> affinity_traffic_;
   std::vector<std::unique_ptr<Shard>> shard_v_;
+  // Delivery records of a threaded run, one lane per worker.
+  TimeLanes<DeliveryRecord> deferred_;
   ShardRunStats shard_stats_;
   bool sharded_running_ = false;
   std::optional<FaultPlan> pending_plan_;

@@ -69,14 +69,14 @@ void FlowLedger::set_lane(std::uint32_t lane) { tls_lane_ = lane; }
 std::uint32_t FlowLedger::lane() { return tls_lane_; }
 
 void FlowLedger::begin_staging(std::uint32_t lanes) {
-  lanes_.assign(lanes == 0 ? 1 : lanes, {});
+  lanes_.reset(lanes == 0 ? 1 : lanes);
   staging_ = true;
 }
 
 bool FlowLedger::stage(StagedOp op) {
   if (!staging_) return false;
   op.time = clock_ ? clock_() : 0;
-  lanes_[tls_lane_ < lanes_.size() ? tls_lane_ : 0].push_back(std::move(op));
+  lanes_.push(tls_lane_ < lanes_.lanes() ? tls_lane_ : 0, std::move(op));
   return true;
 }
 
@@ -100,66 +100,24 @@ void FlowLedger::replay_op(const StagedOp& op) {
   }
 }
 
-void FlowLedger::commit_staged() {
-  commit_staged_before(~std::uint64_t{0});
-}
-
 void FlowLedger::commit_staged_before(std::uint64_t cutoff) {
-  // (time, lane, capture order): each lane is time-nondecreasing (workers
-  // process events in nondecreasing virtual time), so the ops with
-  // time < cutoff form a per-lane prefix, a stable sort on (time, lane)
-  // over those prefixes yields the canonical merge, and every op left
-  // behind carries time >= cutoff — successive prefix commits concatenate
-  // into exactly the sequence one full end-of-run sort would produce. Ops
-  // of one delivery share a lane and a timestamp, so its begin/exposures/
-  // end stay contiguous.
-  struct Ref {
-    std::uint64_t time;
-    std::uint32_t lane;
-    std::uint32_t idx;
-  };
-  std::vector<std::uint32_t> ends(lanes_.size(), 0);
-  std::size_t total = 0;
-  for (std::size_t l = 0; l < lanes_.size(); ++l) {
-    const auto& lane = lanes_[l];
-    const auto end = std::lower_bound(
-        lane.begin(), lane.end(), cutoff,
-        [](const StagedOp& op, std::uint64_t t) { return op.time < t; });
-    ends[l] = static_cast<std::uint32_t>(end - lane.begin());
-    total += ends[l];
-  }
-  if (total == 0) return;
-  std::vector<Ref> order;
-  order.reserve(total);
-  for (std::uint32_t l = 0; l < lanes_.size(); ++l) {
-    for (std::uint32_t i = 0; i < ends[l]; ++i) {
-      order.push_back({lanes_[l][i].time, l, i});
-    }
-  }
-  std::sort(order.begin(), order.end(), [](const Ref& a, const Ref& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.lane != b.lane) return a.lane < b.lane;
-    return a.idx < b.idx;
-  });
+  if (!staging_) return;
+  // Ops of one delivery share a lane and a timestamp, so its begin/
+  // exposures/end stay contiguous in the merged order.
   staging_ = false;  // replay through the immediate path
-  for (const Ref& r : order) {
-    const StagedOp& op = lanes_[r.lane][r.idx];
+  lanes_.commit_before(cutoff, [this](const StagedOp& op) {
     time_override_ = &op.time;
     replay_op(op);
-  }
+  });
   time_override_ = nullptr;
   staging_ = true;
-  for (std::size_t l = 0; l < lanes_.size(); ++l) {
-    auto& lane = lanes_[l];
-    lane.erase(lane.begin(), lane.begin() + ends[l]);
-  }
 }
 
 void FlowLedger::end_staging() {
   if (!staging_) return;
-  commit_staged();
+  commit_staged_before(~std::uint64_t{0});
   staging_ = false;
-  lanes_.clear();
+  lanes_.reset(0);
 }
 
 void FlowLedger::on_observe(const core::Observation& o) {

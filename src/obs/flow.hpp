@@ -42,6 +42,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/time_lanes.hpp"
 #include "core/analysis.hpp"
 #include "core/observation.hpp"
 
@@ -128,26 +129,23 @@ class FlowLedger final : public core::ObservationSink {
   // The sharded net::Simulator runs Node::on_packet on worker threads, so
   // record_*/begin_delivery calls would otherwise race on the ledger.
   // Between begin_staging(lanes) and end_staging(), every mutating call
-  // appends a timestamped op to its calling thread's lane (set per thread
-  // with set_lane; lanes never contend) instead of touching ledger state.
-  // commit_staged() — invoked by the coordinator at window barriers, all
-  // workers parked — replays the buffered ops through the normal
-  // dedup/frontier/monitor path in (capture time, lane, capture order):
-  // a total order independent of thread interleaving, so event ids, chains,
-  // and monitor verdicts are bit-stable for a fixed shard count.
+  // appends a timestamped op to its calling thread's lane of a TimeLanes
+  // (common/time_lanes.hpp; the lane is set per thread with set_lane, and
+  // lanes never share a cache line) instead of touching ledger state. The
+  // coordinator commits them at window barriers, all workers parked,
+  // through the normal dedup/frontier/monitor path in (capture time, lane,
+  // capture order): a total order independent of thread interleaving, so
+  // event ids, chains, and monitor verdicts are bit-stable for a fixed
+  // shard count.
 
   /// Enters staged mode with `lanes` producer lanes (one per shard, plus
   /// the simulator's coordinator lane).
   void begin_staging(std::uint32_t lanes);
-  /// Replays and clears all staged ops. Only call with producers parked.
-  void commit_staged();
   /// Incremental barrier commit: replays and erases only the ops with
-  /// capture time < cutoff. Each lane is time-nondecreasing (shard clocks
-  /// are monotone), so those ops form a per-lane prefix, and no op staged
-  /// later can carry an earlier time — concatenating successive prefix
-  /// commits yields the exact global (time, lane, capture order) sequence
-  /// one end-of-run sort would. Barrier work is O(newly safe ops) instead
-  /// of O(window batch). Only call with producers parked.
+  /// capture time < cutoff, merged k-way from the lanes. Every op left
+  /// behind carries time >= cutoff, so successive commits concatenate into
+  /// the sequence one final commit would replay, and barrier work is
+  /// O(newly safe ops). Only call with producers parked.
   void commit_staged_before(std::uint64_t cutoff);
   /// Commits any remaining ops and leaves staged mode.
   void end_staging();
@@ -233,7 +231,7 @@ class FlowLedger final : public core::ObservationSink {
     Kind kind = Kind::kExposure;
     std::uint64_t time = 0;  // clock_() at capture
     core::Party party;
-    core::Atom atom;              // kExposure
+    core::Atom atom{};            // kExposure
     std::uint64_t context = 0;    // exposure ctx / link a / delivery ctx
     std::uint64_t context_b = 0;  // kLink
     FlowCause cause = FlowCause::kProtocolStep;  // kCompromise
@@ -280,7 +278,7 @@ class FlowLedger final : public core::ObservationSink {
   // Staged-capture state. During replay, time_override_ points at the op's
   // captured timestamp so append() stamps capture time, not commit time.
   bool staging_ = false;
-  std::vector<std::vector<StagedOp>> lanes_;
+  TimeLanes<StagedOp> lanes_;
   const std::uint64_t* time_override_ = nullptr;
   static thread_local std::uint32_t tls_lane_;
 };

@@ -9,7 +9,8 @@
 //
 // The spend leg travels over an anonymous channel (the paper's purchases
 // "cannot be linked to identities"); we model it by having the buyer present
-// the coin from an unregistered pseudonymous source address.
+// the coin from a pseudonymous source address that no node owns and nobody
+// can address (the Buyer declares it as an extra source; see net::Node).
 #pragma once
 
 #include <functional>
@@ -104,6 +105,10 @@ class Buyer final : public net::Node {
 
   const std::vector<Coin>& wallet() const { return wallet_; }
 
+  /// The pseudonym, which spends come from.
+  std::vector<net::Address> also_sends_from() const override {
+    return {pseudonym_};
+  }
   void on_packet(const net::Packet& p, net::Simulator& sim) override;
 
  private:

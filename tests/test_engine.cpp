@@ -270,7 +270,12 @@ TEST(BufferPool, PayloadRefIsRaii) {
 /// Sink node that records every delivered payload.
 class SinkNode : public net::Node {
  public:
-  explicit SinkNode(net::Address a) : Node(std::move(a)) {}
+  explicit SinkNode(net::Address a, std::vector<net::Address> also = {})
+      : Node(std::move(a)), declared(std::move(also)) {}
+  std::vector<net::Address> also_sends_from() const override {
+    return declared;
+  }
+  std::vector<net::Address> declared;
   std::vector<Bytes> payloads;
   void on_packet(const net::Packet& p, net::Simulator&) override {
     payloads.push_back(p.payload);
@@ -369,7 +374,8 @@ TEST(SimulatorEngine, PlanSwapKeepsEarlierFaultsInRegistry) {
     obs::Registry reg;
     net::Simulator sim;
     sim.set_metrics(reg);
-    SinkNode sink("sink");
+    // The sends run on a worker when sharded, so their source is declared.
+    SinkNode sink("sink", {"src"});
     sim.add_node(sink);
     net::FaultPlan lossy(3);
     lossy.impair({1.0, 0.0, 0.0, 0});  // every packet is lost

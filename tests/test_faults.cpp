@@ -631,12 +631,15 @@ TEST(FaultsSharded, MidRunPlanAndBreachImplantsMatchSerial) {
     }
     // Install the plan mid-run; every window/implant lies beyond the install
     // point plus one lookahead window, so barrier-quantized application in
-    // the sharded engine sees exactly what the serial engine sees.
+    // the sharded engine sees exactly what the serial engine sees. The
+    // "observer" party has no node: installing the plan interns it, so its
+    // implant, which fires on a worker when sharded, finds it interned.
     sim.at(35'000, [&sim] {
       net::FaultPlan plan(1);
       plan.partition("ping1", "pong1", 60'000, 120'000);
       plan.crash("pong2", 70'000, 130'000);
       plan.breach("pong0", 90'000);
+      plan.breach("observer", 110'000);
       plan.breach("ping3", 150'000);
       sim.set_fault_plan(plan);
     });
@@ -648,17 +651,19 @@ TEST(FaultsSharded, MidRunPlanAndBreachImplantsMatchSerial) {
     }
     std::sort(out.rx.begin(), out.rx.end());
     EXPECT_TRUE(sim.is_breached("pong0"));
+    EXPECT_TRUE(sim.is_breached("observer"));
     EXPECT_TRUE(sim.is_breached("ping3"));
     EXPECT_EQ(sim.breached_at("pong0"), 90'000u);
+    EXPECT_EQ(sim.breached_at("observer"), 110'000u);
     EXPECT_EQ(sim.breached_at("ping3"), 150'000u);
     return out;
   };
 
   const Outcome serial = run_with(1);
-  ASSERT_EQ(serial.breaches.size(), 2u);
+  ASSERT_EQ(serial.breaches.size(), 3u);
   EXPECT_GT(serial.stats.partition_dropped, 0u);
   EXPECT_GT(serial.stats.offline_dropped, 0u);
-  EXPECT_EQ(serial.stats.breaches_fired, 2u);
+  EXPECT_EQ(serial.stats.breaches_fired, 3u);
   for (std::uint32_t shards : {2u, 4u}) {
     const Outcome sharded = run_with(shards);
     EXPECT_EQ(sharded.breaches, serial.breaches) << "shards=" << shards;

@@ -156,8 +156,9 @@ TEST(Partition, AccumulatesRepeatedVerticesAndEdges) {
   const auto r = p.partition();
   EXPECT_EQ(r.total_weight, 10u);
   ASSERT_GE(r.assignment.size(), 2u);
-  if (r.assignment.size() > 2)
+  if (r.assignment.size() > 2) {
     EXPECT_EQ(r.assignment[2], ShardPartitioner::kUnassigned);
+  }
   EXPECT_EQ(std::accumulate(r.loads.begin(), r.loads.end(), std::uint64_t{0}),
             5u + 1u);  // vertex 0 load 5, implicit vertex 1 load 1
   // Edge {0,1} is the only cuttable weight; whatever the placement, the

@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -717,43 +718,75 @@ using Seen = std::tuple<Address, Address, std::string, std::size_t>;
 
 class RecordingNode final : public Node {
  public:
-  explicit RecordingNode(std::string name) : Node(std::move(name)) {}
+  explicit RecordingNode(std::string name, std::vector<Address> also = {})
+      : Node(std::move(name)), also_(std::move(also)) {}
 
-  void on_packet(const Packet& p, Simulator&) override {
+  std::vector<Address> also_sends_from() const override { return also_; }
+
+  void on_packet(const Packet& p, Simulator& sim) override {
     seen.emplace_back(p.src, address(), p.protocol, p.payload.size());
+    if (on_delivery) on_delivery(sim);
   }
 
   std::vector<Seen> seen;
+  std::function<void(Simulator&)> on_delivery;  // runs after recording
+
+ private:
+  std::vector<Address> also_;
+};
+
+/// kGhostPairs sender/receiver pairs, pair i pinned to shard i. Sender i
+/// declares "ghost<i>" and "ghost-shared" as extra sources, and sender 0
+/// also "ghost-late"; nothing declares "undeclared*".
+constexpr std::uint32_t kGhostPairs = 4;
+
+struct GhostEstate {
+  Simulator sim;
+  std::vector<std::unique_ptr<RecordingNode>> nodes;
+
+  explicit GhostEstate(std::uint32_t shards) {
+    for (std::uint32_t i = 0; i < kGhostPairs; ++i) {
+      std::vector<Address> declared = {"ghost" + std::to_string(i),
+                                       "ghost-shared"};
+      if (i == 0) declared.push_back("ghost-late");
+      add("sender" + std::to_string(i), std::move(declared), i);
+      add("receiver" + std::to_string(i), {}, i);
+    }
+    sim.set_shards(shards);
+  }
+
+  RecordingNode& receiver(std::uint32_t i) { return *nodes[2 * i + 1]; }
+
+ private:
+  void add(const Address& name, std::vector<Address> declared,
+           std::uint32_t shard) {
+    nodes.push_back(std::make_unique<RecordingNode>(name, std::move(declared)));
+    sim.add_node(*nodes.back());
+    sim.set_shard_affinity(name, shard);
+  }
 };
 
 // Workers read the interner and the protocol table without a lock, so a
-// name first seen mid-run is staged and published at the next barrier,
-// and a label first seen mid-run is added under the table's mutex. Here
-// every shard stages at once: in the first window each sender sends from
-// its own unregistered address and from one shared one, under a label
-// nobody used before run(), to receivers on other shards. A late send,
-// alone on shard 0, is delivered in the window that staged its source.
+// source must be in the interner before run(): a node's own address or one
+// it declared. A protocol label may still first appear mid-run; its first
+// use adds it under the table's mutex. Here every shard sends at once: in
+// the first window each sender sends from its own declared address and
+// from one that all of them declared, under a label nobody used before
+// run(), to receivers on other shards. A late send, alone on shard 0, comes
+// from a third declared address. Then a send, send_shared or forward from
+// an undeclared source, made on each shard in turn, must throw out of
+// run() without interning it, and the next run must work.
 TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
-  constexpr std::uint32_t kSenders = 4;
   constexpr int kSendsPerName = 16;
   const auto run = [&](std::uint32_t shards,
                        std::vector<std::string>* protocol_names,
                        std::set<Address>* interned) {
-    Simulator sim;
-    std::vector<std::unique_ptr<RecordingNode>> nodes;
-    for (std::uint32_t i = 0; i < kSenders; ++i) {
-      for (const char* role : {"sender", "receiver"}) {
-        const Address name = role + std::to_string(i);
-        nodes.push_back(std::make_unique<RecordingNode>(name));
-        sim.add_node(*nodes.back());
-        sim.set_shard_affinity(name, i);
-      }
-    }
-    sim.set_shards(shards);
-    for (std::uint32_t i = 0; i < kSenders; ++i) {
+    GhostEstate estate(shards);
+    Simulator& sim = estate.sim;
+    for (std::uint32_t i = 0; i < kGhostPairs; ++i) {
       const Address own = "ghost" + std::to_string(i);
-      const Address peer = "receiver" + std::to_string((i + 1) % kSenders);
-      const Address far = "receiver" + std::to_string((i + 2) % kSenders);
+      const Address peer = "receiver" + std::to_string((i + 1) % kGhostPairs);
+      const Address far = "receiver" + std::to_string((i + 2) % kGhostPairs);
       sim.at_node("sender" + std::to_string(i), 0, [&sim, i, own, peer, far] {
         for (int k = 0; k < kSendsPerName; ++k) {
           sim.send(Packet{own, peer, Bytes(1 + i), 0, "fresh"});
@@ -764,7 +797,9 @@ TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
     sim.at_node("sender0", 1'000'000, [&sim] {
       sim.send(Packet{"ghost-late", "receiver0", Bytes(7), 0, "fresh"});
     });
+    const std::size_t before = sim.interner().size();
     sim.run();
+    EXPECT_EQ(sim.interner().size(), before);
 
     *protocol_names = sim.protocol_names();
     interned->clear();
@@ -776,7 +811,7 @@ TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
     }
     EXPECT_EQ(interned->size(), sim.interner().size());
     std::vector<Seen> seen;
-    for (const auto& n : nodes) {
+    for (const auto& n : estate.nodes) {
       for (const Seen& s : n->seen) {
         EXPECT_EQ(std::get<2>(s), "fresh");
         const Address& src = std::get<0>(s);
@@ -791,7 +826,7 @@ TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
   std::vector<std::string> serial_protocols, sharded_protocols;
   std::set<Address> serial_names, sharded_names;
   const std::vector<Seen> serial = run(1, &serial_protocols, &serial_names);
-  ASSERT_EQ(serial.size(), 2u * kSenders * kSendsPerName + 1);
+  ASSERT_EQ(serial.size(), 2u * kGhostPairs * kSendsPerName + 1);
   const std::vector<Seen> sharded = run(4, &sharded_protocols, &sharded_names);
   EXPECT_EQ(sharded, serial);
   EXPECT_EQ(std::count(sharded_protocols.begin(), sharded_protocols.end(),
@@ -800,7 +835,64 @@ TEST(FrozenTables, NamesFirstSeenOnSeveralShardsAtOnce) {
   EXPECT_EQ(sharded_protocols, serial_protocols);
   // Same names either way: 8 nodes, 4 own ghosts, the shared and late one.
   EXPECT_EQ(sharded_names, serial_names);
-  EXPECT_EQ(sharded_names.size(), 2u * kSenders + kSenders + 2);
+  EXPECT_EQ(sharded_names.size(), 2u * kGhostPairs + kGhostPairs + 2);
+
+  // Receiver s, on shard s, makes the call from inside its delivery (forward
+  // needs one) to the receiver on the next shard.
+  using Call = std::function<void(Simulator&, const Address&, const Address&)>;
+  const std::vector<std::pair<std::string, Call>> calls = {
+      {"send",
+       [](Simulator& sim, const Address& src, const Address& dst) {
+         sim.send(Packet{src, dst, Bytes(3), 0, "fresh"});
+       }},
+      {"send_shared",
+       [](Simulator& sim, const Address& src, const Address& dst) {
+         sim.send_shared(src, dst, sim.make_payload(Bytes(3)), 0, "fresh");
+       }},
+      {"forward",
+       [](Simulator& sim, const Address& src, const Address& dst) {
+         sim.forward(src, dst, 0, "fresh");
+       }},
+  };
+  for (const auto& entry : calls) {
+    const Call& call = entry.second;
+    for (std::uint32_t s = 0; s < kGhostPairs; ++s) {
+      SCOPED_TRACE(entry.first + " on shard " + std::to_string(s));
+      GhostEstate estate(4);
+      Simulator& sim = estate.sim;
+      const Address sender = "sender" + std::to_string(s);
+      const Address src = "undeclared" + std::to_string(s);
+      const Address next = "receiver" + std::to_string((s + 1) % kGhostPairs);
+      estate.receiver(s).on_delivery = [&call, src, next](Simulator& sim) {
+        call(sim, src, next);
+      };
+      sim.at_node(sender, 0, [&sim, sender, s] {
+        sim.send(Packet{sender, "receiver" + std::to_string(s), Bytes(2), 0,
+                        "kick"});
+      });
+      const std::size_t interned = sim.interner().size();
+      try {
+        sim.run();
+        ADD_FAILURE() << "run() did not throw";
+      } catch (const std::out_of_range& e) {
+        EXPECT_NE(std::string(e.what()).find(src), std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(sim.interner().size(), interned);
+      EXPECT_FALSE(sim.interner().lookup(src).has_value());
+      EXPECT_TRUE(estate.receiver((s + 1) % kGhostPairs).seen.empty());
+
+      // Still usable: the next threaded run delivers a declared send.
+      estate.receiver(s).on_delivery = nullptr;
+      const Address own = "ghost" + std::to_string(s);
+      sim.at_node(sender, sim.now(), [&sim, own, next] {
+        sim.send(Packet{own, next, Bytes(4), 0, "fresh"});
+      });
+      sim.run();
+      EXPECT_EQ(estate.receiver((s + 1) % kGhostPairs).seen,
+                std::vector<Seen>{Seen(own, next, "fresh", 4)});
+    }
+  }
 }
 
 // --- zero-copy wire path (DESIGN.md §14) ----------------------------------

@@ -3,17 +3,22 @@
 // per-node observation logs, so the only shared mutable state is the
 // engine's own. This is the tier the ThreadSanitizer CI job leans on: a
 // data race anywhere in the mailbox/pool/metrics plumbing surfaces here
-// under real protocol traffic, not just synthetic ping-pong.
+// under real protocol traffic, not just synthetic ping-pong. An e-cash
+// estate adds the one real system that sends from an address no node
+// owns: each buyer spends from its declared pseudonym on its own worker.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/address_book.hpp"
 #include "core/knowledge.hpp"
 #include "core/observation.hpp"
 #include "net/sim.hpp"
+#include "systems/ecash/ecash.hpp"
 #include "systems/ohttp/ohttp.hpp"
 
 namespace dcpl::systems {
@@ -179,6 +184,115 @@ TEST(SystemSharded, RepeatedShardedRunsAreBitStable) {
     again.run_workload();
     ASSERT_EQ(digest(again), want) << "rep " << rep;
   }
+}
+
+// --- e-cash: the pseudonymous spend made on a worker ----------------------
+
+constexpr int kBuyers = 4;
+constexpr int kCoinsEach = 2;
+
+/// Bank, seller and kBuyers buyers, each party with its own log. Buyer i
+/// spends from its pseudonym "anon:buyer<i>", which its Buyer declares, so
+/// in a threaded run the spend's source is first used on a worker.
+struct CashEstate {
+  net::Simulator sim;
+  core::AddressBook book;
+  std::vector<std::unique_ptr<core::ObservationLog>> logs;
+
+  std::unique_ptr<ecash::Bank> bank;
+  std::unique_ptr<ecash::Seller> seller;
+  std::vector<std::unique_ptr<ecash::Buyer>> buyers;
+  core::ObservationLog* seller_log = nullptr;
+
+  core::ObservationLog& fresh_log() {
+    logs.push_back(std::make_unique<core::ObservationLog>());
+    return *logs.back();
+  }
+
+  explicit CashEstate(std::uint32_t shards) {
+    book.set("bank.example", core::benign_identity("addr:bank.example"));
+    book.set("seller.example", core::benign_identity("addr:seller.example"));
+    bank = std::make_unique<ecash::Bank>("bank.example", 1024, fresh_log(),
+                                         book, 1);
+    seller_log = &fresh_log();
+    seller = std::make_unique<ecash::Seller>(
+        "seller.example", "bank.example", bank->public_key(), *seller_log,
+        book);
+    sim.add_node(*bank);
+    sim.add_node(*seller);
+    for (int i = 0; i < kBuyers; ++i) {
+      const std::string addr = buyer_address(i);
+      const std::string account = "buyer" + std::to_string(i);
+      book.set(addr, core::sensitive_identity("account:" + account, "network"));
+      bank->open_account(account, kCoinsEach);
+      buyers.push_back(std::make_unique<ecash::Buyer>(
+          addr, "anon:" + account, account, "bank.example",
+          bank->public_key(), fresh_log(), 7 + i));
+      sim.add_node(*buyers.back());
+      sim.set_shard_affinity(addr, static_cast<std::uint32_t>(i));
+    }
+    sim.set_shards(shards);
+  }
+
+  static std::string buyer_address(int i) {
+    return "10.0.1." + std::to_string(i + 1);
+  }
+
+  /// Every buyer withdraws its coins at t = 0 and spends them all at 1 s,
+  /// both on its own shard.
+  void run_workload() {
+    for (int i = 0; i < kBuyers; ++i) {
+      sim.at_node(buyer_address(i), 0, [this, i] {
+        for (int c = 0; c < kCoinsEach; ++c) buyers[i]->withdraw(sim);
+      });
+      sim.at_node(buyer_address(i), 1'000'000, [this, i] {
+        for (int c = 0; c < kCoinsEach; ++c) {
+          buyers[i]->spend("seller.example",
+                           "item" + std::to_string(i) + "-" + std::to_string(c),
+                           sim);
+        }
+      });
+    }
+    sim.run();
+  }
+
+  /// The seller's observations without their contexts, which are
+  /// shard-namespaced in a threaded run.
+  std::vector<std::pair<core::Party, core::Atom>> seller_seen() const {
+    std::vector<std::pair<core::Party, core::Atom>> seen;
+    for (const core::Observation& o : seller_log->observations()) {
+      seen.emplace_back(o.party, o.atom);
+    }
+    std::sort(seen.begin(), seen.end());
+    return seen;
+  }
+};
+
+TEST(SystemSharded, EcashPseudonymousSpendOnWorkerMatchesSerial) {
+  CashEstate serial(1);
+  serial.run_workload();
+  ASSERT_EQ(serial.bank->coins_issued(),
+            static_cast<std::size_t>(kBuyers * kCoinsEach));
+  ASSERT_EQ(serial.bank->deposits_accepted(), serial.bank->coins_issued());
+  const auto serial_seen = serial.seller_seen();
+  ASSERT_EQ(std::count_if(serial_seen.begin(), serial_seen.end(),
+                          [](const auto& s) {
+                            return s.second.label.rfind("addr:anon:", 0) == 0;
+                          }),
+            kBuyers * kCoinsEach);
+
+  CashEstate sharded(4);
+  sharded.run_workload();
+  EXPECT_EQ(sharded.bank->coins_issued(), serial.bank->coins_issued());
+  EXPECT_EQ(sharded.bank->deposits_accepted(),
+            serial.bank->deposits_accepted());
+  EXPECT_EQ(sharded.seller->sales_completed(),
+            serial.seller->sales_completed());
+  EXPECT_EQ(sharded.seller_seen(), serial_seen);
+  for (int i = 0; i < kBuyers; ++i) {
+    EXPECT_TRUE(sharded.buyers[i]->wallet().empty()) << "buyer " << i;
+  }
+  EXPECT_EQ(sharded.sim.packets_delivered(), serial.sim.packets_delivered());
 }
 
 }  // namespace

@@ -118,16 +118,15 @@ TEST(X25519, ClampingIgnoresStrayBits) {
   Bytes sk3 = sk;
   sk3[0] &= 0xf8;
   sk3[31] = static_cast<std::uint8_t>((sk3[31] & 0x7f) | 0x40);
-  EXPECT_EQ(x25519_public(sk3), x25519_public(sk3));
-  // clamp(sk2) == clamp(sk) iff their clamped forms agree.
+  EXPECT_EQ(x25519_public(sk3), x25519_public(sk));  // sk3 is clamp(sk)
+  // Clamping clears exactly the bits sk2 set, so sk and sk2 clamp alike.
   Bytes c1 = sk, c2 = sk2;
   for (Bytes* c : {&c1, &c2}) {
     (*c)[0] &= 248;
     (*c)[31] = static_cast<std::uint8_t>(((*c)[31] & 127) | 64);
   }
-  if (c1 == c2) {
-    EXPECT_EQ(x25519_public(sk), x25519_public(sk2));
-  }
+  EXPECT_EQ(c1, c2);
+  EXPECT_EQ(x25519_public(sk), x25519_public(sk2));
 }
 
 // The combs available on this CPU: portable always, IFMA where CPUID
