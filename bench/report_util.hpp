@@ -98,7 +98,6 @@
 #include "net/sim.hpp"
 #include "obs/flow.hpp"
 #include "obs/json.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -509,28 +508,28 @@ class Report {
       w.end_object();
       w.end_object();
       if (!obs::write_file(json_path_, w.str())) {
-        obs::Logger::global().error("cannot write JSON report",
-                                    {{"bench", name_}, {"path", json_path_}});
+        std::fprintf(stderr, "%s: cannot write JSON report %s\n",
+                     name_.c_str(), json_path_.c_str());
         ok = false;
       }
     }
     if (!trace_path_.empty() &&
         !obs::global_tracer().write(trace_path_)) {
-      obs::Logger::global().error("cannot write trace",
-                                  {{"bench", name_}, {"path", trace_path_}});
+      std::fprintf(stderr, "%s: cannot write trace %s\n", name_.c_str(),
+                   trace_path_.c_str());
       ok = false;
     }
     if (!flow_log_path_.empty() &&
         !obs::write_file(flow_log_path_, flow_jsonl_)) {
-      obs::Logger::global().error(
-          "cannot write flow log", {{"bench", name_}, {"path", flow_log_path_}});
+      std::fprintf(stderr, "%s: cannot write flow log %s\n", name_.c_str(),
+                   flow_log_path_.c_str());
       ok = false;
     }
     if (!prom_path_.empty() &&
         !obs::write_file(prom_path_,
                          obs::metrics_to_prometheus(obs::global_registry()))) {
-      obs::Logger::global().error("cannot write Prometheus text",
-                                  {{"bench", name_}, {"path", prom_path_}});
+      std::fprintf(stderr, "%s: cannot write Prometheus text %s\n",
+                   name_.c_str(), prom_path_.c_str());
       ok = false;
     }
     return ok ? 0 : 1;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/io.hpp"
 
@@ -18,6 +19,10 @@ bool iequals(std::string_view a, std::string_view b) {
 }
 
 void encode_headers(ByteWriter& w, const std::vector<Header>& headers) {
+  if (headers.size() > 0xFFFF) {
+    throw std::length_error("http: " + std::to_string(headers.size()) +
+                            " headers overflow a 2-byte count");
+  }
   w.u16(static_cast<std::uint16_t>(headers.size()));
   for (const auto& [name, value] : headers) {
     w.vec(to_bytes(name), 2);

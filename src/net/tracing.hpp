@@ -18,8 +18,8 @@
 // non-link wait (serialization + extra delay + fault jitter, i.e.
 // fired − scheduled minus the link flight time) — into the tracer's
 // stage recorders. The wall-clock crypto/wire stages live on the global
-// obs::stage_recorder registry (systems/channel.cpp, common/wire.hpp)
-// and are switched on/off alongside the tracer by the benches.
+// obs::stage_recorder registry (timed in systems/channel.cpp) and are
+// switched on/off alongside the tracer by the benches.
 //
 // Waterfall sampling: every `waterfall_period`-th trace (a power of two;
 // matched on the trace sequence number, never wall clock) is flagged via

@@ -270,6 +270,11 @@ std::string metrics_to_prometheus(const Registry& registry,
   return out;
 }
 
+std::uint64_t Registry::next_serial() {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 Registry& global_registry() {
   static Registry registry;
   return registry;

@@ -139,12 +139,19 @@ class Registry {
   /// Metric names are `name_prefix` + the sanitized scope-qualified name.
   void write_prometheus(std::string& out, const std::string& name_prefix) const;
 
+  /// Unique among all registries the process builds, so a counter binding
+  /// cached against a destroyed registry never matches one built later at
+  /// the same address.
+  std::uint64_t serial() const { return serial_; }
+
  private:
   using Key = std::pair<std::string, Labels>;
 
+  static std::uint64_t next_serial();
   void snapshot_into(const std::string& prefix, Snapshot& out) const;
   void prometheus_into(const std::string& prefix, std::string& out) const;
 
+  const std::uint64_t serial_ = next_serial();
   mutable std::mutex mu_;  // guards map mutation/iteration, not the metrics
   std::map<Key, std::unique_ptr<Counter>> counters_;
   std::map<Key, std::unique_ptr<Gauge>> gauges_;
@@ -195,35 +202,38 @@ inline Counter& op_counter(const std::string& scope_name,
 /// to whichever registry was live at first call and silently dropped every
 /// count after a swap. Thread-safe: rebinds publish an immutable
 /// (registry, counter) pair, so concurrent shard threads never observe a
-/// counter paired with the wrong registry.
+/// counter paired with the wrong registry. in() binds the same way to a
+/// registry the caller hands it, e.g. `ops.in(sim.metrics_registry())`.
+/// Bindings are keyed by Registry::serial(), never by address.
 class OpCounter {
  public:
   OpCounter(std::string scope, std::string name)
       : scope_(std::move(scope)), name_(std::move(name)) {}
 
-  void inc(std::uint64_t n = 1) { resolve().inc(n); }
+  void inc(std::uint64_t n = 1) { in(op_registry()).inc(n); }
 
-  /// The counter in the currently active op registry.
-  Counter& resolve() {
-    Registry* cur = &op_registry();
+  /// The counter for this (scope, name) inside `registry`, re-resolved iff
+  /// `registry` differs from the last call's.
+  Counter& in(Registry& registry) {
     const Binding* b = binding_.load(std::memory_order_acquire);
-    if (b == nullptr || b->registry != cur) b = rebind(cur);
+    if (b == nullptr || b->serial != registry.serial()) b = rebind(registry);
     return *b->counter;
   }
 
  private:
   struct Binding {
-    Registry* registry;
+    std::uint64_t serial;  // the registry's serial()
     Counter* counter;
   };
 
-  const Binding* rebind(Registry* cur) {
+  const Binding* rebind(Registry& cur) {
     std::lock_guard<std::mutex> lock(rebind_mu_);
     const Binding* b = binding_.load(std::memory_order_acquire);
-    if (b != nullptr && b->registry == cur) return b;
+    if (b != nullptr && b->serial == cur.serial()) return b;
     retired_.push_back(std::make_unique<Binding>(
-        Binding{cur, scope_.empty() ? &cur->counter(name_)
-                                    : &cur->scope(scope_).counter(name_)}));
+        Binding{cur.serial(), scope_.empty()
+                                  ? &cur.counter(name_)
+                                  : &cur.scope(scope_).counter(name_)}));
     binding_.store(retired_.back().get(), std::memory_order_release);
     return retired_.back().get();
   }
@@ -235,36 +245,6 @@ class OpCounter {
   // are rare test/bench boundary events, so this never grows in steady
   // state.
   std::vector<std::unique_ptr<Binding>> retired_;
-};
-
-/// Cheap pre-resolved, rebindable counter handle. Caches the Counter*
-/// resolved from (scope, name) in one registry and re-resolves only when
-/// handed a *different* registry, so steady-state cost is one pointer
-/// compare + one add — while call sites that outlive registry swaps keep
-/// counting into the currently active registry instead of a stale one.
-/// The usual handle-lifetime contract applies: registries handed to in()
-/// must outlive the handle's next use.
-class CounterHandle {
- public:
-  CounterHandle(std::string scope, std::string name)
-      : scope_(std::move(scope)), name_(std::move(name)) {}
-
-  /// The counter for this handle's (scope, name) inside `registry`,
-  /// re-resolved iff `registry` differs from the last call's.
-  Counter& in(Registry& registry) {
-    if (&registry != bound_) {
-      bound_ = &registry;
-      counter_ = scope_.empty()
-                     ? &registry.counter(name_)
-                     : &registry.scope(scope_).counter(name_);
-    }
-    return *counter_;
-  }
-
- private:
-  std::string scope_, name_;
-  Registry* bound_ = nullptr;
-  Counter* counter_ = nullptr;
 };
 
 }  // namespace dcpl::obs

@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "common/wire.hpp"
+#include "common/io.hpp"
 #include "crypto/aead.hpp"
 #include "obs/latency.hpp"
 #include "obs/metrics.hpp"
@@ -133,9 +133,8 @@ Bytes SessionSender::seal(BytesView message) {
   Bytes frame;
   {
     obs::StageTimer stage(obs::Stage::kWireFrame);
-    frame.reserve(wire::varint_size(context_.seq()) + message.size() +
-                  hpke::kNt);
-    wire::varint_append(context_.seq(), frame);
+    frame.reserve(varint_size(context_.seq()) + message.size() + hpke::kNt);
+    varint_append(context_.seq(), frame);
   }
   obs::StageTimer stage(obs::Stage::kCryptoSeal);
   context_.seal_append({}, message, frame);
@@ -143,7 +142,7 @@ Bytes SessionSender::seal(BytesView message) {
 }
 
 Result<Bytes> SessionSender::open_response(BytesView frame) {
-  wire::WireReader r(frame);
+  ByteReader r(frame);
   std::uint64_t seq = 0;
   try {
     obs::StageTimer stage(obs::Stage::kWireFrame);
@@ -156,7 +155,7 @@ Result<Bytes> SessionSender::open_response(BytesView frame) {
   }
   obs::StageTimer stage(obs::Stage::kCryptoOpen);
   auto pt = crypto::aead_open(response_key_, response_nonce(response_seq_), {},
-                              r.rest());
+                              r.view(r.remaining()));
   if (pt.ok()) ++response_seq_;
   return pt;
 }
@@ -177,7 +176,7 @@ Result<SessionReceiver> SessionReceiver::accept(const hpke::KeyPair& server_kp,
 Result<Bytes> SessionReceiver::open(BytesView frame) {
   static obs::OpCounter ops("channel", "session_open");
   ops.inc();
-  wire::WireReader r(frame);
+  ByteReader r(frame);
   std::uint64_t seq = 0;
   try {
     obs::StageTimer stage(obs::Stage::kWireFrame);
@@ -189,16 +188,16 @@ Result<Bytes> SessionReceiver::open(BytesView frame) {
     return Result<Bytes>::failure("session: frame out of sequence");
   }
   obs::StageTimer stage(obs::Stage::kCryptoOpen);
-  return context_.open({}, r.rest());
+  return context_.open({}, r.view(r.remaining()));
 }
 
 Bytes SessionReceiver::seal_response(BytesView message) {
   Bytes frame;
   {
     obs::StageTimer stage(obs::Stage::kWireFrame);
-    frame.reserve(wire::varint_size(response_seq_) + message.size() +
+    frame.reserve(varint_size(response_seq_) + message.size() +
                   crypto::kAeadTagSize);
-    wire::varint_append(response_seq_, frame);
+    varint_append(response_seq_, frame);
   }
   obs::StageTimer stage(obs::Stage::kCryptoSeal);
   crypto::aead_seal_append(response_key_, response_nonce(response_seq_), {},

@@ -53,7 +53,7 @@ Result<Bytes> unpad(BytesView padded);
 // message. A session amortizes that setup across many messages using the
 // RFC 9180 multi-message context: the encapsulated key travels once, then
 // every frame is one AEAD operation. Frames are varint-framed
-// (common/wire.hpp): varint(seq) ‖ ct‖tag, so a receiver detects reordered
+// (common/io.hpp): varint(seq) ‖ ct‖tag, so a receiver detects reordered
 // or replayed frames before wasting an AEAD open on them. Sessions require
 // in-order exactly-once delivery (run them above the retry layer's dedup,
 // not below it); the stateless per-message API above remains the default

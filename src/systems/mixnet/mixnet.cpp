@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/io.hpp"
-#include "common/wire.hpp"
 #include "crypto/aead.hpp"
 #include "obs/trace.hpp"
 
@@ -70,19 +69,20 @@ void MixNode::on_packet(const net::Packet& p, net::Simulator& sim) {
   if (p.protocol == "mixreply") {
     // Untraceable return address: peel our header layer, ENCRYPT the body
     // with the key the sender hid inside, batch-forward. The frame is
-    // parsed by view (wire::WireReader never copies) and the output built
+    // parsed by view (ByteReader::view never copies) and the output built
     // in one buffer, the AEAD sealing the body directly into its tail —
     // byte-for-byte the frame the old concat-based assembly produced.
     try {
-      wire::WireReader r(p.payload);
+      ByteReader r(p.payload);
       BytesView header = r.view(r.u32());
       BytesView body = r.view(r.u32());
       auto opened = open_request(kp_, to_bytes(kReplyInfo), header);
       if (!opened.ok()) return;
-      wire::WireReader hr(opened->request);
+      ByteReader hr(opened->request);
       net::Address next = to_string(hr.view(hr.u16()));
       BytesView key = hr.view(crypto::kAeadKeySize);
       BytesView inner_header = hr.view(hr.u32());
+      if (!hr.done()) return;  // trailing bytes: dropped, as for a layer
 
       Bytes nonce = rng_.bytes(crypto::kAeadNonceSize);
       // frame = vec4(inner_header) ‖ vec4(nonce ‖ ct ‖ tag).
@@ -124,7 +124,7 @@ void MixNode::on_packet(const net::Packet& p, net::Simulator& sim) {
   net::Address next;
   std::size_t blob_off = 0;
   try {
-    wire::WireReader r(opened->request);
+    ByteReader r(opened->request);
     next = to_string(r.view(r.u16()));
     const std::size_t blob_len = r.u32();
     blob_off = r.position();

@@ -37,14 +37,15 @@ void retry_run(net::Simulator& sim, const RetryPolicy& policy, Rng& rng,
                std::function<bool()> done,
                std::function<void(const RetryError&)> fail) {
   // Counters live in the "retry" scope of the simulator's *current* metrics
-  // registry, resolved through rebindable handles at each increment — never
-  // through a static reference bound at first call. A bench that redirects
-  // metrics via Simulator::set_metrics (even mid-flow) gets retry counts in
-  // its scoped registry instead of a stale one.
-  static obs::CounterHandle sends_h("retry", "sends");
-  static obs::CounterHandle resends_h("retry", "resends");
-  static obs::CounterHandle successes_h("retry", "successes");
-  static obs::CounterHandle failures_h("retry", "failures");
+  // registry, resolved through rebindable counters at each increment —
+  // never through a static reference bound at first call. A bench that
+  // redirects metrics via Simulator::set_metrics (even mid-flow) gets retry
+  // counts in its scoped registry instead of a stale one, and shard workers
+  // may rebind them concurrently.
+  static obs::OpCounter sends_h("retry", "sends");
+  static obs::OpCounter resends_h("retry", "resends");
+  static obs::OpCounter successes_h("retry", "successes");
+  static obs::OpCounter failures_h("retry", "failures");
 
   struct State {
     unsigned attempt = 0;

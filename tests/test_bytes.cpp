@@ -1,6 +1,10 @@
 #include "common/bytes.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "common/io.hpp"
 #include "common/rng.hpp"
@@ -80,13 +84,65 @@ TEST(Bytes, BigEndianEncode) {
 }
 
 TEST(ByteWriter, FieldsAndVectors) {
+  // Every field type the wire formats write, pinned byte for byte.
   ByteWriter w;
   w.u8(0xab);
   w.u16(0x0102);
+  w.u24(0x030405);
   w.u32(0xdeadbeef);
+  w.u64(0x1122334455667788ULL);
+  w.raw(std::string_view("hi"));
+  w.vec(Bytes{}, 2);
   w.vec(Bytes{9, 9}, 2);
-  Bytes expected = {0xab, 0x01, 0x02, 0xde, 0xad, 0xbe, 0xef, 0x00, 0x02, 9, 9};
-  EXPECT_EQ(w.bytes(), expected);
+  w.vec(Bytes{7}, 1);
+  w.vec(Bytes{5, 6}, 4);
+  EXPECT_EQ(to_hex(w.bytes()),
+            "ab"                  // u8
+            "0102"                // u16
+            "030405"              // u24
+            "deadbeef"            // u32
+            "1122334455667788"    // u64
+            "6869"                // raw(string_view)
+            "0000"                // empty vec, width 2
+            "00020909"            // vec, width 2
+            "0107"                // vec, width 1
+            "000000020506");      // vec, width 4
+  EXPECT_EQ(w.size(), w.bytes().size());
+}
+
+TEST(ByteWriter, VecRejectsLengthsItsPrefixCannotHold) {
+  // The largest length a width can state round-trips; one past it throws
+  // std::length_error and leaves the buffer as it was.
+  for (std::size_t width : {1u, 2u}) {
+    SCOPED_TRACE("width=" + std::to_string(width));
+    const std::size_t largest = (std::size_t{1} << (8 * width)) - 1;
+    const Bytes body(largest, 0x5a);
+    ByteWriter w;
+    w.u8(0xee);
+    w.vec(body, width);
+    ByteReader r(w.bytes());
+    EXPECT_EQ(r.u8(), 0xee);
+    EXPECT_EQ(r.vec(width), body);
+    EXPECT_TRUE(r.done());
+    const Bytes before = w.bytes();
+    EXPECT_THROW(w.vec(Bytes(largest + 1), width), std::length_error);
+    EXPECT_EQ(w.bytes(), before);
+  }
+
+  // Width 4: one past its largest length is 4 GiB. The view spans reserved,
+  // unreadable address space, since the writer must reject it from its size
+  // alone. (The largest width-4 length itself would need a 4 GiB buffer.)
+  const std::size_t past = std::size_t{1} << 32;
+  void* reserved = ::mmap(nullptr, past, PROT_NONE,
+                          MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (reserved == MAP_FAILED) GTEST_SKIP() << "cannot reserve 4 GiB";
+  ByteWriter w;
+  w.u8(0xee);
+  EXPECT_THROW(
+      w.vec(BytesView(static_cast<const std::uint8_t*>(reserved), past), 4),
+      std::length_error);
+  EXPECT_EQ(w.bytes(), Bytes{0xee});
+  ::munmap(reserved, past);
 }
 
 TEST(ByteReader, ReadsBackWriterOutput) {

@@ -209,11 +209,19 @@ TEST(SessionChannel, RejectsTamperedAndTruncatedFrames) {
   Bytes flipped = frame;
   flipped.back() ^= 0x01;
   EXPECT_FALSE(receiver.open(flipped).ok());
-  EXPECT_FALSE(receiver.open(Bytes{}).ok());
-  Bytes truncated(frame.begin(), frame.begin() + 2);
-  EXPECT_FALSE(receiver.open(truncated).ok());
-  // The intact frame still opens: failed attempts consumed no sequence.
+  // Every strict prefix, and a varint whose first byte claims eight bytes
+  // where three follow.
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_FALSE(receiver.open(BytesView(frame).first(n)).ok()) << n;
+  }
+  EXPECT_FALSE(receiver.open(Bytes{0xC0, 0x00, 0x00}).ok());
+  EXPECT_EQ(receiver.opened(), 0u);
+  // The intact frame still opens: failed attempts consumed no sequence,
+  // and the response direction is still in step.
   EXPECT_TRUE(receiver.open(frame).ok());
+  EXPECT_EQ(receiver.opened(), 1u);
+  const Bytes ack = receiver.seal_response(to_bytes("ok"));
+  EXPECT_TRUE(sender.open_response(ack).ok());
 }
 
 TEST(SessionChannel, ResponseDirectionEnforcesOrderToo) {
@@ -228,6 +236,11 @@ TEST(SessionChannel, ResponseDirectionEnforcesOrderToo) {
 
   Bytes r1 = receiver.seal_response(to_bytes("a"));
   Bytes r2 = receiver.seal_response(to_bytes("b"));
+  // Truncated responses and an overlong varint consume no response sequence.
+  for (std::size_t n = 0; n < r1.size(); ++n) {
+    EXPECT_FALSE(sender.open_response(BytesView(r1).first(n)).ok()) << n;
+  }
+  EXPECT_FALSE(sender.open_response(Bytes{0x80, 0x00}).ok());
   EXPECT_FALSE(sender.open_response(r2).ok());  // out of order
   ASSERT_TRUE(sender.open_response(r1).ok());
   ASSERT_TRUE(sender.open_response(r2).ok());

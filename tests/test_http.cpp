@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/rng.hpp"
 
 namespace dcpl::http {
@@ -116,6 +119,33 @@ TEST(HttpRequest, ManyHeadersRoundTrip) {
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->headers.size(), 300u);
   EXPECT_EQ(decoded->headers[299].second, "299");
+}
+
+// Every length prefix and the header count are checked against their
+// width: one past the largest value throws std::length_error instead of
+// emitting a frame whose prefix was silently truncated.
+TEST(HttpRequest, EncodeRejectsLengthsItsPrefixesCannotHold) {
+  Request req;
+  req.headers.assign(0xFFFF, Header{});
+  auto decoded = Request::decode_binary(req.encode_binary());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(decoded->headers.size(), 0xFFFFu);
+  req.headers.emplace_back();
+  EXPECT_THROW(req.encode_binary(), std::length_error);
+
+  Response resp;
+  resp.headers.assign(0x10000, Header{});
+  EXPECT_THROW(resp.encode_binary(), std::length_error);
+
+  Request method;
+  method.method = std::string(256, 'M');
+  EXPECT_THROW(method.encode_binary(), std::length_error);
+  method.method.pop_back();
+  EXPECT_TRUE(Request::decode_binary(method.encode_binary()).ok());
+
+  Request value;
+  value.headers = {{"x-big", std::string(0x10000, 'v')}};
+  EXPECT_THROW(value.encode_binary(), std::length_error);
 }
 
 }  // namespace

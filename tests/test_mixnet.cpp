@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/io.hpp"
 #include "core/analysis.hpp"
+#include "crypto/aead.hpp"
 
 namespace dcpl::systems::mixnet {
 namespace {
@@ -179,6 +181,108 @@ TEST(Mixnet, GarbageToMixIsDropped) {
                          f.sim.new_context(), "mix"});
   f.sim.run();
   EXPECT_EQ(f.mixes[0]->processed(), 0u);
+}
+
+// Hostile frames: a mix drops every malformed reply frame and every layer
+// or reply header whose decrypted encoding is cut short or runs long, with
+// no state change — nothing processed, queued, observed, linked or
+// forwarded.
+TEST(Mixnet, MalformedFramesLeaveTheMixUnchanged) {
+  Fixture f(1, 2, 1, 1, 0);  // batch 2, no hold timer: one message stays queued
+  const MixNode& mix = *f.mixes[0];
+  crypto::ChaChaRng rng(7);
+  std::size_t sent = 0;
+  auto deliver = [&](BytesView payload, const char* protocol) {
+    f.sim.send(net::Packet{"10.1.0.1", "mix1",
+                           Bytes(payload.begin(), payload.end()),
+                           f.sim.new_context(), protocol});
+    f.sim.run();
+    ++sent;
+  };
+  auto ciphertext_observations = [&] {
+    std::size_t n = 0;
+    for (const auto& o : f.log.for_party("mix1")) {
+      if (o.atom.label == "mix:ciphertext" ||
+          o.atom.label == "mix:reply-ciphertext") {
+        ++n;
+      }
+    }
+    return n;
+  };
+
+  // A well-formed reply frame, vec4(header) ‖ vec4(body) as send_reply
+  // builds it: every strict prefix, then each u32 length set one past the
+  // bytes that follow it.
+  const ReplyBlock block = f.senders[0]->make_reply_block(f.chain(), f.sim);
+  ByteWriter reply;
+  reply.vec(block.header, 4);
+  reply.vec(to_bytes("reply body"), 4);
+  const Bytes frame = std::move(reply).take();
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    deliver(BytesView(frame).first(n), "mixreply");
+  }
+  for (std::size_t at : {std::size_t{0}, 4 + block.header.size()}) {
+    Bytes overlong = frame;
+    const auto past = static_cast<std::uint32_t>(frame.size() - at - 4 + 1);
+    for (std::size_t i = 0; i < 4; ++i) {
+      overlong[at + i] = static_cast<std::uint8_t>(past >> (24 - 8 * i));
+    }
+    deliver(overlong, "mixreply");
+  }
+
+  // Layers sealed to the mix's own key, so they decrypt: each strict prefix
+  // of a well-formed {next, blob} encoding, then one with a trailing byte.
+  ByteWriter layer;
+  layer.vec(to_bytes("rcv1"), 2);
+  layer.vec(Bytes(16, 0xab), 4);
+  const Bytes plain = std::move(layer).take();
+  auto seal = [&](std::string_view info, BytesView pt) {
+    return seal_request(mix.key().public_key, to_bytes(info), pt, rng)
+        .encapsulated;
+  };
+  for (std::size_t n = 0; n < plain.size(); ++n) {
+    deliver(seal(kLayerInfo, BytesView(plain).first(n)), "mix");
+  }
+  Bytes trailing = plain;
+  trailing.push_back(0);
+  deliver(seal(kLayerInfo, trailing), "mix");
+
+  // The same for reply headers sealed to the mix, each inside an otherwise
+  // well-formed reply frame: {next, key, inner header} cut short or with a
+  // trailing byte.
+  ByteWriter hop;
+  hop.vec(to_bytes("10.1.0.1"), 2);
+  hop.raw(Bytes(crypto::kAeadKeySize, 0x11));
+  hop.vec(Bytes(4, 0), 4);
+  const Bytes hop_plain = std::move(hop).take();
+  auto reply_frame = [&](BytesView header_plain) {
+    ByteWriter w;
+    w.vec(seal(kReplyInfo, header_plain), 4);
+    w.vec(to_bytes("reply body"), 4);
+    return std::move(w).take();
+  };
+  for (std::size_t n = 0; n < hop_plain.size(); ++n) {
+    deliver(reply_frame(BytesView(hop_plain).first(n)), "mixreply");
+  }
+  Bytes hop_trailing = hop_plain;
+  hop_trailing.push_back(0);
+  deliver(reply_frame(hop_trailing), "mixreply");
+
+  EXPECT_EQ(mix.processed(), 0u);
+  EXPECT_EQ(ciphertext_observations(), 0u);
+  EXPECT_TRUE(f.log.links().empty());
+  EXPECT_EQ(f.sim.packets_delivered(), sent);  // nothing forwarded
+
+  // The queue is still empty: the intact reply frame is held below the
+  // batch of two, and the intact layer flushes both.
+  deliver(frame, "mixreply");
+  EXPECT_EQ(mix.processed(), 1u);
+  EXPECT_EQ(f.sim.packets_delivered(), sent);
+  deliver(seal(kLayerInfo, plain), "mix");
+  EXPECT_EQ(mix.processed(), 2u);
+  EXPECT_EQ(f.sim.packets_delivered(), sent + 2);
+  EXPECT_EQ(ciphertext_observations(), 2u);
+  EXPECT_EQ(f.log.links().size(), 2u);
 }
 
 // Timing attack (§4.3): a global observer correlating k-th ingress with

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <new>
 #include <numeric>
 #include <set>
 #include <string>
@@ -17,7 +19,6 @@
 #include "net/sim.hpp"
 #include "obs/json.hpp"
 #include "obs/latency.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -162,9 +163,9 @@ TEST(Metrics, GaugeTracksHighWatermark) {
   EXPECT_EQ(g.peak(), 0.0);
 }
 
-TEST(Metrics, CounterHandleFollowsTheRegistryItIsHanded) {
+TEST(Metrics, OpCounterFollowsTheRegistryItIsHanded) {
   obs::Registry reg_a, reg_b;
-  obs::CounterHandle handle("retry", "sends");
+  obs::OpCounter handle("retry", "sends");
   handle.in(reg_a).inc();
   handle.in(reg_a).inc();
   EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 2u);
@@ -179,9 +180,23 @@ TEST(Metrics, CounterHandleFollowsTheRegistryItIsHanded) {
   EXPECT_EQ(reg_a.scope("retry").counter("sends").value(), 3u);
 
   // A scope-less handle resolves at the registry root.
-  obs::CounterHandle root_handle("", "events");
+  obs::OpCounter root_handle("", "events");
   root_handle.in(reg_a).inc();
   EXPECT_EQ(reg_a.counter("events").value(), 1u);
+}
+
+TEST(Metrics, OpCounterTellsApartARegistryBuiltAtAFreedAddress) {
+  // A registry built where a destroyed one lived must not inherit the
+  // binding to the destroyed registry's counter.
+  obs::OpCounter counter("retry", "sends");
+  alignas(obs::Registry) unsigned char storage[sizeof(obs::Registry)];
+  auto* first = new (storage) obs::Registry;
+  counter.in(*first).inc();
+  first->~Registry();
+  auto* second = new (storage) obs::Registry;
+  counter.in(*second).inc(2);
+  EXPECT_EQ(second->scope("retry").counter("sends").value(), 2u);
+  second->~Registry();
 }
 
 TEST(Metrics, CounterAndGaugeAreThreadSafe) {
@@ -457,47 +472,6 @@ TEST(Sampler, PublishesLastValuesAsPrometheusGauges) {
   s.publish_last_values(reg);
   const std::string text = obs::metrics_to_prometheus(reg);
   EXPECT_NE(text.find("dcpl_ts_queue_depth 7"), std::string::npos) << text;
-}
-
-// ---- Logger ---------------------------------------------------------------
-
-TEST(Logger, JsonlSinkWritesParseableRecords) {
-  const std::string path = ::testing::TempDir() + "dcpl_test_log.jsonl";
-  obs::Logger log;
-  log.set_stderr_sink(false);
-  log.set_level(obs::LogLevel::kInfo);
-  std::uint64_t fake_now = 1234;
-  log.set_clock([&fake_now] { return fake_now; });
-  ASSERT_TRUE(log.open_jsonl(path));
-
-  obs::Logger scoped = log.with_party("relay1");
-  scoped.info("forwarded", {{"count", std::uint64_t{3}}, {"ok", true}});
-  log.debug("dropped by level filter");
-  log.warn("plain");
-  log.close_jsonl();
-
-  EXPECT_EQ(log.records(), 2u);  // debug was below the level
-  EXPECT_EQ(scoped.records(), 2u);  // copies share sink state
-
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string body;
-  char buf[512];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) body.append(buf, n);
-  std::fclose(f);
-
-  const std::size_t split = body.find('\n');
-  ASSERT_NE(split, std::string::npos);
-  obs::JsonValue first;
-  ASSERT_TRUE(obs::JsonParser::parse(body.substr(0, split), first));
-  EXPECT_EQ(first.at("level").string, "info");
-  EXPECT_EQ(first.at("t_us").number, 1234.0);
-  EXPECT_EQ(first.at("party").string, "relay1");
-  EXPECT_EQ(first.at("msg").string, "forwarded");
-  EXPECT_EQ(first.at("fields").at("count").string, "3");
-  EXPECT_EQ(first.at("fields").at("ok").string, "true");
-  std::remove(path.c_str());
 }
 
 // ---- Tracing --------------------------------------------------------------

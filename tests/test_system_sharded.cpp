@@ -3,9 +3,11 @@
 // per-node observation logs, so the only shared mutable state is the
 // engine's own. This is the tier the ThreadSanitizer CI job leans on: a
 // data race anywhere in the mailbox/pool/metrics plumbing surfaces here
-// under real protocol traffic, not just synthetic ping-pong. An e-cash
-// estate adds the one real system that sends from an address no node
-// owns: each buyer spends from its declared pseudonym on its own worker.
+// under real protocol traffic, not just synthetic ping-pong. Reliable
+// fetches started on every worker at once drive the retry layer's counters
+// from four threads. An e-cash estate adds the one real system that sends
+// from an address no node owns: each buyer spends from its declared
+// pseudonym on its own worker.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +20,7 @@
 #include "core/knowledge.hpp"
 #include "core/observation.hpp"
 #include "net/sim.hpp"
+#include "obs/metrics.hpp"
 #include "systems/ecash/ecash.hpp"
 #include "systems/ohttp/ohttp.hpp"
 
@@ -44,7 +47,7 @@ struct Estate {
     return *logs.back();
   }
 
-  Estate() {
+  explicit Estate(int n_clients = kClients) {
     book.set("web.example", core::benign_identity("addr:web.example"));
     book.set("gw.example", core::benign_identity("addr:gw.example"));
     book.set("relay.example", core::benign_identity("addr:relay.example"));
@@ -65,7 +68,7 @@ struct Estate {
     sim.add_node(*origin);
     sim.add_node(*gateway);
     sim.add_node(*relay);
-    for (int i = 0; i < kClients; ++i) {
+    for (int i = 0; i < n_clients; ++i) {
       const std::string addr = "10.0.0." + std::to_string(i + 1);
       const std::string label = "user:browser" + std::to_string(i);
       book.set(addr, core::sensitive_identity(label, "network"));
@@ -184,6 +187,61 @@ TEST(SystemSharded, RepeatedShardedRunsAreBitStable) {
     again.run_workload();
     ASSERT_EQ(digest(again), want) << "rep " << rep;
   }
+}
+
+// --- reliable fetches: the retry layer on every worker -------------------
+
+// One client pinned per shard, each starting fetch_reliable from its own
+// worker at t = 0, so four threads run retry_run at once and bump its
+// counters in a registry the test hands the simulator. The counters must
+// rebind to that registry without a data race (the TSan job runs this) and
+// count exactly what a serial run counts.
+TEST(SystemSharded, ReliableFetchesOnEveryWorkerMatchSerial) {
+  constexpr int kPinned = 4;
+  struct Outcome {
+    std::vector<std::size_t> responses;
+    std::uint64_t sends = 0;
+    std::uint64_t successes = 0;
+  };
+  auto run = [](std::uint32_t shards, obs::Registry& metrics) {
+    Estate e(kPinned);
+    e.sim.set_metrics(metrics);
+    if (shards > 1) {
+      for (int i = 0; i < kPinned; ++i) {
+        e.sim.set_shard_affinity(e.clients[i]->address(),
+                                 static_cast<std::uint32_t>(i));
+      }
+      e.sim.set_shards(shards);
+    }
+    for (int i = 0; i < kPinned; ++i) {
+      e.sim.at_node(e.clients[i]->address(), 0, [&e, i] {
+        http::Request req;
+        req.authority = "web.example";
+        req.path = "/reliable/u" + std::to_string(i);
+        e.clients[i]->fetch_reliable(req, e.sim, RetryPolicy{},
+                                     [](Result<http::Response>) {});
+      });
+    }
+    e.sim.run();
+    Outcome out;
+    for (const auto& c : e.clients) {
+      out.responses.push_back(c->responses_received());
+    }
+    out.sends = metrics.scope("retry").counter("sends").value();
+    out.successes = metrics.scope("retry").counter("successes").value();
+    return out;
+  };
+
+  obs::Registry serial_metrics, sharded_metrics;
+  const Outcome serial = run(1, serial_metrics);
+  ASSERT_EQ(serial.responses, std::vector<std::size_t>(kPinned, 1));
+  ASSERT_EQ(serial.successes, static_cast<std::uint64_t>(kPinned));
+  ASSERT_GE(serial.sends, serial.successes);
+
+  const Outcome sharded = run(kPinned, sharded_metrics);
+  EXPECT_EQ(sharded.responses, serial.responses);
+  EXPECT_EQ(sharded.sends, serial.sends);
+  EXPECT_EQ(sharded.successes, serial.successes);
 }
 
 // --- e-cash: the pseudonymous spend made on a worker ----------------------

@@ -1,5 +1,6 @@
-// Wire-buffer tier: varint edge widths, writer/reader round trips, reader
-// view aliasing (zero-copy contract), and arena reuse/grow behaviour.
+// Wire codec tier: QUIC varint edge widths, ByteWriter/ByteReader round
+// trips with varints and views, reader view aliasing (the zero-copy
+// contract), and truncation.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,12 +9,17 @@
 
 #include "common/bytes.hpp"
 #include "common/io.hpp"
-#include "common/wire.hpp"
 
-namespace dcpl::wire {
+namespace dcpl {
 namespace {
 
 Bytes materialize(BytesView v) { return Bytes(v.begin(), v.end()); }
+
+Bytes varint_bytes(std::uint64_t v) {
+  ByteWriter w;
+  w.varint(v);
+  return std::move(w).take();
+}
 
 // --- varint ---------------------------------------------------------------
 
@@ -28,13 +34,18 @@ TEST(Varint, WidthBoundaries) {
   EXPECT_EQ(varint_size(0x40000000), 8u);
   EXPECT_EQ(varint_size(kVarintMax), 8u);
   EXPECT_THROW(varint_size(kVarintMax + 1), std::invalid_argument);
+  ByteWriter w;
+  EXPECT_THROW(w.varint(kVarintMax + 1), std::invalid_argument);
+  EXPECT_EQ(w.size(), 0u);
 }
 
 TEST(Varint, KnownEncodings) {
-  // Worked examples from RFC 9000 appendix A.1.
+  // Worked examples from RFC 9000 appendix A.1, through both the free
+  // function and the writer.
   auto enc = [](std::uint64_t v) {
     Bytes out;
     varint_append(v, out);
+    EXPECT_EQ(out, varint_bytes(v)) << v;
     return to_hex(out);
   };
   EXPECT_EQ(enc(37), "25");
@@ -50,19 +61,21 @@ TEST(Varint, RoundTripAtEveryBoundary) {
       kVarintMax,
   };
   for (std::uint64_t v : cases) {
-    Bytes out;
-    varint_append(v, out);
+    const Bytes out = varint_bytes(v);
     ASSERT_EQ(out.size(), varint_size(v)) << v;
     std::size_t pos = 0;
     EXPECT_EQ(varint_decode(out, pos), v);
     EXPECT_EQ(pos, out.size());
+    ByteReader r(out);
+    EXPECT_EQ(r.varint(), v);
+    EXPECT_TRUE(r.done());
   }
 }
 
 TEST(Varint, RoundTripPropertySweep) {
   // Deterministic xorshift sweep across the value space.
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  Bytes buf;
+  ByteWriter w;
   std::vector<std::uint64_t> values;
   for (int i = 0; i < 500; ++i) {
     x ^= x << 13;
@@ -70,73 +83,63 @@ TEST(Varint, RoundTripPropertySweep) {
     x ^= x << 17;
     const std::uint64_t v = x & kVarintMax;
     values.push_back(v);
-    varint_append(v, buf);
+    w.varint(v);
   }
-  std::size_t pos = 0;
+  ByteReader r(w.bytes());
   for (std::uint64_t v : values) {
-    ASSERT_EQ(varint_decode(buf, pos), v);
+    ASSERT_EQ(r.varint(), v);
   }
-  EXPECT_EQ(pos, buf.size());
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Varint, TruncationThrows) {
-  Bytes out;
-  varint_append(0x4000, out);  // 4-byte encoding
+  const Bytes out = varint_bytes(0x4000);  // 4-byte encoding
   for (std::size_t cut = 0; cut < out.size(); ++cut) {
     Bytes partial(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(cut));
     std::size_t pos = 0;
     EXPECT_THROW(varint_decode(partial, pos), ParseError) << cut;
+    EXPECT_EQ(pos, 0u) << cut;
+    ByteReader r(partial);
+    EXPECT_THROW(r.varint(), ParseError) << cut;
+    EXPECT_EQ(r.position(), 0u) << cut;
   }
 }
 
 // --- writer / reader round trips ------------------------------------------
 
-TEST(WireWriterReader, OwnedModeRoundTrip) {
-  WireWriter w;
+TEST(ByteCodec, RoundTripWithVarintsAndViews) {
+  ByteWriter w;
   w.u8(0xAB);
   w.u16(0x1234);
   w.u32(0xDEADBEEF);
   w.u64(0x0102030405060708ull);
   w.varint(15293);
   const Bytes body = to_bytes("payload-bytes");
-  w.vec(body);
+  w.varint(body.size());
+  w.raw(body);
   w.raw(to_bytes("tail"));
-  Bytes frame = std::move(w).take();
+  const Bytes frame = std::move(w).take();
 
-  WireReader r(frame);
+  ByteReader r(frame);
   EXPECT_EQ(r.u8(), 0xAB);
   EXPECT_EQ(r.u16(), 0x1234);
   EXPECT_EQ(r.u32(), 0xDEADBEEFu);
   EXPECT_EQ(r.u64(), 0x0102030405060708ull);
   EXPECT_EQ(r.varint(), 15293u);
-  EXPECT_EQ(materialize(r.vec()), body);
-  EXPECT_EQ(to_string(r.rest()), "tail");
+  EXPECT_EQ(materialize(r.view(r.varint())), body);
+  EXPECT_EQ(to_string(r.view(r.remaining())), "tail");
   EXPECT_TRUE(r.done());
 }
 
-TEST(WireWriterReader, FixedWidthIsBigEndianLikeByteWriter) {
-  // The wire writer must stay byte-compatible with the owned ByteWriter so
-  // framed protocols can migrate hop by hop.
-  WireWriter w;
-  w.u16(0xBEEF);
-  w.u32(0xCAFEBABE);
-  w.u64(0x1122334455667788ull);
-  ByteWriter ref;
-  ref.u16(0xBEEF);
-  ref.u32(0xCAFEBABE);
-  ref.u64(0x1122334455667788ull);
-  EXPECT_EQ(std::move(w).take(), std::move(ref).take());
-}
-
-TEST(WireWriterReader, ReaderViewsAliasTheInputBuffer) {
-  WireWriter w;
-  w.vec(to_bytes("first"));
-  w.vec(to_bytes("second-longer-chunk"));
+TEST(ByteCodec, ReaderViewsAliasTheInputBuffer) {
+  ByteWriter w;
+  w.vec(to_bytes("first"), 2);
+  w.vec(to_bytes("second-longer-chunk"), 4);
   const Bytes frame = std::move(w).take();
 
-  WireReader r(frame);
-  BytesView a = r.vec();
-  BytesView b = r.vec();
+  ByteReader r(frame);
+  BytesView a = r.view(r.u16());
+  BytesView b = r.view(r.u32());
   // Zero-copy contract: views point into `frame`, not into fresh storage.
   const std::uint8_t* lo = frame.data();
   const std::uint8_t* hi = frame.data() + frame.size();
@@ -148,108 +151,22 @@ TEST(WireWriterReader, ReaderViewsAliasTheInputBuffer) {
   EXPECT_EQ(to_string(b), "second-longer-chunk");
 }
 
-TEST(WireWriterReader, ReaderTruncationThrows) {
-  WireWriter w;
+TEST(ByteCodec, ReaderTruncationThrows) {
+  ByteWriter w;
   w.u32(7);
   const Bytes frame = std::move(w).take();
-  WireReader r(frame);
+  ByteReader r(frame);
   EXPECT_THROW(r.u64(), ParseError);
-  WireReader r2(frame);
+  ByteReader r2(frame);
   r2.u32();
   EXPECT_THROW(r2.view(1), ParseError);
-  // vec() whose length prefix exceeds the remaining bytes.
-  Bytes bogus;
-  varint_append(100, bogus);
+  // A varint length that exceeds the remaining bytes.
+  Bytes bogus = varint_bytes(100);
   bogus.push_back(0x01);
-  WireReader r3(bogus);
-  EXPECT_THROW(r3.vec(), ParseError);
-}
-
-TEST(WireWriterReader, ModeMismatchThrows) {
-  WireWriter owned;
-  owned.u8(1);
-  EXPECT_THROW(owned.finish(), std::logic_error);
-
-  WireArena arena;
-  WireWriter in_arena(arena);
-  in_arena.u8(1);
-  EXPECT_THROW(std::move(in_arena).take(), std::logic_error);
-}
-
-// --- arena ----------------------------------------------------------------
-
-TEST(WireArena, ResetReusesTheSameChunk) {
-  WireArena arena(1024);
-  std::uint8_t* first = arena.alloc(100);
-  EXPECT_EQ(arena.chunk_count(), 1u);
-  EXPECT_EQ(arena.bytes_used(), 100u);
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  // Same storage comes back: steady-state framing allocates nothing new.
-  std::uint8_t* again = arena.alloc(100);
-  EXPECT_EQ(again, first);
-  EXPECT_EQ(arena.chunk_count(), 1u);
-}
-
-TEST(WireArena, OversizedRequestGetsDedicatedChunk) {
-  WireArena arena(64);
-  arena.alloc(16);
-  arena.alloc(1000);  // larger than the chunk size
-  EXPECT_EQ(arena.chunk_count(), 2u);
-  EXPECT_GE(arena.bytes_reserved(), 1064u);
-}
-
-TEST(WireArena, GrowInPlaceOnlyForLatestAllocation) {
-  WireArena arena(1024);
-  std::uint8_t* a = arena.alloc(64);
-  EXPECT_TRUE(arena.grow_in_place(a, 64, 128));
-  std::uint8_t* b = arena.alloc(32);
-  // `a` is no longer the high-water allocation; it cannot extend.
-  EXPECT_FALSE(arena.grow_in_place(a, 128, 256));
-  EXPECT_TRUE(arena.grow_in_place(b, 32, 64));
-  // Exhausting the chunk tail forces a refusal.
-  EXPECT_FALSE(arena.grow_in_place(b, 64, 4096));
-}
-
-TEST(WireArena, WriterGrowsAcrossReserveBoundary) {
-  WireArena arena(256);
-  WireWriter w(arena, /*reserve=*/8);
-  Bytes want;
-  for (int i = 0; i < 300; ++i) {
-    w.u8(static_cast<std::uint8_t>(i));
-    want.push_back(static_cast<std::uint8_t>(i));
-  }
-  EXPECT_EQ(materialize(w.finish()), want);
-}
-
-TEST(WireArena, WriterRelocatesWhenAnotherAllocationIntervenes) {
-  WireArena arena(4096);
-  WireWriter w(arena, /*reserve=*/16);
-  w.raw(to_bytes("0123456789abcdef"));  // fills the reserve exactly
-  arena.alloc(1);  // steal the high-water mark: next grow must relocate
-  w.raw(to_bytes("-tail"));
-  EXPECT_EQ(to_string(w.finish()), "0123456789abcdef-tail");
-}
-
-TEST(WireArena, PerEventResetPattern) {
-  // The relay/mix-hop usage pattern: frame one message per event, reset
-  // between events, never accumulate.
-  WireArena arena(1024);
-  std::size_t reserved_after_warmup = 0;
-  for (int event = 0; event < 50; ++event) {
-    arena.reset();
-    WireWriter w(arena, 64);
-    w.varint(static_cast<std::uint64_t>(event));
-    w.vec(to_bytes("body"));
-    WireReader r(w.finish());
-    EXPECT_EQ(r.varint(), static_cast<std::uint64_t>(event));
-    EXPECT_EQ(to_string(r.vec()), "body");
-    EXPECT_TRUE(r.done());
-    if (event == 0) reserved_after_warmup = arena.bytes_reserved();
-  }
-  // Steady state: no chunk growth after the first event.
-  EXPECT_EQ(arena.bytes_reserved(), reserved_after_warmup);
+  ByteReader r3(bogus);
+  EXPECT_THROW(r3.view(r3.varint()), ParseError);
+  EXPECT_EQ(r3.remaining(), 1u);
 }
 
 }  // namespace
-}  // namespace dcpl::wire
+}  // namespace dcpl
