@@ -12,8 +12,15 @@
 // and their _ifma keys the IFMA comb; the single-shot HPKE keys carry an
 // _ifma suffix when the dispatched ladder and comb are IFMA.
 // x25519_table_build is the one-off cost of a peer's table, which the first
-// seal to a key pays. A baseline recorded on a host with these extensions
-// and a run on a host without them then share only like-for-like keys.
+// seal to a key pays. The bulk AEAD is named the same way: the unsuffixed
+// aead_*, chacha20_16k and poly1305_16k keys always run the portable
+// ChaCha20 and Poly1305; chacha20_16k_avx512 runs the 16-block AVX-512
+// ChaCha20, poly1305_16k_ifma the eight-lane IFMA Poly1305, and the aead_*
+// keys ending in _avx512 the dispatched pair when its ChaCha20 is AVX-512
+// (with it, the IFMA Poly1305 wherever the CPU has IFMA). The HPKE and
+// session keys run the dispatched AEAD. A baseline recorded on a host with
+// these extensions and a run on a host without them then share only
+// like-for-like keys.
 //
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
@@ -24,10 +31,13 @@
 #include <cstdio>
 #include <optional>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "crypto/aead.hpp"
 #include "crypto/blind_rsa.hpp"
+#include "crypto/chacha20.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/hkdf.hpp"
 #include "crypto/hmac.hpp"
@@ -73,11 +83,19 @@ int main(int argc, char** argv) {
   const X25519Comb comb_ifma = x25519_comb_ifma();
   const char* comb =
       x25519_comb_dispatched() == comb_ifma ? "ifma" : "portable";
+  const ChaCha20Xor chacha_avx512 = chacha20_xor_avx512();
+  const bool dispatched_avx512 = chacha20_xor_dispatched() == chacha_avx512;
+  const char* chacha = dispatched_avx512 ? "avx512" : "portable";
+  const Poly1305Blocks poly_ifma = poly1305_blocks_ifma();
+  const char* poly =
+      poly1305_blocks_dispatched() == poly_ifma ? "ifma" : "portable";
   std::printf("== crypto substrate throughput (budget %.0f ms/op)\n",
               budget_ms);
   std::printf("   sha256 compression: %s (dispatched)\n", compression);
   std::printf("   x25519 ladder: %s (dispatched)\n", ladder);
   std::printf("   x25519 comb: %s (dispatched)\n", comb);
+  std::printf("   chacha20: %s (dispatched)\n", chacha);
+  std::printf("   poly1305: %s (dispatched)\n", poly);
 
   // --- hashes / KDF ---------------------------------------------------------
   {
@@ -105,46 +123,71 @@ int main(int argc, char** argv) {
   }
 
   // --- AEAD: allocating seal vs fused in-place seal_append ------------------
+  // Each AEAD op runs on the portable pair, and again with an _avx512 key on
+  // the dispatched pair when that is vector code.
   double seal_ops = 0, seal_append_ops = 0;
   {
     ChaChaRng rng(2);
     Bytes key = rng.bytes(kAeadKeySize), nonce = rng.bytes(kAeadNonceSize);
     Bytes pt = rng.bytes(1500);
-    seal_ops = run("aead_seal_1500", pt.size(), [&](std::uint64_t) {
-      consume(aead_seal(key, nonce, {}, pt));
-    });
-    // The wire path's fused variant: ciphertext lands in a reused frame, no
-    // intermediate mac_input copy, no fresh allocation per packet.
-    Bytes frame;
-    frame.reserve(pt.size() + kAeadTagSize);
-    seal_append_ops =
-        run("aead_seal_append_1500", pt.size(), [&](std::uint64_t) {
-          frame.clear();
-          aead_seal_append(key, nonce, {}, pt, frame);
-          consume(frame);
-        });
-    Bytes ct = aead_seal(key, nonce, {}, pt);
-    run("aead_open_1500", pt.size(), [&](std::uint64_t) {
-      auto opened = aead_open(key, nonce, {}, ct);
-      consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
-    });
     // stack's HTTP bodies run from 256 B to 64 KiB; 16 KiB is a mid-size
     // response, where the ChaCha20 and Poly1305 block loops dominate.
     Bytes big = rng.bytes(16 * 1024);
-    run("aead_seal_16k", big.size(), [&](std::uint64_t) {
-      consume(aead_seal(key, nonce, {}, big));
-    });
-    Bytes big_ct = aead_seal(key, nonce, {}, big);
-    run("aead_open_16k", big.size(), [&](std::uint64_t) {
-      auto opened = aead_open(key, nonce, {}, big_ct);
-      consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
-    });
-    run("poly1305_16k", big.size(), [&](std::uint64_t) {
-      Poly1305 mac(key);
-      mac.update(big);
-      const auto tag = mac.finish();
-      consume(BytesView(tag.data(), tag.size()));
-    });
+    Bytes frame;
+    frame.reserve(pt.size() + kAeadTagSize);
+    auto aead_ops = [&](const std::string& sfx, AeadKernels kernels) {
+      const double seal =
+          run("aead_seal_1500" + sfx, pt.size(), [&](std::uint64_t) {
+            consume(aead_seal(key, nonce, {}, pt, kernels));
+          });
+      // The wire path's fused variant: ciphertext lands in a reused frame,
+      // no intermediate mac_input copy, no fresh allocation per packet.
+      const double seal_append =
+          run("aead_seal_append_1500" + sfx, pt.size(), [&](std::uint64_t) {
+            frame.clear();
+            aead_seal_append(key, nonce, {}, pt, frame, kernels);
+            consume(frame);
+          });
+      Bytes ct = aead_seal(key, nonce, {}, pt, kernels);
+      run("aead_open_1500" + sfx, pt.size(), [&](std::uint64_t) {
+        auto opened = aead_open(key, nonce, {}, ct, kernels);
+        consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
+      });
+      run("aead_seal_16k" + sfx, big.size(), [&](std::uint64_t) {
+        consume(aead_seal(key, nonce, {}, big, kernels));
+      });
+      Bytes big_ct = aead_seal(key, nonce, {}, big, kernels);
+      run("aead_open_16k" + sfx, big.size(), [&](std::uint64_t) {
+        auto opened = aead_open(key, nonce, {}, big_ct, kernels);
+        consume(opened.ok() ? BytesView(opened.value()) : BytesView{});
+      });
+      return std::make_pair(seal, seal_append);
+    };
+    std::tie(seal_ops, seal_append_ops) = aead_ops("", kAeadPortable);
+    if (dispatched_avx512) aead_ops("_avx512", aead_kernels_dispatched());
+
+    const ChaChaState state = chacha20_state(key, 1, nonce);
+    Bytes out(big.size());
+    auto chacha_op = [&](const std::string& name, ChaCha20Xor kernel) {
+      run(name, big.size(), [&](std::uint64_t) {
+        kernel(state, big, out.data());
+        consume(out);
+      });
+    };
+    chacha_op("chacha20_16k", chacha20_xor_portable);
+    if (chacha_avx512 != nullptr) {
+      chacha_op("chacha20_16k_avx512", chacha_avx512);
+    }
+    auto poly_op = [&](const std::string& name, Poly1305Blocks blocks) {
+      run(name, big.size(), [&](std::uint64_t) {
+        Poly1305 mac(key, blocks);
+        mac.update(big);
+        const auto tag = mac.finish();
+        consume(BytesView(tag.data(), tag.size()));
+      });
+    };
+    poly_op("poly1305_16k", poly1305_blocks_portable);
+    if (poly_ifma != nullptr) poly_op("poly1305_16k_ifma", poly_ifma);
   }
 
   // --- Key agreement --------------------------------------------------------
@@ -282,6 +325,8 @@ int main(int argc, char** argv) {
     w.kv("sha256_compression", compression);
     w.kv("x25519_ladder", ladder);
     w.kv("x25519_comb", comb);
+    w.kv("chacha20", chacha);
+    w.kv("poly1305", poly);
     w.key("ops");
     w.begin_object();
     for (const OpResult& r : ops) {

@@ -3,8 +3,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "crypto/chacha20.hpp"
-#include "crypto/poly1305.hpp"
 #include "obs/metrics.hpp"
 
 namespace dcpl::crypto {
@@ -30,9 +28,9 @@ ChaChaState init(BytesView key, BytesView nonce,
 // le64(len(ct)) through one incremental Poly1305 pass — nothing is copied
 // into a scratch vector.
 std::array<std::uint8_t, kAeadTagSize> compute_tag(const std::uint8_t* otk,
-                                                   BytesView aad,
-                                                   BytesView ct) {
-  Poly1305 mac(BytesView(otk, kPoly1305KeySize));
+                                                   BytesView aad, BytesView ct,
+                                                   Poly1305Blocks blocks) {
+  Poly1305 mac(BytesView(otk, kPoly1305KeySize), blocks);
   mac.update(aad);
   mac.pad16();
   mac.update(ct);
@@ -48,31 +46,36 @@ std::array<std::uint8_t, kAeadTagSize> compute_tag(const std::uint8_t* otk,
 
 }  // namespace
 
+AeadKernels aead_kernels_dispatched() {
+  return {chacha20_xor_dispatched(), poly1305_blocks_dispatched()};
+}
+
 void aead_seal_append(BytesView key, BytesView nonce, BytesView aad,
-                      BytesView plaintext, Bytes& out) {
+                      BytesView plaintext, Bytes& out, AeadKernels kernels) {
   static obs::OpCounter ops("crypto", "aead_seal");
   ops.inc();
   std::uint8_t otk[kChaChaBlockSize];
   const ChaChaState state = init(key, nonce, otk);
   const std::size_t ct_off = out.size();
   out.resize(ct_off + plaintext.size() + kAeadTagSize);
-  chacha20_xor_into(state, plaintext, out.data() + ct_off);
-  const auto tag =
-      compute_tag(otk, aad, BytesView(out.data() + ct_off, plaintext.size()));
+  kernels.chacha20(state, plaintext, out.data() + ct_off);
+  const auto tag = compute_tag(otk, aad,
+                               BytesView(out.data() + ct_off, plaintext.size()),
+                               kernels.poly1305);
   std::copy(tag.begin(), tag.end(),
             out.begin() + static_cast<std::ptrdiff_t>(ct_off + plaintext.size()));
 }
 
 Bytes aead_seal(BytesView key, BytesView nonce, BytesView aad,
-                BytesView plaintext) {
+                BytesView plaintext, AeadKernels kernels) {
   Bytes out;
   out.reserve(plaintext.size() + kAeadTagSize);
-  aead_seal_append(key, nonce, aad, plaintext, out);
+  aead_seal_append(key, nonce, aad, plaintext, out, kernels);
   return out;
 }
 
 Result<Bytes> aead_open(BytesView key, BytesView nonce, BytesView aad,
-                        BytesView ciphertext) {
+                        BytesView ciphertext, AeadKernels kernels) {
   static obs::OpCounter ops("crypto", "aead_open");
   ops.inc();
   std::uint8_t otk[kChaChaBlockSize];
@@ -82,12 +85,12 @@ Result<Bytes> aead_open(BytesView key, BytesView nonce, BytesView aad,
   }
   BytesView ct = ciphertext.first(ciphertext.size() - kAeadTagSize);
   BytesView tag = ciphertext.last(kAeadTagSize);
-  const auto expected = compute_tag(otk, aad, ct);
+  const auto expected = compute_tag(otk, aad, ct, kernels.poly1305);
   if (!ct_equal(BytesView(expected.data(), expected.size()), tag)) {
     return Result<Bytes>::failure("aead_open: authentication failed");
   }
   Bytes pt(ct.size());
-  chacha20_xor_into(state, ct, pt.data());
+  kernels.chacha20(state, ct, pt.data());
   return pt;
 }
 

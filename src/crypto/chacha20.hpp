@@ -1,5 +1,21 @@
 // ChaCha20 stream cipher (RFC 8439 §2.4): 256-bit key, 96-bit nonce,
 // 32-bit block counter.
+//
+// The keystream XOR has two implementations, chosen once per process:
+//   - chacha20_xor_portable() makes one 64-byte block at a time, its 16
+//     words in registers. It runs on every CPU, and it is the fallback and
+//     the oracle the vector path is tested against.
+//   - On x86-64 CPUs whose CPUID reports AVX-512F and BW, the AVX-512 path
+//     makes 16 blocks per pass: lane b of vector i holds word i of block b,
+//     with per-lane counters, vpaddd/vpxord/vprold rounds, and an
+//     unpack/vshufi32x4 transpose back to 16 block vectors. A last partial
+//     pass loads and stores under byte masks, so no byte past the input or
+//     the output is touched.
+// chacha20_xor_into(), the AEAD and chacha20_xor() run the dispatched path.
+//
+// NOTE: both paths are free of branches and memory indices that depend on
+// the key, nonce or data; what varies is the length, which is public. Still,
+// this library is a research artifact, not audited constant-time code.
 #pragma once
 
 #include <array>
@@ -26,11 +42,27 @@ ChaChaState chacha20_state(BytesView key, std::uint32_t counter,
 /// to `out`. The state is not advanced.
 void chacha20_block(const ChaChaState& state, std::uint8_t out[kChaChaBlockSize]);
 
-/// XORs `data` with the keystream of `state`, starting at its block
-/// counter, into `out` (which must hold data.size() bytes; `out ==
+/// A keystream XOR: XORs `data` with the keystream of `state`, starting at
+/// its block counter, into `out` (which must hold data.size() bytes; `out ==
 /// data.data()` encrypts in place). Throws std::length_error if the
 /// keystream would exhaust the 32-bit block counter (the RFC 8439 state has
 /// no carry into the nonce words — wrapping would reuse keystream blocks).
+using ChaCha20Xor = void (*)(const ChaChaState& state, BytesView data,
+                             std::uint8_t* out);
+
+/// The portable keystream XOR.
+void chacha20_xor_portable(const ChaChaState& state, BytesView data,
+                           std::uint8_t* out);
+
+/// The 16-block AVX-512 keystream XOR, or nullptr where the build is not
+/// x86-64 or CPUID lacks AVX-512F or BW.
+ChaCha20Xor chacha20_xor_avx512();
+
+/// The keystream XOR chacha20_xor_into() runs: AVX-512 when available, else
+/// portable.
+ChaCha20Xor chacha20_xor_dispatched();
+
+/// The dispatched keystream XOR (see ChaCha20Xor).
 void chacha20_xor_into(const ChaChaState& state, BytesView data,
                        std::uint8_t* out);
 

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "crypto/cpu_features.hpp"
+
 #if defined(__x86_64__)
 #include <immintrin.h>
 #endif
@@ -126,15 +128,9 @@ void sha256_compress_portable(std::uint32_t state[8], const std::uint8_t* data,
 
 Sha256Compress sha256_compress_shani() {
 #if defined(__x86_64__)
-  static const bool available = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
-           __builtin_cpu_supports("ssse3");
-  }();
-  return available ? compress_shani : nullptr;
-#else
-  return nullptr;
+  if (detail::cpu_features().sha) return compress_shani;
 #endif
+  return nullptr;
 }
 
 Sha256Compress sha256_compress_dispatched() {

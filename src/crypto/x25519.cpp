@@ -12,6 +12,7 @@
 #include <immintrin.h>
 #endif
 
+#include "crypto/cpu_features.hpp"
 #include "crypto/hkdf.hpp"
 #include "obs/metrics.hpp"
 
@@ -919,21 +920,6 @@ X25519CombOutput comb_with(BytesView scalar, const X25519CombTable* peer) {
           fe_tobytes(fe_mul(fe_mul(peer_num, den), inv))};
 }
 
-// Whether CPUID reports AVX-512F, VL and IFMA; checked once per process.
-bool cpu_has_ifma() {
-#if defined(__x86_64__)
-  static const bool available = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512vl") &&
-           __builtin_cpu_supports("avx512ifma");
-  }();
-  return available;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 Bytes x25519_ladder_portable(BytesView scalar, BytesView u) {
@@ -942,7 +928,7 @@ Bytes x25519_ladder_portable(BytesView scalar, BytesView u) {
 
 X25519Ladder x25519_ladder_ifma() {
 #if defined(__x86_64__)
-  if (cpu_has_ifma()) return x25519_with<ladder_ifma>;
+  if (detail::cpu_features().ifma) return x25519_with<ladder_ifma>;
 #endif
   return nullptr;
 }
@@ -984,7 +970,7 @@ X25519CombOutput x25519_comb_portable(BytesView scalar,
 
 X25519Comb x25519_comb_ifma() {
 #if defined(__x86_64__)
-  if (cpu_has_ifma()) return comb_with<comb_ifma>;
+  if (detail::cpu_features().ifma) return comb_with<comb_ifma>;
 #endif
   return nullptr;
 }

@@ -1,6 +1,7 @@
 #include "systems/privacypass/privacypass.hpp"
 
 #include <memory>
+#include <stdexcept>
 
 #include "common/io.hpp"
 #include "obs/trace.hpp"
@@ -15,6 +16,26 @@ enum class MsgType : std::uint8_t {
   kAccessRequest = 3,
   kAccessResponse = 4,
 };
+
+// The access request for `path` spending `token`. Throws std::length_error
+// on a path over 255 bytes, so callers encode it before they change any
+// state.
+Bytes encode_access(const std::string& path, const Token& token) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kAccessRequest));
+  w.vec(to_bytes(path), 1);
+  w.vec(token.nonce, 1);
+  w.vec(token.signature, 2);
+  return std::move(w).take();
+}
+
+Bytes encode_issue_request(const std::string& account, BytesView blinded) {
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(MsgType::kIssueRequest));
+  w.vec(to_bytes(account), 1);
+  w.vec(blinded, 2);
+  return std::move(w).take();
+}
 
 }  // namespace
 
@@ -154,7 +175,13 @@ Client::Client(net::Address address, std::string account, net::Address issuer,
                std::uint64_t seed)
     : Node(std::move(address)), account_(std::move(account)),
       issuer_(std::move(issuer)), issuer_key_(std::move(issuer_key)),
-      rng_(seed), log_(&log) {}
+      rng_(seed), log_(&log) {
+  // The issue request carries the account behind a one-byte length; reject
+  // it here rather than after a request has drawn from the RNG.
+  if (account_.size() > 255) {
+    throw std::invalid_argument("privacypass: account over 255 bytes");
+  }
+}
 
 void Client::request_token(net::Simulator& sim) {
   obs::Span span("privacypass.blind_request");
@@ -165,13 +192,10 @@ void Client::request_token(net::Simulator& sim) {
   log_->observe(address(), core::sensitive_identity("account:" + account_),
                 ctx);
 
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kIssueRequest));
-  w.vec(to_bytes(account_), 1);
-  w.vec(state.blinded_message, 2);
+  Bytes request = encode_issue_request(account_, state.blinded_message);
   pending_issuance_.emplace(ctx,
                             std::make_pair(std::move(nonce), std::move(state)));
-  sim.send(net::Packet{address(), issuer_, std::move(w).take(), ctx,
+  sim.send(net::Packet{address(), issuer_, std::move(request), ctx,
                        "privacypass"});
 }
 
@@ -186,10 +210,7 @@ void Client::request_token_reliable(net::Simulator& sim,
   log_->observe(address(), core::sensitive_identity("account:" + account_),
                 ctx);
 
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kIssueRequest));
-  w.vec(to_bytes(account_), 1);
-  w.vec(state.blinded_message, 2);
+  Bytes request = encode_issue_request(account_, state.blinded_message);
   pending_issuance_.emplace(ctx,
                             std::make_pair(std::move(nonce), std::move(state)));
   auto done_cb = std::make_shared<IssueCallback>(std::move(cb));
@@ -199,7 +220,7 @@ void Client::request_token_reliable(net::Simulator& sim,
   retry_run(
       sim, policy, rng_,
       [this, &sim, ctx,
-       wire = sim.make_payload(std::move(w).take())](unsigned) {
+       wire = sim.make_payload(std::move(request))](unsigned) {
         sim.send_shared(address(), issuer_, wire, ctx, "privacypass");
       },
       [this, ctx] { return pending_issuance_.count(ctx) == 0; },
@@ -213,7 +234,7 @@ void Client::request_token_reliable(net::Simulator& sim,
 bool Client::access(const net::Address& origin, const std::string& path,
                     net::Simulator& sim, ServedCallback cb) {
   if (wallet_.empty()) return false;
-  Token token = std::move(wallet_.back());
+  Bytes request = encode_access(path, wallet_.back());
   wallet_.pop_back();
 
   const std::uint64_t ctx = sim.new_context();
@@ -221,13 +242,8 @@ bool Client::access(const net::Address& origin, const std::string& path,
                 ctx);
   log_->observe(address(), core::sensitive_data("url:" + origin + path), ctx);
 
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kAccessRequest));
-  w.vec(to_bytes(path), 1);
-  w.vec(token.nonce, 1);
-  w.vec(token.signature, 2);
   pending_access_[ctx] = std::move(cb);
-  sim.send(net::Packet{address(), origin, std::move(w).take(), ctx,
+  sim.send(net::Packet{address(), origin, std::move(request), ctx,
                        "privacypass"});
   return true;
 }
@@ -236,7 +252,7 @@ bool Client::access_reliable(const net::Address& origin,
                              const std::string& path, net::Simulator& sim,
                              const RetryPolicy& policy, AccessCallback cb) {
   if (wallet_.empty()) return false;
-  Token token = std::move(wallet_.back());
+  Bytes request = encode_access(path, wallet_.back());
   wallet_.pop_back();
 
   const std::uint64_t ctx = sim.new_context();
@@ -244,17 +260,12 @@ bool Client::access_reliable(const net::Address& origin,
                 ctx);
   log_->observe(address(), core::sensitive_data("url:" + origin + path), ctx);
 
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(MsgType::kAccessRequest));
-  w.vec(to_bytes(path), 1);
-  w.vec(token.nonce, 1);
-  w.vec(token.signature, 2);
   auto done_cb = std::make_shared<AccessCallback>(std::move(cb));
   pending_access_[ctx] = [done_cb](bool served) { (*done_cb)(served); };
   retry_run(
       sim, policy, rng_,
       [this, &sim, ctx, origin,
-       wire = sim.make_payload(std::move(w).take())](unsigned) {
+       wire = sim.make_payload(std::move(request))](unsigned) {
         sim.send_shared(address(), origin, wire, ctx, "privacypass");
       },
       [this, ctx] { return pending_access_.count(ctx) == 0; },

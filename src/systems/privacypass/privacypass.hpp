@@ -98,6 +98,8 @@ class Client final : public net::Node {
   using IssueCallback = std::function<void(Result<Token>)>;
   using AccessCallback = std::function<void(Result<bool>)>;
 
+  /// Throws std::invalid_argument when `account` is over 255 bytes, the
+  /// most an issue request carries.
   Client(net::Address address, std::string account, net::Address issuer,
          crypto::RsaPublicKey issuer_key, core::ObservationLog& log,
          std::uint64_t seed);
@@ -113,13 +115,16 @@ class Client final : public net::Node {
                               IssueCallback cb);
 
   /// Spends one wallet token at `origin` to access `path`. Returns false if
-  /// no token is available.
+  /// no token is available. Throws std::length_error, with the wallet, the
+  /// log and the simulator's contexts untouched, when `path` is over 255
+  /// bytes.
   bool access(const net::Address& origin, const std::string& path,
               net::Simulator& sim, ServedCallback cb = nullptr);
 
   /// Loss-protected access(): same token, same bytes, same context on every
   /// resend — the origin replays its verdict rather than seeing a
-  /// double-spend. Returns false (no callback) if the wallet is empty.
+  /// double-spend. Returns false (no callback) if the wallet is empty;
+  /// throws as access() does.
   bool access_reliable(const net::Address& origin, const std::string& path,
                        net::Simulator& sim, const RetryPolicy& policy,
                        AccessCallback cb);

@@ -1,7 +1,13 @@
 // ChaCha20, Poly1305, and ChaCha20-Poly1305 AEAD vectors from RFC 8439.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
+#include <new>
+#include <thread>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
@@ -18,6 +24,36 @@ namespace {
 const char* kSunscreen =
     "Ladies and Gentlemen of the class of '99: If I could offer you "
     "only one tip for the future, sunscreen would be it.";
+
+// The process's first dispatch, from 4 threads at once: each seals and
+// opens through the dispatched kernels, whose CPUID probe runs on first
+// use. Defined first, so it runs before any other test has dispatched; the
+// thread-sanitize job runs it.
+TEST(Aead, FirstDispatchFromFourThreads) {
+  XoshiroRng rng(4);
+  const Bytes key = rng.bytes(kAeadKeySize), nonce = rng.bytes(kAeadNonceSize);
+  const Bytes pt = rng.bytes(3000);
+  const Bytes want = aead_seal(key, nonce, {}, pt, kAeadPortable);
+  std::atomic<int> ready{0};
+  std::vector<Bytes> sealed(4);
+  std::vector<int> opened(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) {
+      }
+      sealed[t] = aead_seal(key, nonce, {}, pt);
+      auto r = aead_open(key, nonce, {}, sealed[t]);
+      opened[t] = r.ok() && r.value() == pt;
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < 4; ++t) {
+    EXPECT_EQ(sealed[t], want) << "thread " << t;
+    EXPECT_TRUE(opened[t]) << "thread " << t;
+  }
+}
 
 // RFC 8439 §2.3.2: first block with the test key/nonce/counter.
 TEST(ChaCha20, BlockFunctionVector) {
@@ -102,18 +138,21 @@ TEST(Aead, Rfc8439Vector) {
   Bytes nonce = from_hex("070000004041424344454647");
   Bytes aad = from_hex("50515253c0c1c2c3c4c5c6c7");
 
-  Bytes sealed = aead_seal(key, nonce, aad, to_bytes(kSunscreen));
-  EXPECT_EQ(
-      to_hex(sealed),
-      "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
-      "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
-      "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
-      "3ff4def08e4b7a9de576d26586cec64b6116"
-      "1ae10b594f09e26a7e902ecbd0600691");
+  for (const AeadKernels& kernels :
+       {kAeadPortable, aead_kernels_dispatched()}) {
+    Bytes sealed = aead_seal(key, nonce, aad, to_bytes(kSunscreen), kernels);
+    EXPECT_EQ(
+        to_hex(sealed),
+        "d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
+        "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"
+        "92ddbd7f2d778b8c9803aee328091b58fab324e4fad675945585808b4831d7bc"
+        "3ff4def08e4b7a9de576d26586cec64b6116"
+        "1ae10b594f09e26a7e902ecbd0600691");
 
-  auto opened = aead_open(key, nonce, aad, sealed);
-  ASSERT_TRUE(opened.ok());
-  EXPECT_EQ(to_string(opened.value()), kSunscreen);
+    auto opened = aead_open(key, nonce, aad, sealed, kernels);
+    ASSERT_TRUE(opened.ok());
+    EXPECT_EQ(to_string(opened.value()), kSunscreen);
+  }
 }
 
 TEST(Aead, TamperedCiphertextFails) {
@@ -173,14 +212,19 @@ TEST_P(AeadRoundTrip, SealOpenAtLength) {
   Bytes aad = rng.bytes(GetParam() % 40);
   Bytes sealed = aead_seal(key, nonce, aad, pt);
   EXPECT_EQ(sealed.size(), pt.size() + kAeadTagSize);
+  EXPECT_EQ(aead_seal(key, nonce, aad, pt, kAeadPortable), sealed);
   auto opened = aead_open(key, nonce, aad, sealed);
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened.value(), pt);
+  auto opened_portable = aead_open(key, nonce, aad, sealed, kAeadPortable);
+  ASSERT_TRUE(opened_portable.ok());
+  EXPECT_EQ(opened_portable.value(), pt);
 }
 
 INSTANTIATE_TEST_SUITE_P(Lengths, AeadRoundTrip,
                          ::testing::Values(0, 1, 15, 16, 17, 63, 64, 65, 255,
-                                           256, 1000, 4096));
+                                           256, 1000, 1024, 1025, 4096,
+                                           16411));
 
 // RFC 8439's state has no carry from the 32-bit block counter into the
 // nonce words, so a wrap would replay keystream blocks 0, 1, ... under the
@@ -269,37 +313,130 @@ Bytes reference_xor(BytesView key, std::uint32_t counter, BytesView nonce,
   return out;
 }
 
+// The portable keystream XOR and, where the CPU has it, the AVX-512 one.
+std::vector<ChaCha20Xor> chacha20_kernels() {
+  std::vector<ChaCha20Xor> kernels = {chacha20_xor_portable};
+  if (chacha20_xor_avx512() != nullptr) {
+    kernels.push_back(chacha20_xor_avx512());
+  }
+  return kernels;
+}
+
+// Lengths up to three 16-block vector passes plus every tail, on every
+// kernel, out of place through chacha20_xor() and in place through each.
 TEST(ChaCha20, MatchesReferenceAtEveryLength) {
   XoshiroRng rng(8439);
-  for (std::size_t len = 0; len <= 1100; ++len) {
+  for (std::size_t len = 0; len <= 3200; ++len) {
     const Bytes key = rng.bytes(kChaChaKeySize);
     const Bytes nonce = rng.bytes(kChaChaNonceSize);
     const auto counter = static_cast<std::uint32_t>(rng.below(1u << 20));
     const Bytes data = rng.bytes(len);
     const Bytes want = reference_xor(key, counter, nonce, data);
     ASSERT_EQ(chacha20_xor(key, counter, nonce, data), want) << "len=" << len;
-    // In place through the state overload.
-    Bytes buf = data;
-    chacha20_xor_into(chacha20_state(key, counter, nonce), buf, buf.data());
-    ASSERT_EQ(buf, want) << "in place, len=" << len;
+    for (const ChaCha20Xor kernel : chacha20_kernels()) {
+      Bytes buf = data;
+      kernel(chacha20_state(key, counter, nonce), buf, buf.data());
+      ASSERT_EQ(buf, want) << "in place, len=" << len;
+    }
   }
 }
 
 // Up to the wrap guard: the last k blocks before 2^32 are usable and match
-// the reference; one byte more is rejected.
+// the reference; one byte more is rejected. With k up to 33 the last usable
+// blocks fall in the second and third passes of the vector kernel.
 TEST(ChaCha20, MatchesReferenceUpToWrapGuard) {
   XoshiroRng rng(3);
   const Bytes key = rng.bytes(kChaChaKeySize);
   const Bytes nonce = rng.bytes(kChaChaNonceSize);
-  for (std::uint32_t k = 1; k <= 17; ++k) {
+  for (std::uint32_t k = 1; k <= 33; ++k) {
     const std::uint32_t counter = 0xFFFFFFFFu - (k - 1);
     const Bytes data = rng.bytes(64 * k);
-    Bytes buf = data;
-    chacha20_xor_into(chacha20_state(key, counter, nonce), buf, buf.data());
-    EXPECT_EQ(buf, reference_xor(key, counter, nonce, data)) << "k=" << k;
-    EXPECT_THROW(chacha20_xor(key, counter, nonce, rng.bytes(64 * k + 1)),
-                 std::length_error)
+    const Bytes want = reference_xor(key, counter, nonce, data);
+    const Bytes over = rng.bytes(64 * k + 1);
+    for (const ChaCha20Xor kernel : chacha20_kernels()) {
+      const ChaChaState state = chacha20_state(key, counter, nonce);
+      Bytes buf = data;
+      kernel(state, buf, buf.data());
+      EXPECT_EQ(buf, want) << "k=" << k;
+      Bytes out(over.size());
+      EXPECT_THROW(kernel(state, over, out.data()), std::length_error)
+          << "k=" << k;
+    }
+    EXPECT_THROW(chacha20_xor(key, counter, nonce, over), std::length_error)
         << "k=" << k;
+  }
+}
+
+// One read-write page followed by a PROT_NONE page: tail(n) is the last n
+// bytes before the guard, so touching a byte past them faults.
+class GuardedPage {
+ public:
+  GuardedPage() {
+    void* p = mmap(nullptr, 2 * size(), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<std::uint8_t*>(p);
+    if (mprotect(base_ + size(), size(), PROT_NONE) != 0) {
+      munmap(base_, 2 * size());
+      throw std::bad_alloc();
+    }
+  }
+  ~GuardedPage() { munmap(base_, 2 * size()); }
+  GuardedPage(const GuardedPage&) = delete;
+  GuardedPage& operator=(const GuardedPage&) = delete;
+
+  static std::size_t size() {
+    return static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  }
+  std::uint8_t* tail(std::size_t n) { return base_ + size() - n; }
+
+ private:
+  std::uint8_t* base_;
+};
+
+// The AVX-512 kernel against the portable one: 10,000 seeded lengths up to
+// 16 passes at random counters, out of place (at a random offset, with the
+// bytes around the output checked) and in place, and all-0xff data. Every
+// length up to a page also runs with the input and the output each ending
+// where a PROT_NONE page begins, so a read or a write past either faults.
+TEST(ChaCha20, VectorMatchesPortable) {
+  const ChaCha20Xor avx512 = chacha20_xor_avx512();
+  if (avx512 == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F or BW";
+  XoshiroRng rng(1616);
+  GuardedPage in_page, out_page;
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t len =
+        i < 2000 ? static_cast<std::size_t>(i)
+                 : static_cast<std::size_t>(rng.below(16384));
+    const ChaChaState state =
+        chacha20_state(rng.bytes(kChaChaKeySize),
+                       static_cast<std::uint32_t>(rng.below(1u << 24)),
+                       rng.bytes(kChaChaNonceSize));
+    const Bytes data = i % 7 == 0 ? Bytes(len, 0xff) : rng.bytes(len);
+    Bytes want(len);
+    chacha20_xor_portable(state, data, want.data());
+
+    const std::size_t off = static_cast<std::size_t>(rng.below(64));
+    Bytes out(off + len + 64, 0xa5);
+    avx512(state, data, out.data() + off);
+    const auto first = out.begin() + static_cast<long>(off);
+    const auto last = first + static_cast<long>(len);
+    ASSERT_EQ(Bytes(first, last), want) << "len=" << len;
+    const auto guard = [](std::uint8_t b) { return b == 0xa5; };
+    ASSERT_TRUE(std::all_of(out.begin(), first, guard) &&
+                std::all_of(last, out.end(), guard))
+        << "bytes around the output changed, len=" << len;
+
+    Bytes in_place = data;
+    avx512(state, in_place, in_place.data());
+    ASSERT_EQ(in_place, want) << "in place, len=" << len;
+
+    if (len <= GuardedPage::size()) {
+      std::copy(data.begin(), data.end(), in_page.tail(len));
+      avx512(state, BytesView(in_page.tail(len), len), out_page.tail(len));
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), out_page.tail(len)))
+          << "at a guard page, len=" << len;
+    }
   }
 }
 
@@ -329,12 +466,15 @@ Bytes reference_poly1305(BytesView key, BytesView msg) {
   return Bytes(be.rbegin(), be.rend());
 }
 
-Bytes poly1305_in_pieces(BytesView key, BytesView msg, XoshiroRng& rng) {
-  Poly1305 mac(key);
+// The tag of `msg` fed to update() in random pieces below `max_piece` bytes.
+Bytes poly1305_in_pieces(BytesView key, BytesView msg, XoshiroRng& rng,
+                         std::uint64_t max_piece = 40,
+                         Poly1305Blocks blocks = poly1305_blocks_dispatched()) {
+  Poly1305 mac(key, blocks);
   std::size_t off = 0;
   while (off < msg.size()) {
     const std::size_t take = std::min<std::size_t>(
-        msg.size() - off, static_cast<std::size_t>(rng.below(40)));
+        msg.size() - off, static_cast<std::size_t>(rng.below(max_piece)));
     mac.update(msg.subspan(off, take));
     off += take;
   }
@@ -342,14 +482,19 @@ Bytes poly1305_in_pieces(BytesView key, BytesView msg, XoshiroRng& rng) {
   return Bytes(tag.begin(), tag.end());
 }
 
+// Lengths past 32 blocks, so runs cross the IFMA kernel's eight-block step
+// in one update, in small pieces (no run reaches eight blocks) and in large
+// ones (runs of eight or more blocks after a buffered partial block).
 TEST(Poly1305, MatchesBigIntReference) {
   XoshiroRng rng(1305);
-  for (std::size_t len = 0; len <= 300; ++len) {
+  for (std::size_t len = 0; len <= 560; ++len) {
     const Bytes key = rng.bytes(kPoly1305KeySize);
     const Bytes msg = rng.bytes(len);
     const Bytes want = reference_poly1305(key, msg);
     EXPECT_EQ(poly1305_mac(key, msg), want) << "len=" << len;
     EXPECT_EQ(poly1305_in_pieces(key, msg, rng), want) << "split len=" << len;
+    EXPECT_EQ(poly1305_in_pieces(key, msg, rng, 400), want)
+        << "large pieces, len=" << len;
   }
 }
 
@@ -398,6 +543,61 @@ TEST(Poly1305, FinalReductionAroundP) {
       EXPECT_EQ(tag, want) << "k=" << k;
     }
   }
+}
+
+// The IFMA kernel against the portable one: 10,000 seeded lengths up to 1,024
+// blocks, each in one update and in random pieces, under random keys, keys
+// with r at its clamp maximum, and all-0xff messages (the limbs' largest
+// values); then one key over many runs, so the powers of r computed on the
+// first run serve the rest; then the kernel's limb bounds.
+TEST(Poly1305, VectorMatchesPortable) {
+  const Poly1305Blocks ifma = poly1305_blocks_ifma();
+  if (ifma == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F, VL or IFMA";
+  XoshiroRng rng(2015);
+  for (int i = 0; i < 10000; ++i) {
+    const std::size_t len =
+        i < 1000 ? static_cast<std::size_t>(i)
+                 : static_cast<std::size_t>(rng.below(16384));
+    Bytes key = rng.bytes(kPoly1305KeySize);
+    if (i % 3 == 0) std::fill(key.begin(), key.begin() + 16, 0xff);
+    const Bytes msg = i % 5 == 0 ? Bytes(len, 0xff) : rng.bytes(len);
+    const Bytes want = poly1305_in_pieces(key, msg, rng, len + 1,
+                                          poly1305_blocks_portable);
+    ASSERT_EQ(poly1305_in_pieces(key, msg, rng, len + 1, ifma), want)
+        << "len=" << len;
+    ASSERT_EQ(poly1305_in_pieces(key, msg, rng, 600, ifma), want)
+        << "split len=" << len;
+  }
+  const Bytes key(kPoly1305KeySize, 0xff);
+  const Bytes msg = rng.bytes(64 * 1024);
+  EXPECT_EQ(poly1305_in_pieces(key, msg, rng, 3000, ifma),
+            poly1305_in_pieces(key, msg, rng, 3000, poly1305_blocks_portable));
+
+  // Driven directly with r at its clamp maximum and all-0xff blocks, the
+  // kernel leaves h within the bounds finish() assumes, run after run.
+  Poly1305State state;
+  state.r[0] = 0xffc0fffffff;
+  state.r[1] = 0xfffffc0ffff;
+  state.r[2] = 0x00ffffffc0f;
+  const Bytes ones(16 * 64, 0xff);
+  for (std::size_t blocks = 8; blocks <= 64; ++blocks) {
+    ifma(state, ones.data(), blocks);
+    ASSERT_LT(state.h[0], std::uint64_t{1} << 44) << blocks;
+    ASSERT_LT(state.h[1], (std::uint64_t{1} << 44) + (1u << 15)) << blocks;
+    ASSERT_LT(state.h[2], std::uint64_t{1} << 42) << blocks;
+  }
+}
+
+TEST(Aead, DispatchFollowsCpuid) {
+  const ChaCha20Xor avx512 = chacha20_xor_avx512();
+  EXPECT_EQ(chacha20_xor_dispatched(),
+            avx512 != nullptr ? avx512 : chacha20_xor_portable);
+  const Poly1305Blocks ifma = poly1305_blocks_ifma();
+  EXPECT_EQ(poly1305_blocks_dispatched(),
+            ifma != nullptr ? ifma : poly1305_blocks_portable);
+  const AeadKernels dispatched = aead_kernels_dispatched();
+  EXPECT_EQ(dispatched.chacha20, chacha20_xor_dispatched());
+  EXPECT_EQ(dispatched.poly1305, poly1305_blocks_dispatched());
 }
 
 // Every party in src/systems draws from a ChaChaRng: its stream is pinned.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "common/io.hpp"
 #include "core/analysis.hpp"
 
@@ -184,6 +187,52 @@ TEST(PrivacyPass, ManyClientsManyTokens) {
   EXPECT_EQ(f.origin->served(), 12u);
 }
 
+
+// The access request carries the path behind a one-byte length. A longer
+// path throws before the call spends the token, logs an observation or takes
+// a context; a 255-byte path is still served.
+TEST(PrivacyPass, OverlongPathThrowsWithoutChangingState) {
+  Fixture f;
+  f.client->request_token(f.sim);
+  f.sim.run();
+  ASSERT_EQ(f.client->wallet().size(), 1u);
+  const std::size_t logged = f.log.size();
+  const std::uint64_t probe = f.sim.new_context();
+  const std::string overlong = "/" + std::string(255, 'a');
+  EXPECT_THROW(f.client->access("origin.example", overlong, f.sim),
+               std::length_error);
+  EXPECT_THROW(f.client->access_reliable("origin.example", overlong, f.sim,
+                                         RetryPolicy{}, [](Result<bool>) {}),
+               std::length_error);
+  EXPECT_EQ(f.client->wallet().size(), 1u);
+  EXPECT_EQ(f.log.size(), logged);
+  EXPECT_EQ(f.sim.new_context(), probe + 1);
+
+  bool served = false;
+  ASSERT_TRUE(f.client->access("origin.example", overlong.substr(1), f.sim,
+                               [&](bool ok) { served = ok; }));
+  f.sim.run();
+  EXPECT_TRUE(served);
+  EXPECT_TRUE(f.client->wallet().empty());
+}
+
+// The issue request carries the account behind a one-byte length, so a
+// longer account is rejected when the client is made, before any request
+// draws from its RNG; a 255-byte account still gets a token.
+TEST(PrivacyPass, OverlongAccountRejectedAtConstruction) {
+  Fixture f;
+  EXPECT_THROW(Client("exit-long", std::string(256, 'm'), "issuer.example",
+                      f.issuer->public_key(), f.log, 9),
+               std::invalid_argument);
+  const std::string account(255, 'm');
+  f.issuer->register_account(account);
+  Client longest("exit-long", account, "issuer.example",
+                 f.issuer->public_key(), f.log, 9);
+  f.sim.add_node(longest);
+  longest.request_token(f.sim);
+  f.sim.run();
+  EXPECT_EQ(longest.wallet().size(), 1u);
+}
 
 TEST(PrivacyPass, IssuanceRateLimitEnforced) {
   Fixture f;
