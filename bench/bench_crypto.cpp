@@ -18,9 +18,11 @@
 // ChaCha20, poly1305_16k_ifma the eight-lane IFMA Poly1305, and the aead_*
 // keys ending in _avx512 the dispatched pair when its ChaCha20 is AVX-512
 // (with it, the IFMA Poly1305 wherever the CPU has IFMA). The HPKE and
-// session keys run the dispatched AEAD. A baseline recorded on a host with
-// these extensions and a run on a host without them then share only
-// like-for-like keys.
+// session keys run the dispatched AEAD. RSA's CRT pair is named the same
+// way: rsa1024_blind_sign always runs the portable pair (two Montgomery
+// exponentiations) and rsa1024_blind_sign_ifma the two-lane IFMA one. A
+// baseline recorded on a host with these extensions and a run on a host
+// without them then share only like-for-like keys.
 //
 // Unlike the paper-table benches this one has no expected column; it is a
 // throughput report. It emits the shared dcpl-bench-report/2 schema with a
@@ -89,6 +91,9 @@ int main(int argc, char** argv) {
   const Poly1305Blocks poly_ifma = poly1305_blocks_ifma();
   const char* poly =
       poly1305_blocks_dispatched() == poly_ifma ? "ifma" : "portable";
+  const ModExpPair crt_ifma = mod_exp_pair_ifma();
+  const char* crt =
+      mod_exp_pair_dispatched() == crt_ifma ? "ifma" : "portable";
   std::printf("== crypto substrate throughput (budget %.0f ms/op)\n",
               budget_ms);
   std::printf("   sha256 compression: %s (dispatched)\n", compression);
@@ -96,6 +101,7 @@ int main(int argc, char** argv) {
   std::printf("   x25519 comb: %s (dispatched)\n", comb);
   std::printf("   chacha20: %s (dispatched)\n", chacha);
   std::printf("   poly1305: %s (dispatched)\n", poly);
+  std::printf("   rsa crt: %s (dispatched)\n", crt);
 
   // --- hashes / KDF ---------------------------------------------------------
   {
@@ -286,10 +292,14 @@ int main(int argc, char** argv) {
     run("rsa1024_blind", 0,
         [&](std::uint64_t) { consume(blind(key.pub, msg, rng).blinded_message); });
     BlindingState st = blind(key.pub, msg, rng);
-    run("rsa1024_blind_sign", 0, [&](std::uint64_t) {
-      auto sig = blind_sign(key, st.blinded_message);
-      consume(sig.ok() ? BytesView(sig.value()) : BytesView{});
-    });
+    auto sign_op = [&](const std::string& name, ModExpPair pair) {
+      run(name, 0, [&](std::uint64_t) {
+        auto sig = blind_sign(key, st.blinded_message, pair);
+        consume(sig.ok() ? BytesView(sig.value()) : BytesView{});
+      });
+    };
+    sign_op("rsa1024_blind_sign", mod_exp_pair_portable);
+    if (crt_ifma != nullptr) sign_op("rsa1024_blind_sign_ifma", crt_ifma);
     Bytes sig = finalize(key.pub, msg, st,
                          blind_sign(key, st.blinded_message).value())
                     .value();
@@ -327,6 +337,7 @@ int main(int argc, char** argv) {
     w.kv("x25519_comb", comb);
     w.kv("chacha20", chacha);
     w.kv("poly1305", poly);
+    w.kv("rsa_crt", crt);
     w.key("ops");
     w.begin_object();
     for (const OpResult& r : ops) {

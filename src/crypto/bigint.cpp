@@ -6,6 +6,12 @@
 #include <limits>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "crypto/cpu_features.hpp"
+
 namespace dcpl::crypto {
 
 using u128 = unsigned __int128;
@@ -728,6 +734,15 @@ void mont_kernel(const std::uint64_t* a, const std::uint64_t* b,
   }
 }
 
+// The digit of `e` in window `window` of width w.
+std::size_t window_digit(const BigInt& e, std::size_t window, std::size_t w) {
+  std::size_t d = 0;
+  for (std::size_t b = w; b-- > 0;) {
+    d = (d << 1) | static_cast<std::size_t>(e.bit(window * w + b));
+  }
+  return d;
+}
+
 }  // namespace
 
 Montgomery::Montgomery(const BigInt& modulus) : n_(modulus) {
@@ -818,21 +833,297 @@ BigInt Montgomery::mod_exp(const BigInt& base, const BigInt& exponent) const {
 
   // Fixed windows from the top; the top window holds the top set bit, so
   // the accumulator starts at a nonzero digit's entry.
-  const auto digit = [&](std::size_t window) {
-    std::size_t d = 0;
-    for (std::size_t b = w; b-- > 0;) {
-      d = (d << 1) | static_cast<std::size_t>(exponent.bit(window * w + b));
-    }
-    return d;
-  };
   std::size_t window = (bits + w - 1) / w - 1;
-  std::copy_n(table + digit(window) * k, k, acc);
+  std::copy_n(table + window_digit(exponent, window, w) * k, k, acc);
   while (window-- > 0) {
     for (std::size_t i = 0; i < w; ++i) mont_sqr(acc, acc, t);
-    const std::size_t d = digit(window);
+    const std::size_t d = window_digit(exponent, window, w);
     if (d != 0) mont_mul(acc, table + d * k, acc, t);
   }
   return from_mont(acc, t);
+}
+
+std::array<BigInt, 2> mod_exp_pair_portable(const BigInt& base,
+                                            const BigInt& e1, const BigInt& n1,
+                                            const BigInt& e2, const BigInt& n2) {
+  return {(base % n1).mod_exp(e1, n1), (base % n2).mod_exp(e2, n2)};
+}
+
+#if defined(__x86_64__)
+namespace {
+
+// ---------------------------------------------------------------------------
+// Two exponentiations in lockstep on AVX-512 IFMA, for two moduli of 8 limbs
+// (RSA-1024's CRT halves; OpenSSL's rsaz_avx512 runs RSA-2048's the same
+// way). A value is ten 52-bit limbs, R = 2^520, in 16 lanes of two zmm
+// registers: limbs 0..7 and limbs 8..15, of which 10..15 are zero.
+//
+// The product is an almost-Montgomery multiplication (AMM): out = (a b + m
+// n) / R for the m < R that makes the division exact, which is congruent to
+// a b / R and, for a, b < 2n and 4n < R, below 2n. So every value stays
+// below 2n with no conditional subtraction, and only the final conversion
+// reduces below n. It scans b one limb at a time: add a b_i + m_i n, where
+// m_i zeroes the low limb, and shift the sum down one limb.
+//
+// vpmadd52luq/vpmadd52huq multiply the low 52 bits of two lanes and add the
+// low or the high 52 bits of the 104-bit product to an accumulator, so every
+// limb entering one must be below 2^52, which a carried value is.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kLimbs52 = 10;
+constexpr std::size_t kBits52 = 52 * kLimbs52;  // R = 2^520
+constexpr std::uint64_t kMask52 = (std::uint64_t{1} << 52) - 1;
+
+// A value in ten 52-bit limbs, lanes 10..15 zero.
+struct alignas(64) Limbs52 {
+  std::uint64_t v[16];
+};
+
+Limbs52 to_limbs52(const BigInt& x) {
+  Limbs52 out{};
+  const std::vector<std::uint64_t>& w = x.limbs();
+  for (std::size_t j = 0; j < kLimbs52; ++j) {
+    const std::size_t bit = 52 * j, word = bit / 64, off = bit % 64;
+    std::uint64_t limb = word < w.size() ? w[word] >> off : 0;
+    if (off > 12 && word + 1 < w.size()) limb |= w[word + 1] << (64 - off);
+    out.v[j] = limb & kMask52;
+  }
+  return out;
+}
+
+BigInt from_limbs52(const Limbs52& x) {
+  BigInt out;
+  for (std::size_t j = kLimbs52; j-- > 0;) out = (out << 52) + BigInt(x.v[j]);
+  return out;
+}
+
+// One modulus: its limbs, and k0 = -n^-1 mod 2^52.
+struct Modulus52 {
+  Limbs52 n;
+  std::uint64_t k0;
+};
+
+Modulus52 to_modulus52(const BigInt& n) {
+  std::uint64_t inv = 1;  // n^-1 mod 2^64 by Newton's iteration
+  for (int i = 0; i < 6; ++i) inv *= 2 - n.limbs()[0] * inv;
+  return Modulus52{to_limbs52(n), (0 - inv) & kMask52};
+}
+
+#pragma GCC push_options
+#pragma GCC target("avx512f,avx512vl,avx512ifma")
+
+// The one-limb shifts on every lane. The unmasked valignq merges into an
+// undefined vector, which gcc 12 reports under -Wmaybe-uninitialized; the
+// form masked to all lanes compiles to the same instruction.
+[[gnu::always_inline]] inline __m512i align1(__m512i hi, __m512i lo) {
+  return _mm512_mask_alignr_epi64(lo, 0xFF, hi, lo, 1);
+}
+
+// Lane j of the result is lane j - 1 of the 16 lanes (lo, hi), lane 0 zero:
+// one limb up.
+[[gnu::always_inline]] inline __m512i up1_lo(__m512i lo, __m512i zero) {
+  return _mm512_mask_alignr_epi64(lo, 0xFF, lo, zero, 7);
+}
+[[gnu::always_inline]] inline __m512i up1_hi(__m512i hi, __m512i lo) {
+  return _mm512_mask_alignr_epi64(hi, 0xFF, hi, lo, 7);
+}
+
+// One AMM of a pair, advanced a limb of b at a time.
+//
+// The sum is kept as s + sum_{j >= 1} t_j 2^(52 j), with s, limb 0, in a
+// scalar register. A step shifts t down one limb and adds a b_i, made in
+// fresh registers off t's chain; reads lane 0, which then holds limb 1 of the
+// old sum plus a_1 b_i's low half and a_0 b_i's high half; makes m_i and the
+// next s from that and s with scalar products (a_0 b_i's low half, m_i n_0
+// whole and m_i n_1's low half); and then adds m_i n. So m_i waits for m_i-1
+// only through scalar registers, and the vector round trip (broadcast,
+// multiply-add, shift, read) spans two steps. Lane 0 of t is not read again
+// after m_i n is added: finish() puts s in its place.
+//
+// The low halves of a product come from a and n shifted down one limb (as,
+// ns), so they land in the lane the high halves do, one below their own limb,
+// and a step is shift, then add. A lane gains at most four terms below 2^52 a
+// step, so after ten it is below 2^58.
+struct AmmLane {
+  __m512i a_lo, a_hi, as_lo, as_hi, n_lo, n_hi, ns_lo, ns_hi, t_lo, t_hi;
+  std::uint64_t a0, n0_12, n1, k0, s;
+  const std::uint64_t* b;
+
+  [[gnu::always_inline]] void start(const Limbs52& a, const Limbs52& b_in,
+                                    const Modulus52& mod, __m512i zero) {
+    a_lo = _mm512_load_si512(a.v);
+    a_hi = _mm512_load_si512(a.v + 8);
+    as_lo = align1(a_hi, a_lo);
+    as_hi = align1(zero, a_hi);
+    n_lo = _mm512_load_si512(mod.n.v);
+    n_hi = _mm512_load_si512(mod.n.v + 8);
+    ns_lo = align1(n_hi, n_lo);
+    ns_hi = align1(zero, n_hi);
+    t_lo = t_hi = zero;
+    a0 = a.v[0];
+    n0_12 = mod.n.v[0] << 12;  // the high word of m (n_0 2^12) is m n_0 >> 52
+    n1 = mod.n.v[1];
+    k0 = mod.k0;
+    s = 0;
+    b = b_in.v;
+  }
+
+  [[gnu::always_inline]] void step(std::size_t i, __m512i zero) {
+    const std::uint64_t bi = b[i];
+    const __m512i bv = _mm512_set1_epi64(static_cast<long long>(bi));
+    // a b_i into fresh registers, off t's chain.
+    const __m512i p_lo = _mm512_madd52hi_epu64(
+        _mm512_madd52lo_epu64(zero, as_lo, bv), a_lo, bv);
+    const __m512i p_hi = _mm512_madd52hi_epu64(
+        _mm512_madd52lo_epu64(zero, as_hi, bv), a_hi, bv);
+    t_lo = _mm512_add_epi64(align1(t_hi, t_lo), p_lo);
+    t_hi = _mm512_add_epi64(align1(zero, t_hi), p_hi);
+    // Lane 0 (a GCC vector subscript: one vmovq).
+    const std::uint64_t x = static_cast<std::uint64_t>(t_lo[0]);
+
+    // With t = s + a_0 b_i, u = s + (a_0 b_i mod 2^52) is t mod 2^52 plus a
+    // carry, and m = u k0 mod 2^52. t + m n_0 is 0 mod 2^52, so the low 52
+    // bits of t and of m n_0 sum to 0 (when t's are 0) or to 2^52, and (t + m
+    // n_0) >> 52 is a_0 b_i >> 52 (in x), plus u >> 52 rounded up, plus m
+    // n_0 >> 52.
+    const std::uint64_t u = s + ((a0 * bi) & kMask52);
+    const std::uint64_t m = (u * k0) & kMask52;
+    s = x + ((u + kMask52) >> 52) + ((n1 * m) & kMask52) +
+        static_cast<std::uint64_t>((static_cast<u128>(m) * n0_12) >> 64);
+
+    const __m512i mv = _mm512_set1_epi64(static_cast<long long>(m));
+    t_lo = _mm512_madd52lo_epu64(t_lo, ns_lo, mv);
+    t_hi = _mm512_madd52lo_epu64(t_hi, ns_hi, mv);
+    t_lo = _mm512_madd52hi_epu64(t_lo, n_lo, mv);
+    t_hi = _mm512_madd52hi_epu64(t_hi, n_hi, mv);
+  }
+
+  // Writes the sum, carried to 52-bit limbs: below 2n < 2^513, so lanes
+  // 10..15 stay zero. One parallel round leaves each limb below 2^52 + 2^12,
+  // so at most one carry leaves a limb, and it crosses every limb equal to
+  // 2^52 - 1 above it; the ripple is a 16-bit addition on lane masks, as
+  // OpenSSL's rsaz_avx512 does it.
+  [[gnu::always_inline]] void finish(Limbs52& out, __m512i zero) {
+    const __m512i mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+    __m512i lo = _mm512_mask_set1_epi64(t_lo, 1, static_cast<long long>(s));
+    __m512i hi = t_hi;
+    const __m512i c_lo = _mm512_mask_srli_epi64(lo, 0xFF, lo, 52);
+    const __m512i c_hi = _mm512_mask_srli_epi64(hi, 0xFF, hi, 52);
+    lo = _mm512_add_epi64(_mm512_and_si512(lo, mask), up1_lo(c_lo, zero));
+    hi = _mm512_add_epi64(_mm512_and_si512(hi, mask), up1_hi(c_hi, c_lo));
+    const unsigned carry_out = static_cast<unsigned>(
+        _mm512_cmpgt_epu64_mask(lo, mask) |
+        _mm512_cmpgt_epu64_mask(hi, mask) << 8);
+    const unsigned all_ones = static_cast<unsigned>(
+        _mm512_cmpeq_epu64_mask(lo, mask) |
+        _mm512_cmpeq_epu64_mask(hi, mask) << 8);
+    const unsigned carry_in = ((carry_out << 1) + all_ones) ^ all_ones;
+    const __m512i one = _mm512_set1_epi64(1);
+    lo = _mm512_mask_add_epi64(lo, static_cast<__mmask8>(carry_in), lo, one);
+    hi = _mm512_mask_add_epi64(hi, static_cast<__mmask8>(carry_in >> 8), hi,
+                               one);
+    _mm512_store_si512(out.v, _mm512_and_si512(lo, mask));
+    _mm512_store_si512(out.v + 8, _mm512_and_si512(hi, mask));
+  }
+};
+
+// out_k = AMM(a_k, b_k) mod n_k for k = 0, 1; out_k may alias a_k or b_k.
+[[gnu::always_inline]] inline void amm_pair(const Limbs52* a,
+                                            const Limbs52* b,
+                                            const Modulus52* mod,
+                                            Limbs52* out) {
+  const __m512i zero = _mm512_setzero_si512();
+  AmmLane l0, l1;
+  l0.start(a[0], b[0], mod[0], zero);
+  l1.start(a[1], b[1], mod[1], zero);
+#pragma GCC unroll 10
+  for (std::size_t i = 0; i < kLimbs52; ++i) {
+    l0.step(i, zero);
+    l1.step(i, zero);
+  }
+  l0.finish(out[0], zero);
+  l1.finish(out[1], zero);
+}
+
+// acc_k = base_k^e_k mod n_k for k = 0, 1, at most n_k, from base_k and
+// one_k = R mod n_k in Montgomery form. Montgomery::mod_exp's fixed windows,
+// in lockstep: the shorter exponent is padded with zero digits, and both
+// take every multiplication.
+void exp_pair_ifma(const Limbs52* base, const Limbs52* one,
+                   const BigInt* const* e, const Modulus52* mod,
+                   Limbs52* acc) {
+  const std::size_t bits = std::max(e[0]->bit_length(), e[1]->bit_length());
+  const std::size_t w = Montgomery::window_bits(bits);
+  const std::size_t entries = std::size_t{1} << w;
+  // table[j] holds the pair's j-th powers; 32 entries (w <= 5), 8 KiB.
+  Limbs52 table[32][2];
+  table[0][0] = one[0];
+  table[0][1] = one[1];
+  table[1][0] = base[0];
+  table[1][1] = base[1];
+  for (std::size_t j = 2; j < entries; ++j) {
+    amm_pair(table[j - 1], table[1], mod, table[j]);
+  }
+  // Fixed windows from the top; exponents of 0 have one window, digit 0.
+  std::size_t window = std::max<std::size_t>((bits + w - 1) / w, 1) - 1;
+  acc[0] = table[window_digit(*e[0], window, w)][0];
+  acc[1] = table[window_digit(*e[1], window, w)][1];
+  while (window-- > 0) {
+    for (std::size_t i = 0; i < w; ++i) amm_pair(acc, acc, mod, acc);
+    const Limbs52 entry[2] = {table[window_digit(*e[0], window, w)][0],
+                              table[window_digit(*e[1], window, w)][1]};
+    amm_pair(acc, entry, mod, acc);
+  }
+  // Out of Montgomery form: AMM(acc, 1) = (acc + m n) / R <= n, equal to n
+  // only for acc = 0 mod n.
+  Limbs52 unit[2] = {};
+  unit[0].v[0] = unit[1].v[0] = 1;
+  amm_pair(acc, unit, mod, acc);
+}
+
+#pragma GCC pop_options
+
+std::array<BigInt, 2> mod_exp_pair_ifma_impl(const BigInt& base,
+                                             const BigInt& e1,
+                                             const BigInt& n1,
+                                             const BigInt& e2,
+                                             const BigInt& n2) {
+  if (!n1.is_odd() || !n2.is_odd() || n1.limbs().size() != 8 ||
+      n2.limbs().size() != 8) {
+    return mod_exp_pair_portable(base, e1, n1, e2, n2);
+  }
+  const BigInt* n[2] = {&n1, &n2};
+  const BigInt* e[2] = {&e1, &e2};
+  Modulus52 mod[2];
+  Limbs52 one[2], x[2], acc[2];
+  for (int k = 0; k < 2; ++k) {
+    mod[k] = to_modulus52(*n[k]);
+    // R mod n, and base R mod n, both exact.
+    one[k] = to_limbs52((BigInt(1) << kBits52) % *n[k]);
+    x[k] = to_limbs52(((base % *n[k]) << kBits52) % *n[k]);
+  }
+  exp_pair_ifma(x, one, e, mod, acc);
+  std::array<BigInt, 2> out;
+  for (int k = 0; k < 2; ++k) {
+    out[k] = from_limbs52(acc[k]);
+    if (out[k] == *n[k]) out[k] = BigInt{};
+  }
+  return out;
+}
+
+}  // namespace
+#endif  // __x86_64__
+
+ModExpPair mod_exp_pair_ifma() {
+#if defined(__x86_64__)
+  if (detail::cpu_features().ifma) return mod_exp_pair_ifma_impl;
+#endif
+  return nullptr;
+}
+
+ModExpPair mod_exp_pair_dispatched() {
+  const ModExpPair ifma = mod_exp_pair_ifma();
+  return ifma != nullptr ? ifma : mod_exp_pair_portable;
 }
 
 }  // namespace dcpl::crypto

@@ -3,9 +3,20 @@
 // Montgomery modular exponentiation, a Lehmer extended-GCD modular
 // inverse, Miller-Rabin primality, and prime generation.
 //
+// An RSA private operation's two CRT exponentiations run as one pair
+// (ModExpPair), chosen once per process: two Montgomery::mod_exp calls on
+// every CPU, the fallback and the oracle; and, on x86-64 CPUs whose CPUID
+// reports AVX-512F, VL and IFMA, one two-lane IFMA exponentiation that runs
+// both in lockstep when both moduli are odd and 8 limbs (RSA-1024's halves).
+// It holds a value as ten 52-bit limbs in two zmm registers, multiplies by
+// almost-Montgomery products with R = 2^520 (every value stays below 2n, so
+// no conditional subtraction), and scans both exponents in Montgomery's
+// fixed windows. Like Montgomery, it is not constant-time.
+//
 // Values are non-negative; subtraction that would go negative throws.
 #pragma once
 
+#include <array>
 #include <compare>
 #include <cstdint>
 #include <optional>
@@ -152,5 +163,30 @@ class Montgomery {
   Kernel mul_;
   Kernel sqr_;
 };
+
+/// Two exponentiations of one base under two moduli, {base^e1 mod n1,
+/// base^e2 mod n2}: the halves of an RSA private operation by the CRT
+/// (rsa_private_op). Each result is below its modulus.
+using ModExpPair = std::array<BigInt, 2> (*)(const BigInt& base,
+                                              const BigInt& e1,
+                                              const BigInt& n1,
+                                              const BigInt& e2,
+                                              const BigInt& n2);
+
+/// The pair as two BigInt::mod_exp calls, so two Montgomery::mod_exp calls
+/// for odd moduli: the fallback and the oracle.
+std::array<BigInt, 2> mod_exp_pair_portable(const BigInt& base,
+                                            const BigInt& e1, const BigInt& n1,
+                                            const BigInt& e2, const BigInt& n2);
+
+/// The two-lane AVX-512 IFMA pair, or nullptr where the build is not x86-64
+/// or CPUID lacks AVX-512F, VL or IFMA. It runs both exponentiations in
+/// lockstep when both moduli are odd and exactly 8 limbs (RSA-1024's CRT
+/// halves), and the portable pair otherwise.
+ModExpPair mod_exp_pair_ifma();
+
+/// The pair rsa_private_op runs by default: IFMA when available, else
+/// portable.
+ModExpPair mod_exp_pair_dispatched();
 
 }  // namespace dcpl::crypto

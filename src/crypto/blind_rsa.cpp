@@ -30,7 +30,8 @@ BlindingState blind(const RsaPublicKey& pub, BytesView message, Rng& rng) {
   return state;
 }
 
-Result<Bytes> blind_sign(const RsaPrivateKey& priv, BytesView blinded_message) {
+Result<Bytes> blind_sign(const RsaPrivateKey& priv, BytesView blinded_message,
+                         ModExpPair pair) {
   static obs::OpCounter ops("crypto", "rsa_blind_sign");
   ops.inc();
   if (blinded_message.size() != priv.pub.modulus_bytes()) {
@@ -40,7 +41,7 @@ Result<Bytes> blind_sign(const RsaPrivateKey& priv, BytesView blinded_message) {
   if (m >= priv.pub.n) {
     return Result<Bytes>::failure("blind_sign: message out of range");
   }
-  BigInt s = rsa_private_op(priv, m);
+  BigInt s = rsa_private_op(priv, m, pair);
   return s.to_bytes_be(priv.pub.modulus_bytes());
 }
 

@@ -25,9 +25,10 @@ struct BlindingState {
 /// `blinded_message` reveals nothing about `message`.
 BlindingState blind(const RsaPublicKey& pub, BytesView message, Rng& rng);
 
-/// Signer: raw private-key operation on a blinded message. Fails on
-/// out-of-range input.
-Result<Bytes> blind_sign(const RsaPrivateKey& priv, BytesView blinded_message);
+/// Signer: raw private-key operation on a blinded message, its CRT halves on
+/// `pair` (by default the dispatched one). Fails on out-of-range input.
+Result<Bytes> blind_sign(const RsaPrivateKey& priv, BytesView blinded_message,
+                         ModExpPair pair = mod_exp_pair_dispatched());
 
 /// Client: unblinds the signer's response and checks the resulting signature
 /// before accepting it.

@@ -215,6 +215,13 @@ template <int kImm>
 }
 
 void xor_avx512(const ChaChaState& state, BytesView data, std::uint8_t* out) {
+  // A pass makes 16 blocks whatever the length: for one block or less the
+  // portable block function is faster (on the Xeon the kernel was tuned on,
+  // 126-151 ns against about 194 for a pass).
+  if (data.size() <= kChaChaBlockSize) {
+    chacha20_xor_portable(state, data, out);
+    return;
+  }
   check_counter(state, data.size());
   constexpr std::size_t kPass = 16 * kChaChaBlockSize;
   const std::uint8_t* in = data.data();

@@ -10,7 +10,8 @@
 //     with per-lane counters, vpaddd/vpxord/vprold rounds, and an
 //     unpack/vshufi32x4 transpose back to 16 block vectors. A last partial
 //     pass loads and stores under byte masks, so no byte past the input or
-//     the output is touched.
+//     the output is touched. An input of one block or less goes to the
+//     portable path, which makes just that block.
 // chacha20_xor_into(), the AEAD and chacha20_xor() run the dispatched path.
 //
 // NOTE: both paths are free of branches and memory indices that depend on

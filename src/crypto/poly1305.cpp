@@ -212,7 +212,10 @@ struct Fe8 {
 
 void blocks_ifma(Poly1305State& st, const std::uint8_t* m,
                  std::size_t blocks) {
-  const std::size_t groups = blocks / 8;
+  // Shorter runs go to the portable loop: there the r-power fill costs what
+  // the lanes save.
+  const std::size_t groups =
+      blocks >= kPoly1305IfmaMinBlocks ? blocks / 8 : 0;
   if (groups != 0) {
     if (!st.powers_ready) fill_powers(st);
     Fe8 desc, r8;  // lane j: r^(8 - j); every lane: r^8
@@ -260,7 +263,7 @@ void blocks_ifma(Poly1305State& st, const std::uint8_t* m,
     // upper halves left dirty a run of 8 blocks took 6 times as long.
     _mm256_zeroupper();
   }
-  absorb(st, m, blocks % 8, kHibit);
+  absorb(st, m, blocks - 8 * groups, kHibit);
 }
 
 #pragma GCC pop_options

@@ -10,12 +10,12 @@
 //     and it is the fallback and the oracle the vector kernel is tested
 //     against.
 //   - On x86-64 CPUs whose CPUID reports AVX-512F, VL and IFMA, the IFMA
-//     kernel takes runs of eight or more whole blocks eight at a time, block
-//     8g + j in 64-bit lane j: each lane runs Horner's rule with r^8 on
-//     every eighth block, products by vpmadd52luq/vpmadd52huq, and the
-//     lanes are folded by r^8 ... r^1 at the end of the run. It computes
-//     r^1 ... r^8 once per key, on its first such run, and leaves the last
-//     blocks % 8 of a run to the portable loop.
+//     kernel takes runs of kPoly1305IfmaMinBlocks or more whole blocks eight
+//     at a time, block 8g + j in 64-bit lane j: each lane runs Horner's rule
+//     with r^8 on every eighth block, products by vpmadd52luq/vpmadd52huq,
+//     and the lanes are folded by r^8 ... r^1 at the end of the run. It
+//     computes r^1 ... r^8 once per key, on its first such run, and leaves
+//     the last blocks % 8 of a run, and shorter runs, to the portable loop.
 // A Poly1305 made from a key alone, and so the AEAD by default, uses the
 // dispatched kernel.
 //
@@ -34,9 +34,17 @@ namespace dcpl::crypto {
 constexpr std::size_t kPoly1305KeySize = 32;
 constexpr std::size_t kPoly1305TagSize = 16;
 
+/// The shortest run of whole blocks the IFMA kernel takes itself. With a
+/// one-time key, as in the AEAD, a run pays the r-power fill, and up to 15
+/// blocks (one group of eight plus a portable tail) it was no faster than the
+/// portable loop on the host the kernel was tuned on; at 16 it was twice as
+/// fast.
+constexpr std::size_t kPoly1305IfmaMinBlocks = 16;
+
 /// What a Poly1305 pass carries between blocks, in limbs at bits 0, 44 and
 /// 88: the clamped key r, the accumulator h, and r^8 ... r^1 for the IFMA
-/// kernel, which fills them on its first run of eight or more blocks.
+/// kernel, which fills them on its first run of kPoly1305IfmaMinBlocks or
+/// more blocks.
 struct Poly1305State {
   std::uint64_t r[3];
   std::uint64_t h[3] = {0, 0, 0};

@@ -44,12 +44,12 @@ BigInt rsa_public_op(const RsaPublicKey& pub, const BigInt& m) {
   return m.mod_exp(pub.e, pub.n);
 }
 
-BigInt rsa_private_op(const RsaPrivateKey& priv, const BigInt& c) {
+BigInt rsa_private_op(const RsaPrivateKey& priv, const BigInt& c,
+                      ModExpPair pair) {
   if (c >= priv.pub.n) throw std::invalid_argument("rsa_private_op: c >= n");
   // CRT: m1 = c^dp mod p, m2 = c^dq mod q, h = qinv(m1-m2) mod p,
   // m = m2 + h*q.
-  BigInt m1 = (c % priv.p).mod_exp(priv.dp, priv.p);
-  BigInt m2 = (c % priv.q).mod_exp(priv.dq, priv.q);
+  const auto [m1, m2] = pair(c, priv.dp, priv.p, priv.dq, priv.q);
   BigInt diff = (m1 + priv.p - (m2 % priv.p)) % priv.p;
   BigInt h = (priv.qinv * diff) % priv.p;
   return m2 + h * priv.q;

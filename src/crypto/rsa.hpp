@@ -32,8 +32,10 @@ RsaPrivateKey rsa_generate(std::size_t bits, Rng& rng);
 /// Raw RSA public operation m^e mod n (input/output as integers < n).
 BigInt rsa_public_op(const RsaPublicKey& pub, const BigInt& m);
 
-/// Raw RSA private operation c^d mod n using CRT.
-BigInt rsa_private_op(const RsaPrivateKey& priv, const BigInt& c);
+/// Raw RSA private operation c^d mod n using CRT: `pair` computes c^dp mod p
+/// and c^dq mod q (bigint.hpp), by default on the dispatched path.
+BigInt rsa_private_op(const RsaPrivateKey& priv, const BigInt& c,
+                      ModExpPair pair = mod_exp_pair_dispatched());
 
 /// MGF1 with SHA-256 (RFC 8017 B.2.1).
 Bytes mgf1_sha256(BytesView seed, std::size_t length);
@@ -44,7 +46,7 @@ Bytes pss_encode(BytesView message, std::size_t em_bits, Rng& rng);
 /// EMSA-PSS-VERIFY (RFC 8017 9.1.2). Returns true iff consistent.
 bool pss_verify(BytesView message, BytesView em, std::size_t em_bits);
 
-/// RSASSA-PSS signature over `message`.
+/// RSASSA-PSS signature over `message` (the CRT pair dispatched).
 Bytes rsa_pss_sign(const RsaPrivateKey& priv, BytesView message, Rng& rng);
 
 /// RSASSA-PSS verification; never throws on attacker-controlled input.

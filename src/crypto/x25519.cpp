@@ -163,7 +163,8 @@ Fe fe_frombytes(BytesView b) {
   return f;
 }
 
-Bytes fe_tobytes(const Fe& in) {
+// The canonical form of in: limbs below 2^51, value below p.
+Fe fe_canonical(const Fe& in) {
   Fe t = in;
   // Carry three times; each pass folds the top carry back in times 19.
   for (int pass = 0; pass < 3; ++pass) {
@@ -189,7 +190,11 @@ Bytes fe_tobytes(const Fe& in) {
   u.v[4] &= kMask51;
   const std::uint64_t mask = ~(ge_p - 1);
   for (int i = 0; i < 5; ++i) t.v[i] = (t.v[i] & ~mask) | (u.v[i] & mask);
+  return t;
+}
 
+Bytes fe_tobytes(const Fe& in) {
+  const Fe t = fe_canonical(in);
   Bytes out(32, 0);
   // Pack 5x51 bits little-endian.
   std::uint64_t w0 = t.v[0] | (t.v[1] << 51);
@@ -203,12 +208,12 @@ Bytes fe_tobytes(const Fe& in) {
   return out;
 }
 
-// z^(2^250 - 1), the common prefix of the inversion and square-root
-// exponents (the curve25519 paper's addition chain); also yields z^11.
-Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
+// z^(2^250 - 1), the prefix of the square-root exponent (the curve25519
+// paper's addition chain).
+Fe fe_pow_2_250_1(const Fe& z) {
   const Fe z2 = fe_sq(z);
   const Fe z9 = fe_mul(fe_sq_n(z2, 2), z);
-  z11 = fe_mul(z9, z2);
+  const Fe z11 = fe_mul(z9, z2);
   const Fe z_5 = fe_mul(fe_sq(z11), z9);  // z^(2^5 - 1)
   const Fe z_10 = fe_mul(fe_sq_n(z_5, 5), z_5);
   const Fe z_20 = fe_mul(fe_sq_n(z_10, 10), z_10);
@@ -219,11 +224,188 @@ Fe fe_pow_2_250_1(const Fe& z, Fe& z11) {
   return fe_mul(fe_sq_n(z_200, 50), z_50);
 }
 
-// z^(p-2) = z^(2^255 - 21): 254 squarings and 11 multiplications.
+// ---------------------------------------------------------------------------
+// Inversion by the constant-time safegcd of Bernstein and Yang ("Fast
+// constant-time gcd computation and modular inversion", TCHES 2019), in the
+// shape of libsecp256k1's modinv64. Divsteps on (f, g) = (p, z) drive g to
+// 0 and f to +-1, while (d, e), which start at (0, 1), track f = d z and
+// g = e z mod p, so d ends as +-z^-1. The divsteps run in 10 batches of 59
+// on the low 64 bits of f and g; each batch's 2x2 transition matrix, scaled
+// by 2^62, is then applied exactly to f and g and modulo p to d and e, all
+// held as five signed 62-bit limbs.
+//
+// 590 divsteps reach g = 0 for every 256-bit input (the bound libsecp256k1
+// takes from Bernstein and Yang's analysis, checked by its hull
+// computation). The batch count, the shifts and the limb loops are fixed;
+// every choice a divstep makes is a mask from the sign of zeta and the low
+// bit of g. So no branch, memory index or loop count depends on z.
+// ---------------------------------------------------------------------------
+
+using i128 = __int128;
+
+// sum v[i] 2^(62 i): limbs 0..3 in [0, 2^62) once normalized, the sign in
+// limb 4.
+struct Signed62 {
+  std::int64_t v[5];
+};
+
+constexpr std::uint64_t kMask62 = (std::uint64_t{1} << 62) - 1;
+// p = 2^255 - 19 = 128 * 2^248 - 19.
+constexpr Signed62 kP62{{-19, 0, 0, 0, 128}};
+// p^-1 mod 2^62, by Newton's iteration on p mod 2^64 (each step doubles the
+// correct low bits, from 3 for x = p).
+constexpr std::uint64_t kPInv62 = [] {
+  const std::uint64_t p = 0 - std::uint64_t{19};
+  std::uint64_t x = p;
+  for (int i = 0; i < 5; ++i) x *= 2 - p * x;
+  return x & kMask62;
+}();
+static_assert(((0 - std::uint64_t{19}) * kPInv62 & kMask62) == 1);
+
+// The matrix [[u, v], [q, r]] of one batch, scaled by 2^62: its 59 divsteps
+// map (f, g) to (u f + v g, q f + r g) / 2^62.
+struct Transition {
+  std::int64_t u, v, q, r;
+};
+
+// 59 divsteps on the low 64 bits of f (odd) and g, from zeta = -(delta +
+// 1/2); returns the new zeta. The matrix starts at 8 times the identity, so
+// it ends scaled by 2^62, its entries in [-2^62, 2^62]. A step: when zeta <
+// 0 (delta > 0) and g is odd, (f, g) <- (g, (g - f) / 2) and zeta <- -zeta
+// - 2; otherwise g <- (g + (g odd) f) / 2 and zeta <- zeta - 1.
+std::int64_t divsteps_59(std::int64_t zeta, std::uint64_t f, std::uint64_t g,
+                         Transition& t) {
+  std::uint64_t u = 8, v = 0, q = 0, r = 8;
+  for (int i = 3; i < 62; ++i) {
+    // All-ones when zeta < 0, and when g is odd.
+    const std::uint64_t neg = static_cast<std::uint64_t>(zeta >> 63);
+    const std::uint64_t odd = 0 - (g & 1);
+    // g += +-f (and q, r by +-u, +-v) when g is odd, negated when zeta < 0.
+    g += ((f ^ neg) - neg) & odd;
+    q += ((u ^ neg) - neg) & odd;
+    r += ((v ^ neg) - neg) & odd;
+    // When both, zeta <- -zeta - 2 and f <- f + (g - f) = the old g.
+    const std::uint64_t swap = neg & odd;
+    zeta = (zeta ^ static_cast<std::int64_t>(swap)) - 1;
+    f += g & swap;
+    u += q & swap;
+    v += r & swap;
+    g >>= 1;
+    u <<= 1;
+    v <<= 1;
+  }
+  t = Transition{static_cast<std::int64_t>(u), static_cast<std::int64_t>(v),
+                 static_cast<std::int64_t>(q), static_cast<std::int64_t>(r)};
+  return zeta;
+}
+
+// (d, e) <- t (d, e) / 2^62 mod p. The division is exact once md and me
+// multiples of p are added: md and me start as the corrections that keep
+// negative inputs in range, and their low 62 bits are then chosen so that
+// the low limb of t (d, e) + p (md, me) is zero. d and e stay in (-2p, p),
+// with limbs in (-2^62, 2^62).
+void update_de(Signed62& d, Signed62& e, const Transition& t) {
+  const std::int64_t sd = d.v[4] >> 63, se = e.v[4] >> 63;
+  std::int64_t md = (t.u & sd) + (t.v & se);
+  std::int64_t me = (t.q & sd) + (t.r & se);
+  i128 cd = static_cast<i128>(t.u) * d.v[0] + static_cast<i128>(t.v) * e.v[0];
+  i128 ce = static_cast<i128>(t.q) * d.v[0] + static_cast<i128>(t.r) * e.v[0];
+  md -= static_cast<std::int64_t>(
+      (kPInv62 * static_cast<std::uint64_t>(cd) +
+       static_cast<std::uint64_t>(md)) &
+      kMask62);
+  me -= static_cast<std::int64_t>(
+      (kPInv62 * static_cast<std::uint64_t>(ce) +
+       static_cast<std::uint64_t>(me)) &
+      kMask62);
+  cd += static_cast<i128>(kP62.v[0]) * md;
+  ce += static_cast<i128>(kP62.v[0]) * me;
+  cd >>= 62;  // the low 62 bits are zero
+  ce >>= 62;
+#pragma GCC unroll 4
+  for (int i = 1; i < 5; ++i) {
+    cd += static_cast<i128>(t.u) * d.v[i] + static_cast<i128>(t.v) * e.v[i] +
+          static_cast<i128>(kP62.v[i]) * md;
+    ce += static_cast<i128>(t.q) * d.v[i] + static_cast<i128>(t.r) * e.v[i] +
+          static_cast<i128>(kP62.v[i]) * me;
+    d.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cd) &
+                                           kMask62);
+    e.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(ce) &
+                                           kMask62);
+    cd >>= 62;
+    ce >>= 62;
+  }
+  d.v[4] = static_cast<std::int64_t>(cd);
+  e.v[4] = static_cast<std::int64_t>(ce);
+}
+
+// (f, g) <- t (f, g) / 2^62, exactly: the batch's divsteps made the low 62
+// bits of both products zero.
+void update_fg(Signed62& f, Signed62& g, const Transition& t) {
+  i128 cf = static_cast<i128>(t.u) * f.v[0] + static_cast<i128>(t.v) * g.v[0];
+  i128 cg = static_cast<i128>(t.q) * f.v[0] + static_cast<i128>(t.r) * g.v[0];
+  cf >>= 62;
+  cg >>= 62;
+#pragma GCC unroll 4
+  for (int i = 1; i < 5; ++i) {
+    cf += static_cast<i128>(t.u) * f.v[i] + static_cast<i128>(t.v) * g.v[i];
+    cg += static_cast<i128>(t.q) * f.v[i] + static_cast<i128>(t.r) * g.v[i];
+    f.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cf) &
+                                           kMask62);
+    g.v[i - 1] = static_cast<std::int64_t>(static_cast<std::uint64_t>(cg) &
+                                           kMask62);
+    cf >>= 62;
+    cg >>= 62;
+  }
+  f.v[4] = static_cast<std::int64_t>(cf);
+  g.v[4] = static_cast<std::int64_t>(cg);
+}
+
+// r + p when `add` is all-ones, else r; limbs not carried.
+void add_p(Signed62& r, std::int64_t add) {
+  for (int i = 0; i < 5; ++i) r.v[i] += kP62.v[i] & add;
+}
+
+// Carries limbs 0..3 into [0, 2^62), and into limb 4, which keeps the sign.
+void carry62(Signed62& r) {
+  for (int i = 0; i < 4; ++i) {
+    r.v[i + 1] += r.v[i] >> 62;
+    r.v[i] &= static_cast<std::int64_t>(kMask62);
+  }
+}
+
+// z^-1 mod p, limbs below 2^51 (0 for z = 0 mod p).
 Fe fe_invert(const Fe& z) {
-  Fe z11;
-  const Fe t = fe_pow_2_250_1(z, z11);
-  return fe_mul(fe_sq_n(t, 5), z11);
+  const Fe c = fe_canonical(z);
+  Signed62 f = kP62;
+  Signed62 g{{static_cast<std::int64_t>((c.v[0] | c.v[1] << 51) & kMask62),
+              static_cast<std::int64_t>((c.v[1] >> 11 | c.v[2] << 40) & kMask62),
+              static_cast<std::int64_t>((c.v[2] >> 22 | c.v[3] << 29) & kMask62),
+              static_cast<std::int64_t>((c.v[3] >> 33 | c.v[4] << 18) & kMask62),
+              static_cast<std::int64_t>(c.v[4] >> 44)}};
+  Signed62 d{{0, 0, 0, 0, 0}}, e{{1, 0, 0, 0, 0}};
+  std::int64_t zeta = -1;  // delta = 1/2
+  for (int batch = 0; batch < 10; ++batch) {
+    Transition t;
+    zeta = divsteps_59(zeta, static_cast<std::uint64_t>(f.v[0]),
+                       static_cast<std::uint64_t>(g.v[0]), t);
+    update_de(d, e, t);
+    update_fg(f, g, t);
+  }
+  // Now g = 0 and f = +-1, so d = +-z^-1 in (-2p, p), its sign that of limb
+  // 4 (limbs 0..3 are in [0, 2^62)). Bring it to (-p, p), negate it when
+  // f = -1, and bring it to [0, p).
+  add_p(d, d.v[4] >> 63);
+  const std::int64_t negate = f.v[4] >> 63;
+  for (int i = 0; i < 5; ++i) d.v[i] = (d.v[i] ^ negate) - negate;
+  carry62(d);
+  add_p(d, d.v[4] >> 63);
+  carry62(d);
+  const auto limb = [&](int i) { return static_cast<std::uint64_t>(d.v[i]); };
+  return Fe{{limb(0) & kMask51, (limb(0) >> 51 | limb(1) << 11) & kMask51,
+             (limb(1) >> 40 | limb(2) << 22) & kMask51,
+             (limb(2) >> 29 | limb(3) << 33) & kMask51,
+             (limb(3) >> 18 | limb(4) << 44) & kMask51}};
 }
 
 // ---------------------------------------------------------------------------
@@ -301,8 +483,7 @@ GeP3 ge_dbl(const GeP3& p) {
 // A square root of w into root, for p = 5 mod 8: w^((p+3)/8), times sqrt(-1)
 // when that squares to -w. False when w is not a square. Table setup only.
 bool fe_sqrt(const Fe& w, Fe& root) {
-  Fe z11;
-  root = fe_mul(fe_mul(fe_sq_n(fe_pow_2_250_1(w, z11), 2), w), w);
+  root = fe_mul(fe_mul(fe_sq_n(fe_pow_2_250_1(w), 2), w), w);
   if (!fe_equal(fe_sq(root), w)) root = fe_mul(root, kSqrtM1);
   return fe_equal(fe_sq(root), w);
 }
@@ -982,6 +1163,11 @@ X25519Comb x25519_comb_dispatched() {
 
 Bytes x25519_public(BytesView scalar) {
   return x25519_comb_dispatched()(scalar, nullptr).public_key;
+}
+
+Bytes x25519_field_invert(const std::array<std::uint64_t, 5>& limbs) {
+  return fe_tobytes(fe_invert(Fe{{limbs[0], limbs[1], limbs[2], limbs[3],
+                                  limbs[4]}}));
 }
 
 X25519KeyPair X25519KeyPair::generate(Rng& rng) {

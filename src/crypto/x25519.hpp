@@ -22,9 +22,10 @@
 //     sender half of a DHKEM encapsulation to a long-term key (hpke.hpp).
 // x25519_comb_table(u) returns no table, and leaves u to the ladder, for a
 // point of the twist, for u = -1 (no edwards25519 image) and for the points
-// of order dividing 8. Every path ends with the same 51-bit field inversion,
-// z^(p-2) by the fixed addition chain of 254 squarings and 11
-// multiplications, and the same encoding.
+// of order dividing 8. Every path ends with the same field inversion, the
+// constant-time safegcd of Bernstein and Yang (10 batches of 59 divsteps on
+// signed 62-bit limbs, in the shape of libsecp256k1's modinv64), and the same
+// encoding; x25519_field_invert() exposes it to tests.
 //
 // NOTE: the portable ladder swaps with masks (fe_cswap); the IFMA ladder
 // swaps by a fixed lane permute merged under an all-ones or all-zero mask,
@@ -32,12 +33,15 @@
 // entries of a row for every digit (the IFMA comb with one fixed 3-lane load
 // mask), keep the digit's entry by a mask computed from the digit, and
 // negate it by mask; their formulas, permutes and blends are fixed. The
-// inversion chain is the same for every input. So on every path no branch,
-// load mask or memory index depends on the scalar. Building a table works
+// inversion runs a fixed count of divsteps, each choosing by masks from the
+// sign of delta and the low bit of g. So on every path no branch, load mask
+// or memory index depends on the scalar. Building a table works
 // on the point, which is public. Still, this library is a research
 // artifact, not audited constant-time code.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 
 #include "common/bytes.hpp"
@@ -105,6 +109,12 @@ X25519Comb x25519_comb_dispatched();
 /// Derives the public key for a 32-byte private scalar: X25519(k, 9), by
 /// the dispatched comb.
 Bytes x25519_public(BytesView scalar);
+
+/// The field inversion every path above ends with, for tests: z^-1 mod p
+/// (0 when z = 0 mod p) as a canonical 32-byte little-endian encoding, for
+/// z = sum limbs[i] 2^(51 i) with every limb below 2^54, as the field code
+/// holds an element.
+Bytes x25519_field_invert(const std::array<std::uint64_t, 5>& limbs);
 
 /// An X25519 key pair.
 struct X25519KeyPair {

@@ -124,8 +124,13 @@ Context setup_with_schedule(BytesView shared_secret, BytesView info,
   }
   const std::uint8_t mode = have_psk ? 0x01 : 0x00;
 
+  // Base mode's psk_id is empty, so its hash is one constant, made once.
+  static const Secret empty_psk_id_hash =
+      labeled_extract(no_salt(), kHpkeSuite, "psk_id_hash", {});
   const Secret psk_id_hash =
-      labeled_extract(no_salt(), kHpkeSuite, "psk_id_hash", psk_id);
+      psk_id.empty()
+          ? empty_psk_id_hash
+          : labeled_extract(no_salt(), kHpkeSuite, "psk_id_hash", psk_id);
   const Secret info_hash =
       labeled_extract(no_salt(), kHpkeSuite, "info_hash", info);
   // key_schedule_context = mode || psk_id_hash || info_hash, as three parts.

@@ -403,6 +403,9 @@ TEST(ChaCha20, VectorMatchesPortable) {
   const ChaCha20Xor avx512 = chacha20_xor_avx512();
   if (avx512 == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F or BW";
   XoshiroRng rng(1616);
+  // The first 2,000 lengths run every length from 0, so both sides of the
+  // kernel's one-block cutoff (inputs of 64 bytes or less go to the portable
+  // block function) and of every pass boundary.
   GuardedPage in_page, out_page;
   for (int i = 0; i < 10000; ++i) {
     const std::size_t len =
@@ -554,6 +557,10 @@ TEST(Poly1305, VectorMatchesPortable) {
   const Poly1305Blocks ifma = poly1305_blocks_ifma();
   if (ifma == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F, VL or IFMA";
   XoshiroRng rng(2015);
+  // The first 1,000 lengths run every length from 0, so runs of 0 to 62
+  // whole blocks, on both sides of kPoly1305IfmaMinBlocks (16): shorter runs
+  // go to the portable loop.
+  static_assert(kPoly1305IfmaMinBlocks * 16 < 1000);
   for (int i = 0; i < 10000; ++i) {
     const std::size_t len =
         i < 1000 ? static_cast<std::size_t>(i)
@@ -574,13 +581,14 @@ TEST(Poly1305, VectorMatchesPortable) {
             poly1305_in_pieces(key, msg, rng, 3000, poly1305_blocks_portable));
 
   // Driven directly with r at its clamp maximum and all-0xff blocks, the
-  // kernel leaves h within the bounds finish() assumes, run after run.
+  // kernel leaves h within the bounds finish() assumes, run after run, below
+  // its minimum run and above it.
   Poly1305State state;
   state.r[0] = 0xffc0fffffff;
   state.r[1] = 0xfffffc0ffff;
   state.r[2] = 0x00ffffffc0f;
   const Bytes ones(16 * 64, 0xff);
-  for (std::size_t blocks = 8; blocks <= 64; ++blocks) {
+  for (std::size_t blocks = 1; blocks <= 64; ++blocks) {
     ifma(state, ones.data(), blocks);
     ASSERT_LT(state.h[0], std::uint64_t{1} << 44) << blocks;
     ASSERT_LT(state.h[1], (std::uint64_t{1} << 44) + (1u << 15)) << blocks;

@@ -1,6 +1,13 @@
 // RSA keygen/raw ops, EMSA-PSS, RSASSA-PSS, and blind signatures.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "crypto/bigint.hpp"
 #include "crypto/blind_rsa.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/rsa.hpp"
@@ -8,6 +15,31 @@
 
 namespace dcpl::crypto {
 namespace {
+
+// The process's first dispatch of the CRT pair, from 4 threads at once: each
+// runs rsa_private_op on the dispatched pair, whose CPUID probe runs on first
+// use. Defined first, so it runs before any other test has dispatched; its
+// key comes from a XoshiroRng, which hashes nothing, so key generation
+// dispatches nothing either. The thread-sanitize job runs it.
+TEST(Rsa, FirstDispatchFromFourThreads) {
+  XoshiroRng rng(1024);
+  const RsaPrivateKey key = rsa_generate(1024, rng);
+  const BigInt c = BigInt::random_below(key.pub.n, rng);
+  const BigInt want = c.mod_exp(key.d, key.pub.n);
+  std::atomic<int> ready{0};
+  std::vector<BigInt> got(4);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 4) {
+      }
+      got[t] = rsa_private_op(key, c);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int t = 0; t < 4; ++t) EXPECT_EQ(got[t], want) << "thread " << t;
+}
 
 // Key generation is the slow part; share one key across the suite.
 const RsaPrivateKey& test_key() {
@@ -51,24 +83,135 @@ TEST(Rsa, KeyGenerationGolden) {
             "befb061013b9958b39501d2723e2774ddfbb435eebbd036756938052b9911085");
 }
 
+// The CRT pair paths this CPU runs: portable, and IFMA where CPUID has it.
+std::vector<ModExpPair> pair_paths() {
+  std::vector<ModExpPair> all = {mod_exp_pair_portable};
+  if (ModExpPair ifma = mod_exp_pair_ifma()) all.push_back(ifma);
+  return all;
+}
+
 TEST(Rsa, RawRoundTrip) {
   const auto& key = test_key();
-  ChaChaRng rng(1);
-  for (int i = 0; i < 5; ++i) {
-    BigInt m = BigInt::random_below(key.pub.n, rng);
-    BigInt c = rsa_public_op(key.pub, m);
-    EXPECT_EQ(rsa_private_op(key, c), m);
-    // And the other direction (sign then verify).
-    BigInt s = rsa_private_op(key, m);
-    EXPECT_EQ(rsa_public_op(key.pub, s), m);
+  for (ModExpPair pair : pair_paths()) {
+    ChaChaRng rng(1);
+    for (int i = 0; i < 5; ++i) {
+      BigInt m = BigInt::random_below(key.pub.n, rng);
+      BigInt c = rsa_public_op(key.pub, m);
+      EXPECT_EQ(rsa_private_op(key, c, pair), m);
+      // And the other direction (sign then verify).
+      BigInt s = rsa_private_op(key, m, pair);
+      EXPECT_EQ(rsa_public_op(key.pub, s), m);
+    }
   }
 }
 
 TEST(Rsa, CrtMatchesPlainExponentiation) {
   const auto& key = test_key();
-  ChaChaRng rng(2);
-  BigInt c = BigInt::random_below(key.pub.n, rng);
-  EXPECT_EQ(rsa_private_op(key, c), c.mod_exp(key.d, key.pub.n));
+  for (ModExpPair pair : pair_paths()) {
+    ChaChaRng rng(2);
+    BigInt c = BigInt::random_below(key.pub.n, rng);
+    EXPECT_EQ(rsa_private_op(key, c, pair), c.mod_exp(key.d, key.pub.n));
+  }
+}
+
+TEST(Rsa, DispatchFollowsCpuid) {
+  const ModExpPair ifma = mod_exp_pair_ifma();
+  EXPECT_EQ(mod_exp_pair_dispatched(),
+            ifma != nullptr ? ifma : mod_exp_pair_portable);
+}
+
+// The IFMA pair against two Montgomery::mod_exp calls. On four seeded
+// RSA-1024 keys: bases 0, 1, p - 1, q - 1, unreduced ones (p, p + 1, n - 1
+// and one above n) and random ones, under the key's (dp, dq), exponents 0, 1,
+// 2^k - 1 at each window-width boundary, all-ones 512-bit and random, and
+// pairs of exponents of different lengths (the shorter one padded with zero
+// windows). Then 8-limb moduli whose limbs are all ones or whose top limb is
+// small, where the carries ripple furthest, and moduli the pair hands to the
+// portable path (other limb counts, even) against that path.
+TEST(Rsa, IfmaPairMatchesMontgomery) {
+  const ModExpPair ifma = mod_exp_pair_ifma();
+  if (ifma == nullptr) GTEST_SKIP() << "CPU lacks AVX-512F, VL or IFMA";
+  const BigInt one(1);
+  const auto ones = [&](std::size_t bits) { return (one << bits) - one; };
+  const auto matches = [&](const BigInt& c, const BigInt& e1,
+                           const BigInt& n1, const BigInt& e2,
+                           const BigInt& n2) {
+    const std::array<BigInt, 2> got = ifma(c, e1, n1, e2, n2);
+    return got[0] == Montgomery(n1).mod_exp(c, e1) &&
+           got[1] == Montgomery(n2).mod_exp(c, e2);
+  };
+  const auto describe = [](const BigInt& c, const BigInt& e1,
+                           const BigInt& e2) {
+    return "c=" + c.to_hex() + " e1=" + e1.to_hex() + " e2=" + e2.to_hex();
+  };
+
+  std::vector<RsaPrivateKey> keys = {test_key()};
+  for (std::uint64_t seed : {1, 2, 3}) {
+    ChaChaRng rng(seed);
+    keys.push_back(rsa_generate(1024, rng));
+  }
+  ChaChaRng rng(0x1f3a);
+  for (const RsaPrivateKey& key : keys) {
+    std::vector<BigInt> bases = {BigInt(0),
+                                 one,
+                                 key.p - one,
+                                 key.q - one,
+                                 key.p,
+                                 key.p + one,
+                                 key.pub.n - one,
+                                 key.pub.n + BigInt(7)};
+    for (int i = 0; i < 4; ++i) {
+      bases.push_back(BigInt::random_below(key.pub.n, rng));
+    }
+    std::vector<BigInt> exps = {BigInt(0), one, BigInt(2)};
+    for (std::size_t k : {2, 5, 23, 24, 79, 80, 239, 240, 511, 512}) {
+      exps.push_back(ones(k));
+    }
+    exps.push_back(BigInt::random_below(one << 512, rng));
+    std::vector<std::pair<BigInt, BigInt>> pairs = {{key.dp, key.dq},
+                                                    {key.dq, key.dp}};
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+      pairs.emplace_back(exps[i], exps[i]);
+      pairs.emplace_back(exps[i], exps[(i + 5) % exps.size()]);
+    }
+    for (const BigInt& c : bases) {
+      for (const auto& [e1, e2] : pairs) {
+        ASSERT_TRUE(matches(c, e1, key.p, e2, key.q)) << describe(c, e1, e2);
+      }
+    }
+    for (int i = 0; i < 50; ++i) {
+      const BigInt c = BigInt::random_below(key.pub.n, rng);
+      const BigInt e1 = BigInt::random_below(one << rng.below(513), rng);
+      const BigInt e2 = BigInt::random_below(one << rng.below(513), rng);
+      ASSERT_TRUE(matches(c, e1, key.p, e2, key.q)) << describe(c, e1, e2);
+    }
+  }
+
+  // 8-limb moduli at the edges: all-ones limbs, and a top limb of 1 or 2^63.
+  const std::vector<BigInt> edge_moduli = {ones(512), (one << 448) + one,
+                                           (one << 511) + one};
+  for (const BigInt& n1 : edge_moduli) {
+    for (const BigInt& n2 : edge_moduli) {
+      for (const BigInt& c : {n1 - one, ones(512), ones(1024),
+                              BigInt::random_below(n1, rng)}) {
+        ASSERT_TRUE(matches(c, ones(512), n1, keys[0].dp, n2))
+            << "n1=" << n1.to_hex() << " n2=" << n2.to_hex() << " "
+            << describe(c, ones(512), keys[0].dp);
+      }
+    }
+  }
+
+  // Other shapes take the portable path.
+  const BigInt p = keys[0].p;
+  const std::vector<std::pair<BigInt, BigInt>> other_moduli = {
+      {ones(448), p},       {p, ones(576)},      {keys[0].pub.n, p},
+      {p - one, keys[0].q}, {p, keys[0].q - one}};
+  for (const auto& [n1, n2] : other_moduli) {
+    const BigInt c = BigInt::random_below(keys[0].pub.n, rng);
+    EXPECT_EQ(ifma(c, keys[0].dp, n1, keys[0].dq, n2),
+              mod_exp_pair_portable(c, keys[0].dp, n1, keys[0].dq, n2))
+        << "n1=" << n1.to_hex() << " n2=" << n2.to_hex();
+  }
 }
 
 TEST(Rsa, RawOpsRejectOutOfRange) {

@@ -2,10 +2,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
 #include "crypto/bigint.hpp"
 #include "crypto/csprng.hpp"
 #include "crypto/x25519.hpp"
@@ -299,6 +303,67 @@ TEST(X25519, IfmaLadderMatchesPortable) {
     const Bytes k = rng.bytes(32), u = rng.bytes(32);
     ASSERT_EQ(to_hex(ifma(k, u)), to_hex(x25519_ladder_portable(k, u)))
         << "k=" << to_hex(k) << " u=" << to_hex(u);
+  }
+}
+
+// The field inversion every path ends with (the safegcd) against z^(p - 2)
+// mod p by BigInt::mod_exp: the edges, limbs at their 2^54 input bound, z
+// that need the most divsteps a search found, and 100,000 seeded z, half
+// with limbs below 2^51 and half below 2^54 (most of those encode values
+// above p, as the ladders' and combs' outputs do).
+TEST(X25519, FieldInverseMatchesModExp) {
+  using Limbs = std::array<std::uint64_t, 5>;
+  const BigInt p = (BigInt(1) << 255) - BigInt(19);
+  const BigInt p_minus_2 = p - BigInt(2);
+  constexpr std::uint64_t k51 = (std::uint64_t{1} << 51) - 1;
+  constexpr std::uint64_t k54 = (std::uint64_t{1} << 54) - 1;
+  const auto oracle = [&](const Limbs& z) {
+    BigInt v;
+    for (int i = 4; i >= 0; --i) v = (v << 51) + BigInt(z[i]);
+    Bytes le = v.mod_exp(p_minus_2, p).to_bytes_be(32);
+    std::reverse(le.begin(), le.end());
+    return to_hex(le);
+  };
+  const auto limbs_of = [&](std::string_view hex) {
+    const BigInt v = BigInt::from_hex(hex);
+    Limbs z;
+    for (int i = 0; i < 5; ++i) {
+      const BigInt limb = (v >> (51 * i)) % (BigInt(1) << 51);
+      z[i] = limb.is_zero() ? 0 : limb.limbs()[0];
+    }
+    return z;
+  };
+  std::vector<Limbs> zs = {
+      {0, 0, 0, 0, 0},
+      {1, 0, 0, 0, 0},
+      {2, 0, 0, 0, 0},
+      {19, 0, 0, 0, 0},
+      {k51 - 19, k51, k51, k51, k51},  // p - 1
+      {k51 - 18, k51, k51, k51, k51},  // p
+      {k51 - 17, k51, k51, k51, k51},  // p + 1
+      {k51, k51, k51, k51, k51},       // 2^255 - 1
+      {k54, k54, k54, k54, k54},
+      {k54, 0, 0, 0, 0},
+      {0, 0, 0, 0, k54},
+      {k54, 0, k54, 0, k54},
+      {0, k54, 0, k54, 0},
+      {k54, k51, k51, k51, k51},
+      // Random z need 509-529 of the 590 divsteps; these need 536-538, more
+      // than nine batches of 59 (531) run.
+      limbs_of("121d67623ee0adab325cec34ee531aa223fae49818e18193fb12181b02ccd7e3"),
+      limbs_of("3678ddcc686c81aca0c273b329889cb82a16686f20cb4cd42f9da72867f7be1d"),
+      limbs_of("7720733536381fc188b43bba17473bb8c2e63a6cafc6f8e4fb6c029ce4750d9d"),
+  };
+  XoshiroRng rng(0x1a7e);
+  for (int i = 0; i < 100000; ++i) {
+    Limbs z;
+    for (std::uint64_t& limb : z) limb = rng.u64() & (i % 2 == 0 ? k51 : k54);
+    zs.push_back(z);
+  }
+  for (const Limbs& z : zs) {
+    ASSERT_EQ(to_hex(x25519_field_invert(z)), oracle(z))
+        << "limbs " << z[0] << " " << z[1] << " " << z[2] << " " << z[3] << " "
+        << z[4];
   }
 }
 
