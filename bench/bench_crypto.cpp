@@ -17,8 +17,8 @@
 // ChaCha20 and Poly1305; chacha20_16k_avx512 runs the 16-block AVX-512
 // ChaCha20, poly1305_16k_ifma the eight-lane IFMA Poly1305, and the aead_*
 // keys ending in _avx512 the dispatched pair when its ChaCha20 is AVX-512
-// (with it, the IFMA Poly1305 wherever the CPU has IFMA). The HPKE and
-// session keys run the dispatched AEAD. RSA's CRT pair is named the same
+// (with it, the IFMA Poly1305 wherever the CPU has IFMA). The HPKE keys
+// run the dispatched AEAD. RSA's CRT pair is named the same
 // way: rsa1024_blind_sign always runs the portable pair (two Montgomery
 // exponentiations) and rsa1024_blind_sign_ifma the two-lane IFMA one. A
 // baseline recorded on a host with these extensions and a run on a host
@@ -50,7 +50,6 @@
 #include "hpke/hpke.hpp"
 #include "obs/json.hpp"
 #include "report_util.hpp"
-#include "systems/channel.hpp"
 
 namespace {
 
@@ -264,16 +263,6 @@ int main(int argc, char** argv) {
           session.context.seal_append({}, pt, frame);
           consume(frame);
         });
-  }
-
-  // --- Session channel frame (varint framing + context AEAD) ----------------
-  {
-    ChaChaRng rng(5);
-    auto kp = hpke::KeyPair::generate(rng);
-    systems::SessionSender sender(kp.public_key, to_bytes("bench"), rng);
-    Bytes msg = rng.bytes(256);
-    run("session_frame_256", msg.size(),
-        [&](std::uint64_t) { consume(sender.seal(msg)); });
   }
 
   // --- RSA blind signatures (Privacy Pass substrate) ------------------------

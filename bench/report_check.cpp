@@ -669,10 +669,12 @@ bool check_crypto(const JsonValue& r, bool required) {
 //     that pushes more traffic across shard boundaries fails the same way
 //     a latency regression does. Zero baselines (e.g. the serial 1-shard
 //     entry) must stay zero.
-// Keys present in only one file are ignored (a CI smoke run sweeps fewer
-// points than the committed full sweep). Improving past the band only
-// warns — it means the committed baseline is stale and worth
-// regenerating, but a faster machine is not a regression.
+// Keys present in only one file are not compared (a CI smoke run sweeps
+// fewer points than the committed full sweep, and a host without a vector
+// path reports no key for it), but each gated baseline key the report
+// lacks is named in a note. Improving past the band only warns — it means
+// the committed baseline is stale and worth regenerating, but a faster
+// machine is not a regression.
 bool check_baseline(const JsonValue& r, const JsonValue& base,
                     double tolerance_pct) {
   const JsonValue* values = r.find("values");
@@ -693,16 +695,21 @@ bool check_baseline(const JsonValue& r, const JsonValue& base,
     return key.size() >= sfx.size() &&
            key.compare(key.size() - sfx.size(), sfx.size(), sfx) == 0;
   };
+  const auto higher_better = [&](const std::string& key) {
+    return has_suffix(key, "_events_per_sec") ||
+           has_suffix(key, "_ops_per_sec");
+  };
+  // Every other gated key is lower-better.
+  const auto gated = [&](const std::string& key) {
+    return higher_better(key) || has_suffix(key, "_cross_sends_pct") ||
+           (key.find("latency_") != std::string::npos &&
+            has_suffix(key, "_us"));
+  };
   std::size_t compared = 0;
   for (const auto& [key, val] : values->object) {
-    const bool higher_better = has_suffix(key, "_events_per_sec") ||
-                               has_suffix(key, "_ops_per_sec");
+    if (!gated(key)) continue;
+    const bool higher = higher_better(key);
     const bool cross_pct = has_suffix(key, "_cross_sends_pct");
-    const bool lower_better =
-        !higher_better &&
-        (cross_pct || (key.find("latency_") != std::string::npos &&
-                       has_suffix(key, "_us")));
-    if (!higher_better && !lower_better) continue;
     const JsonValue* ref = base_values->find(key);
     if (!ref) continue;
     if (!val.is_number() || !ref->is_number()) {
@@ -726,7 +733,7 @@ bool check_baseline(const JsonValue& r, const JsonValue& base,
     const double delta_pct = (val.number - ref->number) / ref->number * 100.0;
     std::printf("report_check: %s = %.0f vs baseline %.0f (%+.1f%%)\n",
                 key.c_str(), val.number, ref->number, delta_pct);
-    const double regress_pct = higher_better ? -delta_pct : delta_pct;
+    const double regress_pct = higher ? -delta_pct : delta_pct;
     if (regress_pct > tolerance_pct) {
       std::fprintf(stderr,
                    "report_check: %s regressed %.1f%% vs baseline "
@@ -742,6 +749,14 @@ bool check_baseline(const JsonValue& r, const JsonValue& base,
                    key.c_str(), -regress_pct);
     }
     ++compared;
+  }
+  for (const auto& entry : base_values->object) {
+    const std::string& key = entry.first;
+    if (gated(key) && !values->has(key)) {
+      std::printf("report_check: note: baseline key %s is not in the report, "
+                  "not compared\n",
+                  key.c_str());
+    }
   }
   if (compared == 0) {
     return fail("no gated keys shared with baseline");

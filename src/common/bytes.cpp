@@ -1,6 +1,5 @@
 #include "common/bytes.hpp"
 
-#include <array>
 #include <stdexcept>
 
 namespace dcpl {
@@ -38,76 +37,6 @@ Bytes from_hex(std::string_view hex) {
   for (std::size_t i = 0; i < hex.size(); i += 2) {
     out.push_back(static_cast<std::uint8_t>(hex_nibble(hex[i]) << 4 |
                                             hex_nibble(hex[i + 1])));
-  }
-  return out;
-}
-
-namespace {
-constexpr char kB64[] =
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
-
-int b64_value(char c) {
-  if (c >= 'A' && c <= 'Z') return c - 'A';
-  if (c >= 'a' && c <= 'z') return c - 'a' + 26;
-  if (c >= '0' && c <= '9') return c - '0' + 52;
-  if (c == '+') return 62;
-  if (c == '/') return 63;
-  throw std::invalid_argument("from_base64: bad character");
-}
-}  // namespace
-
-std::string to_base64(BytesView b) {
-  std::string out;
-  out.reserve((b.size() + 2) / 3 * 4);
-  std::size_t i = 0;
-  for (; i + 3 <= b.size(); i += 3) {
-    std::uint32_t v = static_cast<std::uint32_t>(b[i]) << 16 |
-                      static_cast<std::uint32_t>(b[i + 1]) << 8 | b[i + 2];
-    out.push_back(kB64[v >> 18]);
-    out.push_back(kB64[(v >> 12) & 63]);
-    out.push_back(kB64[(v >> 6) & 63]);
-    out.push_back(kB64[v & 63]);
-  }
-  std::size_t rem = b.size() - i;
-  if (rem == 1) {
-    std::uint32_t v = static_cast<std::uint32_t>(b[i]) << 16;
-    out.push_back(kB64[v >> 18]);
-    out.push_back(kB64[(v >> 12) & 63]);
-    out.append("==");
-  } else if (rem == 2) {
-    std::uint32_t v = static_cast<std::uint32_t>(b[i]) << 16 |
-                      static_cast<std::uint32_t>(b[i + 1]) << 8;
-    out.push_back(kB64[v >> 18]);
-    out.push_back(kB64[(v >> 12) & 63]);
-    out.push_back(kB64[(v >> 6) & 63]);
-    out.push_back('=');
-  }
-  return out;
-}
-
-Bytes from_base64(std::string_view b64) {
-  if (b64.size() % 4 != 0) throw std::invalid_argument("from_base64: length");
-  Bytes out;
-  out.reserve(b64.size() / 4 * 3);
-  for (std::size_t i = 0; i < b64.size(); i += 4) {
-    int pad = 0;
-    std::uint32_t v = 0;
-    for (std::size_t j = 0; j < 4; ++j) {
-      char c = b64[i + j];
-      if (c == '=') {
-        if (i + 4 != b64.size() || j < 2) {
-          throw std::invalid_argument("from_base64: misplaced padding");
-        }
-        ++pad;
-        v <<= 6;
-      } else {
-        if (pad > 0) throw std::invalid_argument("from_base64: data after =");
-        v = v << 6 | static_cast<std::uint32_t>(b64_value(c));
-      }
-    }
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    if (pad < 2) out.push_back(static_cast<std::uint8_t>(v >> 8));
-    if (pad < 1) out.push_back(static_cast<std::uint8_t>(v));
   }
   return out;
 }

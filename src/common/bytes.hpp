@@ -1,8 +1,8 @@
 // Byte-buffer utilities shared by every module.
 //
 // The whole library expresses wire data as `Bytes` (a std::vector<uint8_t>)
-// and reads borrowed data through std::span. Helpers here cover hex/base64
-// codecs, concatenation, XOR, and constant-time comparison.
+// and reads borrowed data through std::span. Helpers here cover the hex
+// codec, concatenation, XOR, and constant-time comparison.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +27,6 @@ std::string to_hex(BytesView b);
 
 /// Parses lowercase/uppercase hex. Throws std::invalid_argument on bad input.
 Bytes from_hex(std::string_view hex);
-
-/// Standard base64 (RFC 4648) with padding.
-std::string to_base64(BytesView b);
-
-/// Decodes standard base64; ignores nothing, throws on bad input.
-Bytes from_base64(std::string_view b64);
 
 /// Concatenates any number of byte spans.
 Bytes concat(std::initializer_list<BytesView> parts);

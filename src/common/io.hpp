@@ -1,7 +1,6 @@
 // Binary readers/writers used by all wire formats (DNS, HPKE contexts,
-// binary HTTP, onion layers, session frames). Big-endian throughout,
-// matching network order, plus QUIC-style varints for self-describing
-// lengths and sequence numbers.
+// binary HTTP, onion layers). Big-endian throughout, matching network
+// order.
 #pragma once
 
 #include <cstddef>
@@ -20,54 +19,6 @@ class ParseError : public std::runtime_error {
   explicit ParseError(const std::string& what) : std::runtime_error(what) {}
 };
 
-// --- varints (RFC 9000 §16) -------------------------------------------------
-//
-// The top two bits of the first byte select a 1/2/4/8-byte big-endian
-// encoding, so short values cost one byte and the framing stays
-// self-describing.
-
-/// Largest value a QUIC-style varint can carry (2^62 - 1).
-constexpr std::uint64_t kVarintMax = (std::uint64_t{1} << 62) - 1;
-
-/// Encoded size of `v` in bytes (1, 2, 4, or 8). Throws
-/// std::invalid_argument above kVarintMax.
-inline std::size_t varint_size(std::uint64_t v) {
-  if (v < 0x40) return 1;
-  if (v < 0x4000) return 2;
-  if (v < 0x40000000) return 4;
-  if (v <= kVarintMax) return 8;
-  throw std::invalid_argument("varint: value exceeds 2^62 - 1");
-}
-
-/// Appends the varint encoding of `v` to `out`.
-inline void varint_append(std::uint64_t v, Bytes& out) {
-  const std::size_t n = varint_size(v);
-  // Two-bit length prefix (00/01/10/11 for 1/2/4/8 bytes) in the top bits
-  // of the big-endian encoding.
-  const std::uint8_t prefix =
-      n == 1 ? 0x00 : n == 2 ? 0x40 : n == 4 ? 0x80 : 0xC0;
-  const std::size_t start = out.size();
-  out.resize(start + n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[start + n - 1 - i] = static_cast<std::uint8_t>(v >> (8 * i));
-  }
-  out[start] |= prefix;
-}
-
-/// Decodes one varint at `data[pos]`, advancing `pos`. Throws ParseError on
-/// truncation.
-inline std::uint64_t varint_decode(BytesView data, std::size_t& pos) {
-  if (pos >= data.size()) throw ParseError("varint: truncated input");
-  const std::size_t n = std::size_t{1} << (data[pos] >> 6);
-  if (data.size() - pos < n) throw ParseError("varint: truncated input");
-  std::uint64_t v = data[pos] & 0x3F;
-  for (std::size_t i = 1; i < n; ++i) {
-    v = (v << 8) | data[pos + i];
-  }
-  pos += n;
-  return v;
-}
-
 /// Appends big-endian fields to an owned buffer, each written in place.
 class ByteWriter {
  public:
@@ -76,7 +27,6 @@ class ByteWriter {
   void u24(std::uint32_t v) { be(v, 3); }
   void u32(std::uint32_t v) { be(v, 4); }
   void u64(std::uint64_t v) { be(v, 8); }
-  void varint(std::uint64_t v) { varint_append(v, buf_); }
   void raw(BytesView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
   void raw(std::string_view s) { buf_.insert(buf_.end(), s.begin(), s.end()); }
 
@@ -111,8 +61,8 @@ class ByteWriter {
 };
 
 /// Consumes big-endian fields from a borrowed buffer; throws ParseError on
-/// truncation. view() and varint() read without copying, so nested
-/// payloads can alias the input instead of being copied out.
+/// truncation. view() reads without copying, so nested payloads can alias
+/// the input instead of being copied out.
 class ByteReader {
  public:
   explicit ByteReader(BytesView b) : data_(b) {}
@@ -122,7 +72,6 @@ class ByteReader {
   std::uint32_t u24() { return static_cast<std::uint32_t>(be_decode(view(3))); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(be_decode(view(4))); }
   std::uint64_t u64() { return be_decode(view(8)); }
-  std::uint64_t varint() { return varint_decode(data_, pos_); }
 
   /// The next `n` bytes as a subspan of the input (no copy).
   BytesView view(std::size_t n) {

@@ -121,36 +121,8 @@ BigInt BigInt::operator-(const BigInt& o) const {
   return out;
 }
 
-namespace {
-// Below this limb count, schoolbook beats Karatsuba's recursion overhead.
-constexpr std::size_t kKaratsubaThreshold = 24;
-}  // namespace
-
-BigInt BigInt::low_limbs(std::size_t limb_count) const {
-  BigInt out;
-  const std::size_t n = std::min(limb_count, limbs_.size());
-  out.limbs_.assign(limbs_.begin(), limbs_.begin() + static_cast<long>(n));
-  out.trim();
-  return out;
-}
-
 BigInt BigInt::operator*(const BigInt& o) const {
   if (is_zero() || o.is_zero()) return BigInt{};
-
-  // Karatsuba for large balanced operands: 3 half-size multiplications
-  // instead of 4. Built on the (well-tested) +/-/shift primitives.
-  if (limbs_.size() >= kKaratsubaThreshold &&
-      o.limbs_.size() >= kKaratsubaThreshold) {
-    const std::size_t m = std::min(limbs_.size(), o.limbs_.size()) / 2;
-    BigInt a0 = low_limbs(m);
-    BigInt a1 = *this >> (64 * m);
-    BigInt b0 = o.low_limbs(m);
-    BigInt b1 = o >> (64 * m);
-    BigInt z0 = a0 * b0;
-    BigInt z2 = a1 * b1;
-    BigInt z1 = (a0 + a1) * (b0 + b1) - z0 - z2;
-    return z0 + (z1 << (64 * m)) + (z2 << (128 * m));
-  }
 
   BigInt out;
   out.limbs_.assign(limbs_.size() + o.limbs_.size(), 0);

@@ -1,5 +1,5 @@
 // Arbitrary-precision unsigned integers with the operations RSA needs:
-// schoolbook and Karatsuba mul, Knuth Algorithm D division, fixed-window
+// schoolbook mul, Knuth Algorithm D division, fixed-window
 // Montgomery modular exponentiation, a Lehmer extended-GCD modular
 // inverse, Miller-Rabin primality, and prime generation.
 //
@@ -56,9 +56,6 @@ class BigInt {
 
   std::strong_ordering operator<=>(const BigInt& o) const;
   bool operator==(const BigInt& o) const = default;
-
-  /// Low `limb_count` limbs as a value (used by Karatsuba splitting).
-  BigInt low_limbs(std::size_t limb_count) const;
 
   BigInt operator+(const BigInt& o) const;
   BigInt operator-(const BigInt& o) const;  // throws if o > *this

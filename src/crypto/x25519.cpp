@@ -1170,6 +1170,19 @@ Bytes x25519_field_invert(const std::array<std::uint64_t, 5>& limbs) {
                                   limbs[4]}}));
 }
 
+std::array<std::int64_t, 4> x25519_safegcd_batch(
+    std::int64_t zeta, std::uint64_t f, std::uint64_t g,
+    std::array<std::int64_t, 5>& d, std::array<std::int64_t, 5>& e) {
+  Transition t;
+  divsteps_59(zeta, f, g, t);
+  Signed62 sd{{d[0], d[1], d[2], d[3], d[4]}};
+  Signed62 se{{e[0], e[1], e[2], e[3], e[4]}};
+  update_de(sd, se, t);
+  d = {sd.v[0], sd.v[1], sd.v[2], sd.v[3], sd.v[4]};
+  e = {se.v[0], se.v[1], se.v[2], se.v[3], se.v[4]};
+  return {t.u, t.v, t.q, t.r};
+}
+
 X25519KeyPair X25519KeyPair::generate(Rng& rng) {
   X25519KeyPair kp;
   kp.private_key = rng.bytes(kX25519KeySize);

@@ -25,7 +25,8 @@
 // of order dividing 8. Every path ends with the same field inversion, the
 // constant-time safegcd of Bernstein and Yang (10 batches of 59 divsteps on
 // signed 62-bit limbs, in the shape of libsecp256k1's modinv64), and the same
-// encoding; x25519_field_invert() exposes it to tests.
+// encoding; x25519_field_invert() exposes it to tests, and
+// x25519_safegcd_batch() one of its batches.
 //
 // NOTE: the portable ladder swaps with masks (fe_cswap); the IFMA ladder
 // swaps by a fixed lane permute merged under an all-ones or all-zero mask,
@@ -115,6 +116,16 @@ Bytes x25519_public(BytesView scalar);
 /// z = sum limbs[i] 2^(51 i) with every limb below 2^54, as the field code
 /// holds an element.
 Bytes x25519_field_invert(const std::array<std::uint64_t, 5>& limbs);
+
+/// One batch of that inversion, for tests: 59 divsteps from `zeta` on the
+/// low 64 bits of f (odd) and g give the batch's matrix [[u, v], [q, r]],
+/// scaled by 2^62 and returned as {u, v, q, r}; then (d, e) <- (u d + v e,
+/// q d + r e) / 2^62 mod p, in place. d and e hold sum v[i] 2^(62 i), limbs
+/// 0..3 in [0, 2^62) and the sign in limb 4; the inversion keeps both in
+/// (-2p, p).
+std::array<std::int64_t, 4> x25519_safegcd_batch(
+    std::int64_t zeta, std::uint64_t f, std::uint64_t g,
+    std::array<std::int64_t, 5>& d, std::array<std::int64_t, 5>& e);
 
 /// An X25519 key pair.
 struct X25519KeyPair {

@@ -1,7 +1,6 @@
 #include "http/message.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/io.hpp"
@@ -86,16 +85,6 @@ Result<Request> Request::decode_binary(BytesView data) {
   }
 }
 
-std::string Request::encode_text() const {
-  std::ostringstream out;
-  out << method << " " << path << " HTTP/1.1\r\n";
-  out << "Host: " << authority << "\r\n";
-  for (const auto& [n, v] : headers) out << n << ": " << v << "\r\n";
-  out << "Content-Length: " << body.size() << "\r\n\r\n";
-  out << to_string(body);
-  return out.str();
-}
-
 Bytes Response::encode_binary() const {
   ByteWriter w;
   w.u16(static_cast<std::uint16_t>(status));
@@ -116,15 +105,6 @@ Result<Response> Response::decode_binary(BytesView data) {
   } catch (const ParseError& e) {
     return Result<Response>::failure(e.what());
   }
-}
-
-std::string Response::encode_text() const {
-  std::ostringstream out;
-  out << "HTTP/1.1 " << status << " \r\n";
-  for (const auto& [n, v] : headers) out << n << ": " << v << "\r\n";
-  out << "Content-Length: " << body.size() << "\r\n\r\n";
-  out << to_string(body);
-  return out.str();
 }
 
 }  // namespace dcpl::http

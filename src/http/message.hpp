@@ -1,7 +1,6 @@
-// Minimal HTTP message model with two encodings:
-//  * text (HTTP/1.1-style) for human-readable examples, and
-//  * binary (length-prefixed, in the spirit of RFC 9292 Binary HTTP) used as
-//    the payload format inside OHTTP / MPR encapsulation.
+// Minimal HTTP message model with one encoding: binary (length-prefixed, in
+// the spirit of RFC 9292 Binary HTTP), the payload format inside OHTTP / MPR
+// encapsulation.
 #pragma once
 
 #include <string>
@@ -27,8 +26,6 @@ struct Request {
 
   Bytes encode_binary() const;
   static Result<Request> decode_binary(BytesView data);
-
-  std::string encode_text() const;
 };
 
 struct Response {
@@ -40,8 +37,6 @@ struct Response {
 
   Bytes encode_binary() const;
   static Result<Response> decode_binary(BytesView data);
-
-  std::string encode_text() const;
 };
 
 }  // namespace dcpl::http

@@ -163,9 +163,11 @@ class LatencyRecorder {
 
 /// Per-hop latency stages the tracing plane attributes. kQueueWait and
 /// kLink are virtual-time stages stamped by the simulator (from the send
-/// plan); kCryptoSeal/kCryptoOpen/kWireFrame are wall-clock nanosecond
-/// stages stamped by the crypto channel and wire framer through the
-/// global recorders below.
+/// plan); kCryptoSeal and kCryptoOpen are wall-clock nanosecond stages
+/// stamped by the crypto channel through the global recorders below. No
+/// library code records kWireFrame: it stays because perfbench's
+/// wire.frame.* rows and bench_scale's wire_frame stage still read it, and
+/// both read zero.
 enum class Stage : std::uint8_t {
   kQueueWait = 0,
   kLink,

@@ -424,15 +424,15 @@ TEST(BigInt, GeneratePrimeHasExactBitLength) {
 }
 
 
-TEST(BigInt, KaratsubaMatchesSchoolbookProperties) {
-  // Operands above the Karatsuba threshold (24 limbs = 1536 bits): validate
-  // via algebraic identities against the (schoolbook-sized) building blocks.
+TEST(BigInt, LargeProductsObeyRingIdentities) {
+  // Operands of 900 to 3,700 bits: validate the schoolbook product through
+  // algebraic identities against smaller products and division.
   XoshiroRng rng(22);
   for (int i = 0; i < 10; ++i) {
     BigInt a = random_bits(2000 + i * 173, rng);
     BigInt b = random_bits(1800 + i * 211, rng);
     BigInt c = random_bits(900, rng);
-    // Distributivity ties the big product to smaller (schoolbook) products.
+    // Distributivity ties the big product to smaller products.
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ((a + b) * c, a * c + b * c);
     // Division inverts multiplication exactly.
@@ -443,7 +443,7 @@ TEST(BigInt, KaratsubaMatchesSchoolbookProperties) {
   }
 }
 
-TEST(BigInt, KaratsubaHugeSquare) {
+TEST(BigInt, HugeSquareMatchesClosedForm) {
   // (2^n - 1)^2 = 2^(2n) - 2^(n+1) + 1 — exact closed form at any size.
   for (std::size_t n : {1600u, 4096u, 10000u}) {
     BigInt x = (BigInt(1) << n) - BigInt(1);
@@ -453,23 +453,13 @@ TEST(BigInt, KaratsubaHugeSquare) {
   }
 }
 
-TEST(BigInt, KaratsubaUnbalancedOperands) {
+TEST(BigInt, UnbalancedProductIsExact) {
   XoshiroRng rng(23);
   BigInt big = random_bits(8000, rng);
   BigInt small = random_bits(100, rng);
-  // One side below the threshold: must still be exact.
+  // An 8,000-bit operand times a 100-bit one: must still be exact.
   EXPECT_EQ((big * small) / small, big);
   EXPECT_EQ(big * BigInt(1), big);
-}
-
-TEST(BigInt, LowLimbsSplitsCorrectly) {
-  XoshiroRng rng(24);
-  BigInt a = random_bits(1000, rng);
-  for (std::size_t m : {1u, 5u, 15u, 16u, 100u}) {
-    BigInt lo = a.low_limbs(m);
-    BigInt hi = a >> (64 * m);
-    EXPECT_EQ(lo + (hi << (64 * m)), a) << m;
-  }
 }
 
 }  // namespace

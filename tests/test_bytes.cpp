@@ -29,34 +29,6 @@ TEST(Bytes, HexEmpty) {
   EXPECT_TRUE(from_hex("").empty());
 }
 
-// RFC 4648 §10 test vectors.
-TEST(Bytes, Base64Rfc4648Vectors) {
-  EXPECT_EQ(to_base64(to_bytes("")), "");
-  EXPECT_EQ(to_base64(to_bytes("f")), "Zg==");
-  EXPECT_EQ(to_base64(to_bytes("fo")), "Zm8=");
-  EXPECT_EQ(to_base64(to_bytes("foo")), "Zm9v");
-  EXPECT_EQ(to_base64(to_bytes("foob")), "Zm9vYg==");
-  EXPECT_EQ(to_base64(to_bytes("fooba")), "Zm9vYmE=");
-  EXPECT_EQ(to_base64(to_bytes("foobar")), "Zm9vYmFy");
-
-  EXPECT_EQ(to_string(from_base64("Zm9vYmFy")), "foobar");
-  EXPECT_EQ(to_string(from_base64("Zm9vYg==")), "foob");
-}
-
-TEST(Bytes, Base64RoundTripRandom) {
-  XoshiroRng rng(42);
-  for (std::size_t len = 0; len < 64; ++len) {
-    Bytes b = rng.bytes(len);
-    EXPECT_EQ(from_base64(to_base64(b)), b) << "len=" << len;
-  }
-}
-
-TEST(Bytes, Base64RejectsBadInput) {
-  EXPECT_THROW(from_base64("Zg="), std::invalid_argument);
-  EXPECT_THROW(from_base64("Z!=="), std::invalid_argument);
-  EXPECT_THROW(from_base64("=AAA"), std::invalid_argument);
-}
-
 TEST(Bytes, Concat) {
   Bytes a = {1, 2}, b = {}, c = {3};
   EXPECT_EQ(concat({a, b, c}), (Bytes{1, 2, 3}));

@@ -146,119 +146,5 @@ TEST(Channel, PaddingHidesLengthWithinBucket) {
   EXPECT_EQ(pad_to_bucket(a, 64).size(), pad_to_bucket(b, 64).size());
 }
 
-// ---- Session channels ------------------------------------------------------
-
-TEST(SessionChannel, ManyMessagesOverOneEncapsulation) {
-  crypto::ChaChaRng rng(40);
-  auto kp = hpke::KeyPair::generate(rng);
-  SessionSender sender(kp.public_key, to_bytes("session"), rng);
-  auto accepted = SessionReceiver::accept(kp, to_bytes("session"),
-                                          sender.enc());
-  ASSERT_TRUE(accepted.ok());
-  SessionReceiver receiver = std::move(accepted.value());
-
-  // One KEM setup, then both directions stream frames: request i up,
-  // response i down, interleaved like a real exchange.
-  for (int i = 0; i < 50; ++i) {
-    const std::string msg = "request " + std::to_string(i);
-    Bytes frame = sender.seal(to_bytes(msg));
-    auto got = receiver.open(frame);
-    ASSERT_TRUE(got.ok()) << i;
-    EXPECT_EQ(to_string(got.value()), msg);
-
-    const std::string reply = "response " + std::to_string(i);
-    Bytes rframe = receiver.seal_response(to_bytes(reply));
-    auto rgot = sender.open_response(rframe);
-    ASSERT_TRUE(rgot.ok()) << i;
-    EXPECT_EQ(to_string(rgot.value()), reply);
-  }
-  EXPECT_EQ(sender.sealed(), 50u);
-  EXPECT_EQ(receiver.opened(), 50u);
-}
-
-TEST(SessionChannel, RejectsReorderedAndReplayedFrames) {
-  crypto::ChaChaRng rng(41);
-  auto kp = hpke::KeyPair::generate(rng);
-  SessionSender sender(kp.public_key, to_bytes("session"), rng);
-  auto accepted = SessionReceiver::accept(kp, to_bytes("session"),
-                                          sender.enc());
-  ASSERT_TRUE(accepted.ok());
-  SessionReceiver receiver = std::move(accepted.value());
-
-  Bytes first = sender.seal(to_bytes("one"));
-  Bytes second = sender.seal(to_bytes("two"));
-  // Reordered: the seq prefix exposes the skip before any AEAD work.
-  EXPECT_FALSE(receiver.open(second).ok());
-  ASSERT_TRUE(receiver.open(first).ok());
-  // Replay of an already-consumed frame.
-  EXPECT_FALSE(receiver.open(first).ok());
-  ASSERT_TRUE(receiver.open(second).ok());
-  EXPECT_EQ(receiver.opened(), 2u);
-}
-
-TEST(SessionChannel, RejectsTamperedAndTruncatedFrames) {
-  crypto::ChaChaRng rng(42);
-  auto kp = hpke::KeyPair::generate(rng);
-  SessionSender sender(kp.public_key, to_bytes("session"), rng);
-  auto accepted = SessionReceiver::accept(kp, to_bytes("session"),
-                                          sender.enc());
-  ASSERT_TRUE(accepted.ok());
-  SessionReceiver receiver = std::move(accepted.value());
-
-  Bytes frame = sender.seal(to_bytes("payload"));
-  Bytes flipped = frame;
-  flipped.back() ^= 0x01;
-  EXPECT_FALSE(receiver.open(flipped).ok());
-  // Every strict prefix, and a varint whose first byte claims eight bytes
-  // where three follow.
-  for (std::size_t n = 0; n < frame.size(); ++n) {
-    EXPECT_FALSE(receiver.open(BytesView(frame).first(n)).ok()) << n;
-  }
-  EXPECT_FALSE(receiver.open(Bytes{0xC0, 0x00, 0x00}).ok());
-  EXPECT_EQ(receiver.opened(), 0u);
-  // The intact frame still opens: failed attempts consumed no sequence,
-  // and the response direction is still in step.
-  EXPECT_TRUE(receiver.open(frame).ok());
-  EXPECT_EQ(receiver.opened(), 1u);
-  const Bytes ack = receiver.seal_response(to_bytes("ok"));
-  EXPECT_TRUE(sender.open_response(ack).ok());
-}
-
-TEST(SessionChannel, ResponseDirectionEnforcesOrderToo) {
-  crypto::ChaChaRng rng(43);
-  auto kp = hpke::KeyPair::generate(rng);
-  SessionSender sender(kp.public_key, to_bytes("session"), rng);
-  auto accepted = SessionReceiver::accept(kp, to_bytes("session"),
-                                          sender.enc());
-  ASSERT_TRUE(accepted.ok());
-  SessionReceiver receiver = std::move(accepted.value());
-  ASSERT_TRUE(receiver.open(sender.seal(to_bytes("hi"))).ok());
-
-  Bytes r1 = receiver.seal_response(to_bytes("a"));
-  Bytes r2 = receiver.seal_response(to_bytes("b"));
-  // Truncated responses and an overlong varint consume no response sequence.
-  for (std::size_t n = 0; n < r1.size(); ++n) {
-    EXPECT_FALSE(sender.open_response(BytesView(r1).first(n)).ok()) << n;
-  }
-  EXPECT_FALSE(sender.open_response(Bytes{0x80, 0x00}).ok());
-  EXPECT_FALSE(sender.open_response(r2).ok());  // out of order
-  ASSERT_TRUE(sender.open_response(r1).ok());
-  ASSERT_TRUE(sender.open_response(r2).ok());
-  EXPECT_FALSE(sender.open_response(r2).ok());  // replay
-}
-
-TEST(SessionChannel, AcceptRejectsMalformedEncapsulatedKey) {
-  crypto::ChaChaRng rng(44);
-  auto kp = hpke::KeyPair::generate(rng);
-  EXPECT_FALSE(SessionReceiver::accept(kp, to_bytes("s"), Bytes(5, 1)).ok());
-  SessionSender sender(kp.public_key, to_bytes("s"), rng);
-  auto other = hpke::KeyPair::generate(rng);
-  // Wrong key decapsulates to a different context: frames won't open.
-  auto wrong = SessionReceiver::accept(other, to_bytes("s"), sender.enc());
-  if (wrong.ok()) {
-    EXPECT_FALSE(wrong.value().open(sender.seal(to_bytes("x"))).ok());
-  }
-}
-
 }  // namespace
 }  // namespace dcpl::systems

@@ -465,7 +465,7 @@ Bytes reference_poly1305(BytesView key, BytesView msg) {
     block.push_back(0x01);
     h = ((h + from_le(block)) * r) % p;
   }
-  const Bytes be = (h + s).low_limbs(2).to_bytes_be(16);
+  const Bytes be = ((h + s) % (BigInt(1) << 128)).to_bytes_be(16);
   return Bytes(be.rbegin(), be.rend());
 }
 

@@ -1,4 +1,4 @@
-// HTTP message model: binary/text encodings and malformed-input handling.
+// HTTP message model: the binary encoding and malformed-input handling.
 #include "http/message.hpp"
 
 #include <gtest/gtest.h>
@@ -63,14 +63,6 @@ TEST(HttpRequest, DecodeRejectsTrailingGarbage) {
   EXPECT_FALSE(Request::decode_binary(enc).ok());
 }
 
-TEST(HttpRequest, TextEncodingLooksLikeHttp1) {
-  std::string text = sample_request().encode_text();
-  EXPECT_NE(text.find("POST /api/v1/search?q=test HTTP/1.1\r\n"),
-            std::string::npos);
-  EXPECT_NE(text.find("Host: origin.example\r\n"), std::string::npos);
-  EXPECT_NE(text.find("Content-Length: 12\r\n"), std::string::npos);
-}
-
 TEST(HttpResponse, BinaryRoundTrip) {
   Response resp;
   resp.status = 404;
@@ -90,15 +82,6 @@ TEST(HttpResponse, DecodeRejectsTruncation) {
   for (std::size_t len = 0; len < enc.size(); ++len) {
     EXPECT_FALSE(Response::decode_binary(BytesView(enc).first(len)).ok());
   }
-}
-
-TEST(HttpResponse, TextEncoding) {
-  Response resp;
-  resp.status = 200;
-  resp.body = to_bytes("ok");
-  std::string text = resp.encode_text();
-  EXPECT_NE(text.find("HTTP/1.1 200"), std::string::npos);
-  EXPECT_NE(text.find("\r\n\r\nok"), std::string::npos);
 }
 
 TEST(HttpRequest, LargeBodyRoundTrip) {

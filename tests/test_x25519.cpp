@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -364,6 +365,92 @@ TEST(X25519, FieldInverseMatchesModExp) {
     ASSERT_EQ(to_hex(x25519_field_invert(z)), oracle(z))
         << "limbs " << z[0] << " " << z[1] << " " << z[2] << " " << z[3] << " "
         << z[4];
+  }
+}
+
+TEST(X25519, SafegcdBatchKeepsDeInRange) {
+  // update_de starts md and me at sign corrections that keep d and e in
+  // (-2p, p), the range fe_invert's final normalization assumes. Run one
+  // batch on 20,000 (d, e) pairs, half from the edges of that range and half
+  // uniform in it, each with the matrix of random odd f, random g (half
+  // with a long run of low zero bits, which brings the matrix near 2^62
+  // times the identity) and random zeta.
+  using Limbs = std::array<std::int64_t, 5>;
+  const BigInt p = (BigInt(1) << 255) - BigInt(19);
+  const BigInt two_p = p + p;
+  constexpr std::int64_t kMask62 = (std::int64_t{1} << 62) - 1;
+  // k p + c, limbs 0..3 carried into [0, 2^62).
+  const auto limbs_of = [&](std::int64_t k, std::int64_t c) {
+    Limbs x{c - 19 * k, 0, 0, 0, 128 * k};
+    for (int i = 0; i < 4; ++i) {
+      x[i + 1] += x[i] >> 62;
+      x[i] &= kMask62;
+    }
+    return x;
+  };
+  // |x[4]| 2^248 and sum x[i] 2^(62 i) over limbs 0..3, which sum to x.
+  const auto split = [](const Limbs& x) {
+    BigInt low;
+    for (int i = 3; i >= 0; --i) {
+      low = (low << 62) + BigInt(static_cast<std::uint64_t>(x[i]));
+    }
+    const std::uint64_t top =
+        static_cast<std::uint64_t>(x[4] < 0 ? -x[4] : x[4]);
+    return std::pair{BigInt(top) << 248, low};
+  };
+  const auto in_range = [&](const Limbs& x) {
+    for (int i = 0; i < 4; ++i) {
+      if (x[i] < 0 || x[i] > kMask62) return false;
+    }
+    const auto [top, low] = split(x);
+    return x[4] < 0 ? top < low + two_p : top + low < p;
+  };
+  const auto residue = [&](const Limbs& x) {
+    const auto [top, low] = split(x);
+    return x[4] < 0 ? (low + p - top % p) % p : (top + low) % p;
+  };
+  const auto residue_of = [&](std::int64_t v) {
+    return v < 0 ? (p - BigInt(static_cast<std::uint64_t>(-v)) % p) % p
+                 : BigInt(static_cast<std::uint64_t>(v)) % p;
+  };
+  // -2p + 1, -2p + 2, -p - 1, -p, -1, 0, 1, p - 2 and p - 1.
+  const std::vector<Limbs> edges = {
+      limbs_of(-2, 1), limbs_of(-2, 2), limbs_of(-1, -1),
+      limbs_of(-1, 0), limbs_of(0, -1), limbs_of(0, 0),
+      limbs_of(0, 1),  limbs_of(1, -2), limbs_of(1, -1)};
+  for (const Limbs& x : edges) ASSERT_TRUE(in_range(x));
+  XoshiroRng rng(0x5afe);
+  const auto uniform = [&] {
+    Limbs x;
+    do {
+      for (int i = 0; i < 4; ++i) {
+        x[i] = static_cast<std::int64_t>(rng.u64() >> 2);
+      }
+      x[4] = static_cast<std::int64_t>(rng.below(384)) - 256;
+    } while (!in_range(x));
+    return x;
+  };
+  const BigInt two_62 = BigInt(1) << 62;
+  for (int i = 0; i < 20000; ++i) {
+    const bool edge = i < 10000;
+    const Limbs d0 = edge ? edges[rng.below(edges.size())] : uniform();
+    const Limbs e0 = edge ? edges[rng.below(edges.size())] : uniform();
+    const std::uint64_t f = rng.u64() | 1;
+    std::uint64_t g = rng.u64();
+    if (i % 2 == 1) g <<= rng.below(64);
+    // 590 divsteps keep |zeta| below 600.
+    const std::int64_t zeta = static_cast<std::int64_t>(rng.below(1200)) - 600;
+    Limbs d = d0, e = e0;
+    const auto [u, v, q, r] = x25519_safegcd_batch(zeta, f, g, d, e);
+    ASSERT_TRUE(in_range(d) && in_range(e))
+        << "case " << i << ": f " << f << " g " << g << " zeta " << zeta;
+    const BigInt rd = residue(d0), re = residue(e0);
+    EXPECT_EQ(residue(d) * two_62 % p,
+              (residue_of(u) * rd + residue_of(v) * re) % p)
+        << "case " << i;
+    EXPECT_EQ(residue(e) * two_62 % p,
+              (residue_of(q) * rd + residue_of(r) * re) % p)
+        << "case " << i;
   }
 }
 
