@@ -294,8 +294,8 @@ std::pair<std::size_t, std::size_t> run_live_breach(bool& shape_ok,
                     viols[0].implant_event_id != 0 && !viols[0].chain.empty() &&
                     viols[0].chain.back() == viols[0].implant_event_id;
   if (implant_ok) {
-    const obs::FlowEvent* implant = flow.ledger.find(viols[0].chain.back());
-    implant_ok = implant != nullptr &&
+    const auto implant = flow.ledger.find(viols[0].chain.back());
+    implant_ok = implant.has_value() &&
                  implant->kind == obs::FlowEventKind::kCompromise &&
                  implant->cause == obs::FlowCause::kBreachImplant;
   }

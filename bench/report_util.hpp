@@ -222,7 +222,7 @@ struct FlowHarness {
 /// resident event slice must fold to the same map.
 inline bool flow_fold_matches(const obs::FlowLedger& ledger,
                               const core::DecouplingAnalysis& a) {
-  const auto& folded = ledger.tuples();
+  const auto folded = ledger.tuples();
   for (const auto& party : a.parties()) {
     auto it = folded.find(party);
     if (it == folded.end() || !(it->second == a.tuple_for(party))) {

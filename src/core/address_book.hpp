@@ -4,12 +4,14 @@
 // reality). Whether that constitutes ▲ or △ depends on whose address it is:
 // a user's own address is a sensitive network identity; a relay's address is
 // benign. Systems register this mapping once and call observe_src() from
-// their packet handlers.
+// their packet handlers: one hash lookup of the source, then the registered
+// atom goes to the log by reference, which copies it into its table only
+// the first time it sees it. Lookups are const, so per-node logs on
+// different shards may share one book.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "core/knowledge.hpp"
 #include "core/observation.hpp"
@@ -20,13 +22,7 @@ class AddressBook {
  public:
   /// Registers `address` as belonging to the given identity atom.
   void set(const std::string& address, Atom atom) {
-    atoms_[address] = std::move(atom);
-  }
-
-  std::optional<Atom> lookup(const std::string& address) const {
-    auto it = atoms_.find(address);
-    if (it == atoms_.end()) return std::nullopt;
-    return it->second;
+    atoms_.insert_or_assign(address, std::move(atom));
   }
 
   /// Logs the identity atom of `src_address` as observed by `party` within
@@ -34,13 +30,16 @@ class AddressBook {
   void observe_src(ObservationLog& log, const Party& party,
                    const std::string& src_address,
                    std::uint64_t context) const {
-    auto atom = lookup(src_address);
-    log.observe(party, atom ? *atom : benign_identity("addr:" + src_address),
-                context);
+    auto it = atoms_.find(src_address);
+    if (it != atoms_.end()) {
+      log.observe(party, it->second, context);
+    } else {
+      log.observe(party, benign_identity("addr:" + src_address), context);
+    }
   }
 
  private:
-  std::map<std::string, Atom> atoms_;
+  std::unordered_map<std::string, Atom> atoms_;
 };
 
 }  // namespace dcpl::core

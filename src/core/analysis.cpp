@@ -1,9 +1,11 @@
 #include "core/analysis.hpp"
 
 #include <algorithm>
-#include <map>
-#include <set>
 #include <sstream>
+#include <string_view>
+#include <unordered_map>
+
+#include "common/flat_map.hpp"
 
 namespace dcpl::core {
 
@@ -13,23 +15,31 @@ namespace {
 class UnionFind {
  public:
   std::uint64_t find(std::uint64_t x) {
-    auto it = parent_.find(x);
-    if (it == parent_.end()) {
-      parent_[x] = x;
+    auto [slot, inserted] = parent_.try_emplace(x);
+    if (inserted) {
+      *slot = x;
       return x;
     }
-    if (it->second == x) return x;
-    std::uint64_t root = find(it->second);
-    parent_[x] = root;
+    std::uint64_t root = x;
+    for (std::uint64_t up = *slot; up != root; up = *parent_.find(root)) {
+      root = up;
+    }
+    while (x != root) {  // path compression
+      std::uint64_t* p = parent_.find(x);
+      x = *p;
+      *p = root;
+    }
     return root;
   }
 
   void unite(std::uint64_t a, std::uint64_t b) {
-    parent_[find(a)] = find(b);
+    const std::uint64_t rb = find(b);
+    const std::uint64_t ra = find(a);
+    *parent_.find(ra) = rb;
   }
 
  private:
-  std::map<std::uint64_t, std::uint64_t> parent_;
+  FlatMap64<std::uint64_t> parent_;
 };
 
 /// Counts UTF-8 codepoints (each paper symbol renders one column wide).
@@ -42,6 +52,15 @@ std::size_t display_width(const std::string& s) {
 }
 
 }  // namespace
+
+void KnowledgeTuple::add(AtomKind kind) {
+  switch (kind) {
+    case AtomKind::kSensitiveIdentity: sensitive_identity = true; break;
+    case AtomKind::kBenignIdentity: benign_identity = true; break;
+    case AtomKind::kSensitiveData: sensitive_data = true; break;
+    case AtomKind::kBenignData: benign_data = true; break;
+  }
+}
 
 std::string KnowledgeTuple::to_string() const {
   // ▲ dominates △: once a party can identify the user, also knowing benign
@@ -70,23 +89,37 @@ std::string KnowledgeTuple::to_string() const {
 DecouplingAnalysis::DecouplingAnalysis(const ObservationLog& log)
     : log_(&log) {}
 
+std::vector<std::optional<KnowledgeTuple>> DecouplingAnalysis::fold() const {
+  const SymbolTable& sym = log_->symbols();
+  std::vector<std::optional<KnowledgeTuple>> out(sym.party_count());
+  for (const Observation& o : log_->observations()) {
+    auto& t = out[o.party];
+    if (!t) t.emplace();
+    t->add(sym.atom(o.atom).kind);
+  }
+  for (const ContextLink& l : log_->links()) {
+    if (!out[l.party]) out[l.party].emplace();
+  }
+  return out;
+}
+
+std::vector<bool> DecouplingAnalysis::mask(
+    const std::vector<Party>& names) const {
+  const SymbolTable& sym = log_->symbols();
+  std::vector<bool> out(sym.party_count(), false);
+  for (const Party& name : names) {
+    if (auto id = sym.find_party(name)) out[*id] = true;
+  }
+  return out;
+}
+
 KnowledgeTuple DecouplingAnalysis::tuple_for(const Party& party) const {
   KnowledgeTuple t;
-  for (const Atom& a : log_->atoms_of(party)) {
-    switch (a.kind) {
-      case AtomKind::kSensitiveIdentity:
-        t.sensitive_identity = true;
-        break;
-      case AtomKind::kBenignIdentity:
-        t.benign_identity = true;
-        break;
-      case AtomKind::kSensitiveData:
-        t.sensitive_data = true;
-        break;
-      case AtomKind::kBenignData:
-        t.benign_data = true;
-        break;
-    }
+  const SymbolTable& sym = log_->symbols();
+  const auto id = sym.find_party(party);
+  if (!id) return t;
+  for (const Observation& o : log_->observations()) {
+    if (o.party == *id) t.add(sym.atom(o.atom).kind);
   }
   return t;
 }
@@ -94,24 +127,26 @@ KnowledgeTuple DecouplingAnalysis::tuple_for(const Party& party) const {
 std::string DecouplingAnalysis::faceted_tuple(
     const Party& party,
     const std::vector<std::pair<std::string, std::string>>& facets) const {
-  const std::set<Atom> atoms = log_->atoms_of(party);
-  std::string out = "(";
-  for (const auto& [facet, subscript] : facets) {
-    bool sensitive = false, benign = false;
-    for (const Atom& a : atoms) {
-      if (a.facet != facet) continue;
-      if (a.kind == AtomKind::kSensitiveIdentity) sensitive = true;
-      if (a.kind == AtomKind::kBenignIdentity) benign = true;
+  const SymbolTable& sym = log_->symbols();
+  const auto id = sym.find_party(party);
+  std::vector<KnowledgeTuple> by_facet(facets.size());
+  KnowledgeTuple all;
+  for (const Observation& o : log_->observations()) {
+    if (!id || o.party != *id) continue;
+    const Atom& a = sym.atom(o.atom);
+    all.add(a.kind);
+    for (std::size_t i = 0; i < facets.size(); ++i) {
+      if (a.facet == facets[i].first) by_facet[i].add(a.kind);
     }
-    out += sensitive ? "▲" : (benign ? "△" : "-");
-    out += subscript;
+  }
+  std::string out = "(";
+  for (std::size_t i = 0; i < facets.size(); ++i) {
+    const KnowledgeTuple& t = by_facet[i];
+    out += t.sensitive_identity ? "▲" : (t.benign_identity ? "△" : "-");
+    out += facets[i].second;
     out += ", ";
   }
-  bool sdata = false, bdata = false;
-  for (const Atom& a : atoms) {
-    if (a.kind == AtomKind::kSensitiveData) sdata = true;
-    if (a.kind == AtomKind::kBenignData) bdata = true;
-  }
+  const bool sdata = all.sensitive_data, bdata = all.benign_data;
   out += sdata && bdata ? "⊙/●" : (sdata ? "●" : (bdata ? "⊙" : "-"));
   out += ")";
   return out;
@@ -132,46 +167,73 @@ std::vector<Party> DecouplingAnalysis::violating_parties(
 
 std::vector<Party> DecouplingAnalysis::violating_parties(
     const std::vector<Party>& users) const {
+  const std::vector<std::optional<KnowledgeTuple>> tuples = fold();
+  const std::vector<bool> exempt = mask(users);
   std::vector<Party> out;
-  for (const Party& p : parties()) {
-    if (std::find(users.begin(), users.end(), p) != users.end()) continue;
-    KnowledgeTuple t = tuple_for(p);
-    if (t.sensitive_identity && t.sensitive_data) out.push_back(p);
+  for (PartyId p = 0; p < tuples.size(); ++p) {
+    const auto& t = tuples[p];
+    if (!exempt[p] && t && t->sensitive_identity && t->sensitive_data) {
+      out.push_back(log_->symbols().party(p));
+    }
   }
+  std::sort(out.begin(), out.end());
   return out;
+}
+
+std::size_t DecouplingAnalysis::coupled_pairs(const std::vector<bool>& members,
+                                              std::size_t first_observation,
+                                              std::size_t first_link) const {
+  const SymbolTable& sym = log_->symbols();
+  UnionFind uf;
+  const auto& links = log_->links();
+  for (std::size_t i = first_link; i < links.size(); ++i) {
+    if (members[links[i].party]) uf.unite(links[i].a, links[i].b);
+  }
+
+  // The members' ▲ and ● observations as (root component, label) pairs;
+  // atoms that differ only in facet share a label.
+  std::unordered_map<std::string_view, std::uint32_t> labels;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> identities, data;
+  const auto& observations = log_->observations();
+  for (std::size_t i = first_observation; i < observations.size(); ++i) {
+    const Observation& o = observations[i];
+    if (!members[o.party]) continue;
+    const Atom& atom = sym.atom(o.atom);
+    auto* side = atom.kind == AtomKind::kSensitiveIdentity ? &identities
+                 : atom.kind == AtomKind::kSensitiveData   ? &data
+                                                           : nullptr;
+    if (side == nullptr) continue;
+    const auto label = labels.try_emplace(atom.label, labels.size()).first;
+    side->emplace_back(uf.find(o.context), label->second);
+  }
+  for (auto* side : {&identities, &data}) {
+    std::sort(side->begin(), side->end());
+    side->erase(std::unique(side->begin(), side->end()), side->end());
+  }
+
+  // Join on the root: every (identity, data) label pair sharing one.
+  std::vector<std::uint64_t> pairs;
+  auto d = data.begin();
+  for (auto i = identities.begin(); i != identities.end();) {
+    const std::uint64_t root = i->first;
+    auto i_end = i;
+    while (i_end != identities.end() && i_end->first == root) ++i_end;
+    while (d != data.end() && d->first < root) ++d;
+    for (auto dj = d; dj != data.end() && dj->first == root; ++dj) {
+      for (auto ij = i; ij != i_end; ++ij) {
+        pairs.push_back(std::uint64_t{ij->second} << 32 | dj->second);
+      }
+    }
+    i = i_end;
+  }
+  std::sort(pairs.begin(), pairs.end());
+  return static_cast<std::size_t>(
+      std::unique(pairs.begin(), pairs.end()) - pairs.begin());
 }
 
 std::size_t DecouplingAnalysis::coalition_coupled_records(
     const std::vector<Party>& coalition) const {
-  const std::set<Party> members(coalition.begin(), coalition.end());
-
-  UnionFind uf;
-  for (const ContextLink& l : log_->links()) {
-    if (members.count(l.party)) uf.unite(l.a, l.b);
-  }
-
-  // Gather the coalition's observations per root component.
-  std::map<std::uint64_t, std::set<std::string>> identities;  // root -> labels
-  std::map<std::uint64_t, std::set<std::string>> data;        // root -> labels
-  for (const Observation& o : log_->observations()) {
-    if (!members.count(o.party)) continue;
-    const std::uint64_t root = uf.find(o.context);
-    if (o.atom.kind == AtomKind::kSensitiveIdentity) {
-      identities[root].insert(o.atom.label);
-    } else if (o.atom.kind == AtomKind::kSensitiveData) {
-      data[root].insert(o.atom.label);
-    }
-  }
-
-  std::set<std::pair<std::string, std::string>> pairs;
-  for (const auto& [root, ids] : identities) {
-    auto it = data.find(root);
-    if (it == data.end()) continue;
-    for (const auto& id : ids) {
-      for (const auto& d : it->second) pairs.emplace(id, d);
-    }
-  }
-  return pairs.size();
+  return coupled_pairs(mask(coalition), 0, 0);
 }
 
 bool DecouplingAnalysis::coalition_recouples(
@@ -216,65 +278,28 @@ BreachReport DecouplingAnalysis::live_breach(const Party& party) const {
   const auto mark = log_->compromise_mark(party);
   if (!mark) return report;
 
+  // The same tuple and pair count as breach(), restricted to the post-mark
+  // suffix of both the observation and the link streams.
+  const SymbolTable& sym = log_->symbols();
+  const auto id = sym.find_party(party);
   const auto& observations = log_->observations();
   for (std::size_t i = mark->observation_index; i < observations.size(); ++i) {
     const Observation& o = observations[i];
-    if (o.party != party) continue;
-    switch (o.atom.kind) {
-      case AtomKind::kSensitiveIdentity:
-        report.tuple.sensitive_identity = true;
-        break;
-      case AtomKind::kBenignIdentity:
-        report.tuple.benign_identity = true;
-        break;
-      case AtomKind::kSensitiveData:
-        report.tuple.sensitive_data = true;
-        break;
-      case AtomKind::kBenignData:
-        report.tuple.benign_data = true;
-        break;
-    }
+    if (id && o.party == *id) report.tuple.add(sym.atom(o.atom).kind);
   }
-
-  // Same pair-counting as coalition_coupled_records({party}), restricted to
-  // the post-mark suffix of both the link and observation streams.
-  UnionFind uf;
-  const auto& links = log_->links();
-  for (std::size_t i = mark->link_index; i < links.size(); ++i) {
-    if (links[i].party == party) uf.unite(links[i].a, links[i].b);
-  }
-  std::map<std::uint64_t, std::set<std::string>> identities;
-  std::map<std::uint64_t, std::set<std::string>> data;
-  for (std::size_t i = mark->observation_index; i < observations.size(); ++i) {
-    const Observation& o = observations[i];
-    if (o.party != party) continue;
-    const std::uint64_t root = uf.find(o.context);
-    if (o.atom.kind == AtomKind::kSensitiveIdentity) {
-      identities[root].insert(o.atom.label);
-    } else if (o.atom.kind == AtomKind::kSensitiveData) {
-      data[root].insert(o.atom.label);
-    }
-  }
-  std::set<std::pair<std::string, std::string>> pairs;
-  for (const auto& [root, ids] : identities) {
-    auto it = data.find(root);
-    if (it == data.end()) continue;
-    for (const auto& id : ids) {
-      for (const auto& d : it->second) pairs.emplace(id, d);
-    }
-  }
-  report.coupled_records = pairs.size();
+  report.coupled_records =
+      coupled_pairs(mask({party}), mark->observation_index, mark->link_index);
   return report;
 }
 
 std::string DecouplingAnalysis::render_table(
     const std::vector<Party>& party_order) const {
+  const std::vector<std::optional<KnowledgeTuple>> tuples = fold();
   std::vector<std::string> cells;
-  const std::vector<Party> known = parties();
   for (const Party& p : party_order) {
-    const bool present =
-        std::find(known.begin(), known.end(), p) != known.end();
-    cells.push_back(present ? tuple_for(p).to_string() : "(-)");
+    const auto id = log_->symbols().find_party(p);
+    const bool present = id && tuples[*id];
+    cells.push_back(present ? tuples[*id]->to_string() : "(-)");
   }
 
   std::ostringstream head, sep, row;

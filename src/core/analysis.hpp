@@ -1,5 +1,11 @@
 // Decoupling analysis: derives the paper's knowledge tuples, verdicts,
 // collusion closures, and breach reports from observation logs.
+//
+// It works on the log's ids: one pass over the observations folds every
+// party's tuple into a vector indexed by party id, coalitions are masks
+// over party ids, and coupled records are counted over (context root,
+// label) pairs of ints. Names are looked up only for the parties a caller
+// names and the ones a result reports.
 #pragma once
 
 #include <optional>
@@ -17,6 +23,9 @@ struct KnowledgeTuple {
   bool benign_identity = false;     // △
   bool sensitive_data = false;      // ●
   bool benign_data = false;         // ⊙
+
+  /// Sets the column an atom of `kind` fills.
+  void add(AtomKind kind);
 
   /// Renders like the paper: "(▲, ⊙)" — identity column first, then data.
   /// A party holding both data kinds renders "⊙/●" in the data column.
@@ -104,6 +113,18 @@ class DecouplingAnalysis {
                             const std::vector<Party>& users) const;
 
  private:
+  /// One pass: every party's tuple, indexed by the log's party ids;
+  /// nullopt for ids that appear in no observation or link.
+  std::vector<std::optional<KnowledgeTuple>> fold() const;
+  /// The parties named in `names`, as a mask over the log's party ids.
+  std::vector<bool> mask(const std::vector<Party>& names) const;
+  /// (▲ label, ● label) pairs that `members`' observations from
+  /// `first_observation` on share through their own links from
+  /// `first_link` on.
+  std::size_t coupled_pairs(const std::vector<bool>& members,
+                            std::size_t first_observation,
+                            std::size_t first_link) const;
+
   const ObservationLog* log_;
 };
 

@@ -1,5 +1,7 @@
 #include "core/knowledge.hpp"
 
+#include <functional>
+
 namespace dcpl::core {
 
 const char* kind_symbol(AtomKind kind) {
@@ -14,6 +16,13 @@ const char* kind_symbol(AtomKind kind) {
       return "⊙";  // ⊙
   }
   return "?";
+}
+
+std::size_t AtomHash::operator()(const Atom& atom) const noexcept {
+  const std::hash<std::string> h;
+  std::size_t seed = h(atom.label);
+  seed ^= h(atom.facet) + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2);
+  return seed ^ static_cast<std::size_t>(atom.kind);
 }
 
 Atom sensitive_identity(std::string label, std::string facet) {

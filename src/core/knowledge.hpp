@@ -12,6 +12,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -29,11 +30,16 @@ const char* kind_symbol(AtomKind kind);
 
 /// One concrete piece of knowledge.
 struct Atom {
-  AtomKind kind;
+  AtomKind kind{};
   std::string label;  // e.g. "user:alice", "query:example.com"
   std::string facet;  // optional subdivision, e.g. "human"/"network" in PGPP
 
   auto operator<=>(const Atom&) const = default;
+};
+
+/// Hash over all three fields, for interning atoms (core::SymbolTable).
+struct AtomHash {
+  std::size_t operator()(const Atom& atom) const noexcept;
 };
 
 /// Convenience constructors matching the paper's four symbols.

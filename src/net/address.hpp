@@ -15,10 +15,9 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+
+#include "common/interner.hpp"
 
 namespace dcpl::net {
 
@@ -46,28 +45,7 @@ constexpr AddressId link_src(std::uint64_t key) {
   return static_cast<AddressId>(key >> 32);
 }
 
-/// Bidirectional string ⇄ dense-id map. Ids are stable and contiguous from
-/// 0; `name()` views are stable for the interner's lifetime (the strings
-/// live in node-based map storage).
-class AddressInterner {
- public:
-  /// Id for `name`, interning it on first use.
-  AddressId intern(const Address& name);
-
-  /// Id for `name` if already interned; does not intern (safe on const
-  /// query paths like has_link).
-  std::optional<AddressId> lookup(const Address& name) const;
-
-  /// The address interned as `id`. Throws std::out_of_range for ids this
-  /// interner never issued.
-  const Address& name(AddressId id) const;
-
-  /// Number of interned addresses (== the smallest id not yet issued).
-  std::size_t size() const { return names_.size(); }
-
- private:
-  std::unordered_map<Address, AddressId> ids_;
-  std::vector<const Address*> names_;  // id -> key in ids_ (node-stable)
-};
+/// Bidirectional address ⇄ dense-id map (common/interner.hpp).
+using AddressInterner = Interner<Address>;
 
 }  // namespace dcpl::net

@@ -31,10 +31,9 @@ namespace {
 /// exception-safe, since systems may throw out of on_packet.
 class FlowDeliveryScope {
  public:
-  FlowDeliveryScope(obs::FlowLedger* flow, std::uint64_t context,
-                    const std::string& protocol)
+  FlowDeliveryScope(obs::FlowLedger* flow, const std::string& protocol)
       : flow_(flow) {
-    if (flow_) flow_->begin_delivery(context, protocol);
+    if (flow_) flow_->begin_delivery(protocol);
   }
   ~FlowDeliveryScope() {
     if (flow_) flow_->end_delivery();
@@ -714,7 +713,7 @@ void Simulator::deliver(Shard& sh, const EngineEvent& ev) {
   sh.delivered_bytes += sh.scratch.payload.size();
   // On a worker the delivery scope is staged on the shard's ledger lane, so
   // exposures the handler records land inside it when the batch commits.
-  FlowDeliveryScope flow_scope(flow_, ev.context, proto.name);
+  FlowDeliveryScope flow_scope(flow_, proto.name);
   if (record_trace_ || link_byte_accounting_ || !wiretaps_.empty()) {
     const DeliveryRecord rec{sh.now, ev.link_key, sh.scratch.payload.size(),
                              ev.context, ev.protocol};

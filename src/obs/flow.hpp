@@ -18,30 +18,42 @@
 // — only the user may hold ▲∧● — on every single event, flagging the exact
 // event at which a party (e.g. the VPN locus mid-breach) trips it.
 //
+// The ledger is id-native. It interns parties, atoms and protocol tags into
+// its own tables, and the ring holds 64-byte POD FlowRecords of those ids;
+// the ring grows on demand, up to its capacity. Per-party tuples and
+// compromise ids are vectors indexed by party id; the dedup filter (keyed
+// by packed (party, atom) ids) and the causal frontier (keyed by context)
+// are flat hash tables. An Observation names the SymbolTable its ids come
+// from, so the ledger maps each source table into its own through vectors
+// it fills the first time it sees an id. Strings come back only on export:
+// events(), find(), chain_of(), tuples() and the JSONL.
+//
 // Feeding the ledger:
 //   * core::ObservationLog::set_sink(&ledger) streams every observe/link/
 //     mark_compromised from all eight systems with no per-system wiring;
 //   * net::Simulator::set_flow(&ledger) supplies the virtual clock, stamps
-//     each event with the delivering packet's protocol and message context,
-//     and records breach implants fired by the fault plan;
+//     each event with the delivering packet's protocol, and records breach
+//     implants fired by the fault plan;
 //   * record_exposure()/record_link()/record_compromise() allow direct
 //     emission (synthetic scale workloads, tests).
 //
 // Idempotent resends (retry_run) re-observe the same (party, atom): the
 // ledger dedups those, so exposure counts stay meaningful under loss and
-// the causal frontier is not advanced by a resend. Single-threaded, like
-// everything else in the simulator.
+// the causal frontier is not advanced by a resend. The ledger's state,
+// its name tables included, changes only on the thread that commits: the
+// serial path, or the sharded coordinator while the workers are parked.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/flat_map.hpp"
+#include "common/interner.hpp"
 #include "common/time_lanes.hpp"
 #include "core/analysis.hpp"
 #include "core/observation.hpp"
@@ -60,21 +72,38 @@ enum class FlowEventKind : std::uint8_t { kExposure, kLink, kCompromise };
 const char* flow_cause_name(FlowCause cause);
 const char* flow_event_kind_name(FlowEventKind kind);
 
-/// One provenance record. `id`s are 1-based and strictly increasing;
-/// `parent_id == 0` means a causal root (no recorded predecessor).
+/// One provenance record, as exported with its names. `id`s are 1-based
+/// and strictly increasing; `parent_id == 0` means a causal root (no
+/// recorded predecessor).
 struct FlowEvent {
   std::uint64_t id = 0;
   std::uint64_t virtual_time = 0;  // us, from the attached clock (0 if none)
   FlowEventKind kind = FlowEventKind::kExposure;
   FlowCause cause = FlowCause::kProtocolStep;
   core::Party party;
-  core::Atom atom;              // kExposure only
+  core::Atom atom;              // kExposure only; core::Atom{} otherwise
   std::uint64_t context = 0;    // message id (exposure) / upstream ctx a (link)
   std::uint64_t context_b = 0;  // kLink only: the downstream context b
   std::uint32_t hop_index = 0;  // forwarding depth of `context` (0 = origin)
   std::uint64_t parent_id = 0;
   std::string protocol;  // delivering packet's protocol tag, if inside one
   core::KnowledgeTuple tuple_after;  // party's accumulated tuple after this
+};
+
+/// The ring's record: a FlowEvent with the ledger's ids in place of names.
+struct FlowRecord {
+  std::uint64_t id = 0;  // 0 marks an empty ring slot
+  std::uint64_t virtual_time = 0;
+  std::uint64_t context = 0;
+  std::uint64_t context_b = 0;
+  std::uint64_t parent_id = 0;
+  core::PartyId party = 0;
+  core::AtomId atom = 0;      // kExposure only
+  std::uint32_t hop_index = 0;
+  std::uint32_t protocol = 0;  // 0 = no protocol tag
+  FlowEventKind kind = FlowEventKind::kExposure;
+  FlowCause cause = FlowCause::kProtocolStep;
+  core::KnowledgeTuple tuple_after;
 };
 
 /// Folds an exported event slice back into per-party knowledge tuples —
@@ -94,7 +123,8 @@ class FlowLedger final : public core::ObservationSink {
 
   // --- feeding -----------------------------------------------------------
 
-  // core::ObservationSink: attach with log.set_sink(&ledger).
+  // core::ObservationSink: attach with log.set_sink(&ledger). The ids in
+  // `o` and `l` are resolved against the table the record names.
   void on_observe(const core::Observation& o) override;
   void on_link(const core::ContextLink& l) override;
   void on_compromise(const core::Party& party) override;
@@ -104,9 +134,10 @@ class FlowLedger final : public core::ObservationSink {
                        std::uint64_t context);
   void record_link(const core::Party& party, std::uint64_t a, std::uint64_t b);
   /// First compromise per party wins; repeats are no-ops. A compromise
-  /// resets the party's dedup set, so post-implant repeats of already-seen
-  /// atoms re-enter the event stream (they are new knowledge in the
-  /// attacker's frame — the counterpart of core's live_breach).
+  /// removes the party's entries from the dedup filter, so post-implant
+  /// repeats of already-seen atoms re-enter the event stream (they are new
+  /// knowledge in the attacker's frame — the counterpart of core's
+  /// live_breach).
   void record_compromise(const core::Party& party,
                          FlowCause cause = FlowCause::kBreachImplant);
 
@@ -117,7 +148,7 @@ class FlowLedger final : public core::ObservationSink {
 
   /// Delivery scope: between begin/end, events are stamped with `protocol`.
   /// Installed around Node::on_packet by the simulator.
-  void begin_delivery(std::uint64_t context, std::string_view protocol);
+  void begin_delivery(std::string_view protocol);
   void end_delivery();
 
   /// At most one monitor; it sees every accepted event, even while
@@ -167,7 +198,10 @@ class FlowLedger final : public core::ObservationSink {
   /// Caps the dedup filter and the causal-frontier index (both grow with
   /// distinct (party, atom) pairs / distinct contexts). When a table
   /// exceeds the limit it is cleared: chains truncate and a repeat may be
-  /// recorded once more, but memory stays bounded on 10M-event runs.
+  /// recorded once more, but memory stays bounded on 10M-event runs. When
+  /// the dedup filter clears, the atom table is rebuilt from the ring's
+  /// resident events, so a stream of unique atoms keeps it within the limit
+  /// plus the resident events.
   void set_retention_limit(std::size_t limit) { retention_limit_ = limit; }
 
   // --- accessors ---------------------------------------------------------
@@ -183,9 +217,9 @@ class FlowLedger final : public core::ObservationSink {
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }
 
-  /// Resident event by id; nullptr if never assigned, wrapped away, or
+  /// Resident event by id; nullopt if never assigned, wrapped away, or
   /// accepted while recording was off.
-  const FlowEvent* find(std::uint64_t id) const;
+  std::optional<FlowEvent> find(std::uint64_t id) const;
 
   /// Resident events, oldest first.
   std::vector<FlowEvent> events() const;
@@ -195,15 +229,14 @@ class FlowLedger final : public core::ObservationSink {
   std::vector<FlowEvent> chain_of(std::uint64_t id) const;
 
   /// Exact per-party tuples folded incrementally from every exposure ever
-  /// accepted (immune to ring wrap and recording toggles).
-  const std::map<core::Party, core::KnowledgeTuple>& tuples() const {
-    return tuples_;
-  }
+  /// accepted (immune to ring wrap and recording toggles), by party name.
+  std::map<core::Party, core::KnowledgeTuple> tuples() const;
 
   /// Event id of the party's compromise, if one was recorded.
   std::optional<std::uint64_t> compromise_event(const core::Party& party) const;
 
-  void clear();
+  /// Atoms the ledger's table holds (bounded under the retention limit).
+  std::size_t interned_atoms() const { return atoms_.size(); }
 
   // --- export ------------------------------------------------------------
 
@@ -214,12 +247,16 @@ class FlowLedger final : public core::ObservationSink {
                         std::string_view run_label = "") const;
 
  private:
+  friend class DecouplingMonitor;
+
   struct Frontier {
     std::uint64_t last_event_id = 0;
     std::uint32_t depth = 0;
   };
 
-  /// One buffered mutating call captured while staging.
+  /// One buffered mutating call captured while staging. Records from a log
+  /// carry its table and ids, which are mapped only at commit; direct
+  /// calls carry their names.
   struct StagedOp {
     enum class Kind : std::uint8_t {
       kExposure,
@@ -230,20 +267,47 @@ class FlowLedger final : public core::ObservationSink {
     };
     Kind kind = Kind::kExposure;
     std::uint64_t time = 0;  // clock_() at capture
-    core::Party party;
-    core::Atom atom{};            // kExposure
-    std::uint64_t context = 0;    // exposure ctx / link a / delivery ctx
+    const core::SymbolTable* table = nullptr;  // null: names below
+    core::PartyId party = 0;
+    core::AtomId atom = 0;
+    core::Party name;  // party, or kBeginDelivery's protocol
+    core::Atom atom_value;
+    std::uint64_t context = 0;    // exposure ctx / link a
     std::uint64_t context_b = 0;  // kLink
     FlowCause cause = FlowCause::kProtocolStep;  // kCompromise
-    std::string protocol;                        // kBeginDelivery
   };
 
-  FlowEvent& append(FlowEvent ev);  // assigns id, stores if recording
-  void notify(const FlowEvent& ev);
+  /// How one source table's ids map to the ledger's (kUnmapped: not yet).
+  struct SourceMap {
+    const core::SymbolTable* table = nullptr;
+    std::uint64_t serial = 0;
+    std::vector<core::PartyId> parties;
+    std::vector<core::AtomId> atoms;
+  };
+  static constexpr std::uint32_t kUnmapped = ~std::uint32_t{0};
+
+  SourceMap& source(const core::SymbolTable& table);
+  core::PartyId map_party(SourceMap& src, core::PartyId id);
+  core::AtomId map_atom(SourceMap& src, core::AtomId id);
+  core::PartyId party_id(const core::Party& party);
+
+  void expose(core::PartyId party, core::AtomId atom, std::uint64_t context);
+  void link(core::PartyId party, std::uint64_t a, std::uint64_t b);
+  void compromise(core::PartyId party, FlowCause cause);
+
+  const FlowRecord& append(FlowRecord ev);  // assigns id, stores if recording
+  void notify(const FlowRecord& ev);
+  const FlowRecord* find_record(std::uint64_t id) const;
+  FlowEvent resolve(const FlowRecord& r) const;
+  std::vector<const FlowRecord*> resident_records() const;
+  /// Re-interns only the atoms resident events name, and forgets every
+  /// source's atom mapping.
+  void rebuild_atoms();
+
   /// Captures a staged op on the calling thread's lane. Returns false when
   /// not staging (caller proceeds down the immediate path).
   bool stage(StagedOp op);
-  void replay_op(const StagedOp& op);
+  void replay_op(StagedOp& op);
 
   Frontier& frontier_entry(std::uint64_t context);
 
@@ -251,7 +315,8 @@ class FlowLedger final : public core::ObservationSink {
   // Slot i only ever holds events with id ≡ i+1 (mod capacity_); id 0 marks
   // an empty slot. Residency is checked by comparing the slot's id, which
   // stays correct even when recording toggles make resident ids sparse.
-  std::vector<FlowEvent> ring_;
+  // The vector grows to capacity_ as ids reach new slots.
+  std::vector<FlowRecord> ring_;
   std::uint64_t next_id_ = 1;
   std::uint64_t resident_ = 0;  // slots currently holding an event
   std::uint64_t evicted_ = 0;   // events overwritten by wraparound
@@ -261,19 +326,25 @@ class FlowLedger final : public core::ObservationSink {
 
   std::function<std::uint64_t()> clock_;
   bool in_delivery_ = false;
-  std::uint64_t delivery_context_ = 0;
-  std::string delivery_protocol_;
+  std::uint32_t delivery_protocol_ = 0;
 
-  std::map<core::Party, std::set<core::Atom>> seen_;  // dedup filter
-  std::size_t seen_count_ = 0;
-  std::map<std::uint64_t, Frontier> frontier_;  // per-context causal head
+  // The ledger's names. Protocol id 0 is the empty tag.
+  Interner<core::Party> parties_;
+  Interner<core::Atom, core::AtomHash> atoms_;
+  Interner<std::string> protocols_;
+  std::vector<SourceMap> sources_;
+  std::size_t last_source_ = 0;
+
+  FlatMap64<char> seen_;  // dedup filter: (party << 32 | atom)
+  FlatMap64<Frontier> frontier_;  // per-context causal head
   std::size_t retention_limit_ = 1u << 22;
 
-  std::map<core::Party, core::KnowledgeTuple> tuples_;
-  std::map<core::Party, std::uint64_t> compromise_events_;
+  // By party id.
+  std::vector<core::KnowledgeTuple> tuples_;
+  std::vector<std::uint64_t> compromise_events_;  // 0 = none
 
   DecouplingMonitor* monitor_ = nullptr;
-  FlowEvent scratch_;  // returned by append() when not recording
+  FlowRecord scratch_;  // returned by append() when not recording
 
   // Staged-capture state. During replay, time_override_ points at the op's
   // captured timestamp so append() stamps capture time, not commit time.
@@ -320,22 +391,26 @@ class DecouplingMonitor {
 
   Mode mode() const { return mode_; }
   const std::vector<Violation>& violations() const { return violations_; }
-  bool tripped(const core::Party& party) const {
-    return violated_.count(party) > 0;
-  }
+  bool tripped(const core::Party& party) const;
   /// Exposures the monitor counted (post-filter view of the stream).
   std::uint64_t counted_exposures() const { return counted_exposures_; }
 
-  void clear();
-
  private:
   friend class FlowLedger;
-  void on_event(const FlowLedger& ledger, const FlowEvent& ev);
+  void on_event(const FlowLedger& ledger, const FlowRecord& ev);
+
+  /// Per ledger party id. `exempt` is resolved against the sorted exempt
+  /// names the first time the party shows up.
+  struct PartyState {
+    enum class Exempt : std::uint8_t { kUnresolved, kYes, kNo };
+    Exempt exempt = Exempt::kUnresolved;
+    bool violated = false;  // fire at most once per party
+    core::KnowledgeTuple counted;
+  };
 
   Mode mode_;
-  std::set<core::Party> exempt_;
-  std::map<core::Party, core::KnowledgeTuple> counted_;
-  std::set<core::Party> violated_;  // fire at most once per party
+  std::vector<core::Party> exempt_;  // sorted, unique
+  std::vector<PartyState> parties_;
   std::vector<Violation> violations_;
   std::uint64_t counted_exposures_ = 0;
 };

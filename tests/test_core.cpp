@@ -236,9 +236,6 @@ TEST(ObservationLog, PartyAccessors) {
   EXPECT_EQ(log.for_party("a").size(), 2u);
   EXPECT_EQ(log.atoms_of("a").size(), 2u);
   EXPECT_EQ(log.size(), 3u);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
-  EXPECT_TRUE(log.parties().empty());
 }
 
 TEST(AddressBook, MapsAddressesToAtoms) {

@@ -1,12 +1,14 @@
 // Tests for the knowledge-flow provenance ledger (obs::FlowLedger) and the
 // online decoupling-invariant monitor (obs::DecouplingMonitor): causal
-// chains across linked contexts, ring-buffer wraparound, idempotent dedup
-// under duplicated deliveries, both monitor modes (stored logs vs. live
-// implant), monitoring with the flight recorder switched off, and
-// event-by-event fold equality against the end-state DecouplingAnalysis on
-// a real system run.
+// chains across linked contexts, ring-buffer wraparound, the retention cap
+// on the dedup filter, frontier and atom table, link and compromise events
+// carrying no atom, several logs feeding one ledger, idempotent dedup under
+// duplicated deliveries, both monitor modes (stored logs vs. live implant),
+// monitoring with the flight recorder switched off, and event-by-event fold
+// equality against the end-state DecouplingAnalysis on a real system run.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,8 +70,8 @@ TEST(FlowLedger, RingWraparoundKeepsNewestAndTruncatesChains) {
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events.front().id, 7u);
   EXPECT_EQ(events.back().id, 10u);
-  EXPECT_EQ(ledger.find(6), nullptr);   // wrapped away
-  ASSERT_NE(ledger.find(7), nullptr);
+  EXPECT_FALSE(ledger.find(6));  // wrapped away
+  ASSERT_TRUE(ledger.find(7));
 
   // The chain from the newest event stops at the oldest resident ancestor
   // instead of dereferencing overwritten slots.
@@ -79,6 +81,139 @@ TEST(FlowLedger, RingWraparoundKeepsNewestAndTruncatesChains) {
 
   // The incremental fold is immune to the wrap: all ten atoms are in.
   EXPECT_TRUE(ledger.tuples().at("p").benign_data);
+}
+
+// ---- retention cap --------------------------------------------------------
+
+// With a small cap, the dedup filter and the causal frontier clear once they
+// pass it: a repeat re-enters the event stream once (then dedups again), and
+// a context whose frontier entry was dropped restarts its chain at a root.
+TEST(FlowLedger, RetentionLimitClearsDedupAndFrontier) {
+  FlowLedger ledger;
+  ledger.set_retention_limit(2);
+  ledger.record_exposure("p", core::benign_data("a"), 1);
+  ledger.record_exposure("p", core::benign_data("a"), 1);  // repeat
+  EXPECT_EQ(ledger.deduped(), 1u);
+  ledger.record_exposure("p", core::benign_data("b"), 1);
+  ledger.record_exposure("p", core::benign_data("c"), 1);  // 3 > 2: clears
+  ledger.record_exposure("p", core::benign_data("a"), 1);  // new again
+  ledger.record_exposure("p", core::benign_data("a"), 1);  // repeat
+  EXPECT_EQ(ledger.exposures(), 4u);
+  EXPECT_EQ(ledger.deduped(), 2u);
+  EXPECT_EQ(ledger.find(4)->parent_id, 3u);  // frontier {1} kept the chain
+
+  FlowLedger chains;
+  chains.set_retention_limit(2);
+  chains.record_exposure("q", core::benign_data("x1"), 1);
+  chains.record_exposure("q", core::benign_data("x2"), 1);
+  EXPECT_EQ(chains.find(2)->parent_id, 1u);
+  chains.record_exposure("q", core::benign_data("y"), 2);
+  chains.record_exposure("q", core::benign_data("z"), 3);   // frontier {1,2,3}
+  chains.record_exposure("q", core::benign_data("x3"), 1);  // 3 > 2: clears
+  EXPECT_EQ(chains.find(5)->parent_id, 0u);
+  EXPECT_EQ(chains.chain_of(5).size(), 1u);
+  chains.record_exposure("q", core::benign_data("x4"), 1);
+  EXPECT_EQ(chains.find(6)->parent_id, 5u);
+}
+
+// A compromise drops the party's dedup entries; they must leave the count
+// too, or the filter clears early and a repeat of another party's atom is
+// recorded twice.
+TEST(FlowLedger, CompromiseReleasesItsDedupEntriesFromTheLimit) {
+  FlowLedger ledger;
+  ledger.set_retention_limit(3);
+  ledger.record_exposure("vpn", core::benign_data("a"), 1);
+  ledger.record_exposure("vpn", core::benign_data("b"), 1);
+  ledger.record_compromise("vpn", FlowCause::kBreachImplant);
+  ledger.record_exposure("relay", core::benign_data("x"), 1);
+  ledger.record_exposure("relay", core::benign_data("y"), 1);
+  ledger.record_exposure("relay", core::benign_data("x"), 1);  // repeat
+  EXPECT_EQ(ledger.exposures(), 4u);
+  EXPECT_EQ(ledger.deduped(), 1u);
+  // The implant's reset still holds: vpn's pre-implant atoms are new again.
+  ledger.record_exposure("vpn", core::benign_data("a"), 2);
+  EXPECT_EQ(ledger.exposures(), 5u);
+}
+
+// The atom table is bounded too: each time the dedup filter clears, the
+// ledger re-interns only the atoms its resident events name. A stream of
+// unique labels (bench_scale --flow's "pkt:<ctx>") therefore keeps the
+// table within the limit plus the resident events, and resident events
+// still export their own labels.
+TEST(FlowLedger, UniqueAtomStreamKeepsTheAtomTableBounded) {
+  constexpr std::size_t kLimit = 16;
+  FlowLedger ledger(/*capacity=*/8);
+  ledger.set_retention_limit(kLimit);
+  for (int i = 0; i < 1000; ++i) {
+    ledger.record_exposure(
+        "sink", core::benign_data("pkt:" + std::to_string(i)), i);
+    ASSERT_LE(ledger.interned_atoms(), kLimit + ledger.size()) << i;
+  }
+  EXPECT_EQ(ledger.exposures(), 1000u);
+  const std::vector<FlowEvent> events = ledger.events();
+  ASSERT_EQ(events.size(), 8u);
+  for (const FlowEvent& ev : events) {
+    EXPECT_EQ(ev.atom.label, "pkt:" + std::to_string(ev.id - 1));
+  }
+  std::string jsonl;
+  ledger.write_jsonl(jsonl);
+  EXPECT_NE(jsonl.find("\"label\":\"pkt:999\""), std::string::npos);
+  EXPECT_NE(jsonl.find("\"label\":\"pkt:992\""), std::string::npos);
+}
+
+// ---- link and compromise events carry no atom ------------------------------
+
+TEST(FlowLedger, LinkAndCompromiseEventsCarryTheEmptyAtom) {
+  FlowLedger ledger;
+  ledger.record_exposure("relay", core::sensitive_identity("u:a", "network"),
+                         1);
+  ledger.record_link("relay", 1, 2);
+  ledger.record_compromise("relay", FlowCause::kBreachImplant);
+  ledger.record_exposure("origin", core::sensitive_data("url:/x"), 2);
+
+  std::size_t atomless = 0;
+  for (const FlowEvent& ev : ledger.events()) {
+    if (ev.kind == FlowEventKind::kExposure) continue;
+    EXPECT_EQ(ev.atom, core::Atom{}) << ev.id;
+    ++atomless;
+  }
+  EXPECT_EQ(atomless, 2u);
+  const std::vector<FlowEvent> chain = ledger.chain_of(4);  // origin <- link
+  ASSERT_EQ(chain.size(), 3u);
+  EXPECT_EQ(chain[1].kind, FlowEventKind::kLink);
+  EXPECT_EQ(chain[1].atom, core::Atom{});
+  EXPECT_EQ(ledger.find(3)->atom, core::Atom{});
+}
+
+// ---- several logs, one ledger ---------------------------------------------
+
+// Each log numbers parties and atoms in its own first-use order; the ledger
+// maps every log's ids into its own table, so the same name is one party
+// (and one dedup entry) whichever log reported it.
+TEST(FlowLedger, MapsEachLogsIdsIntoItsOwnTable) {
+  core::ObservationLog first, second;
+  FlowLedger ledger;
+  first.set_sink(&ledger);
+  second.set_sink(&ledger);
+
+  first.observe("relay", core::benign_data("blob"), 1);
+  first.observe("gateway", core::sensitive_data("url:/x"), 2);
+  second.observe("gateway", core::sensitive_data("url:/x"), 2);  // repeat
+  second.observe("relay", core::sensitive_identity("u:a", "network"), 1);
+  second.link("relay", 1, 2);
+
+  EXPECT_EQ(ledger.exposures(), 3u);
+  EXPECT_EQ(ledger.deduped(), 1u);
+  const auto tuples = ledger.tuples();
+  ASSERT_EQ(tuples.size(), 2u);
+  EXPECT_EQ(tuples.at("relay").to_string(), "(▲, ⊙)");
+  EXPECT_EQ(tuples.at("gateway").to_string(), "(-, ●)");
+  const std::vector<FlowEvent> events = ledger.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[2].party, "relay");
+  EXPECT_EQ(events[2].atom.label, "u:a");
+  EXPECT_EQ(events[2].atom.facet, "network");
+  EXPECT_EQ(events[3].kind, FlowEventKind::kLink);
 }
 
 // ---- dedup under duplicated deliveries ------------------------------------
@@ -198,8 +333,8 @@ TEST(DecouplingMonitorTest, ImplantModeCountsOnlyPostCompromiseExposures) {
   EXPECT_NE(v.implant_event_id, 0u);
   ASSERT_GE(v.chain.size(), 2u);
   EXPECT_EQ(v.chain.back(), v.implant_event_id);
-  const FlowEvent* implant = ledger.find(v.chain.back());
-  ASSERT_NE(implant, nullptr);
+  const std::optional<FlowEvent> implant = ledger.find(v.chain.back());
+  ASSERT_TRUE(implant);
   EXPECT_EQ(implant->kind, FlowEventKind::kCompromise);
   EXPECT_EQ(implant->cause, FlowCause::kBreachImplant);
 }
@@ -276,7 +411,7 @@ TEST(FlowLedger, FoldMatchesEndStateAnalysisOnVpnRun) {
 
   // Event-by-event fold == end-state analysis, for every party.
   core::DecouplingAnalysis a(log);
-  const auto& folded = ledger.tuples();
+  const auto folded = ledger.tuples();
   for (const auto& party : a.parties()) {
     auto it = folded.find(party);
     ASSERT_NE(it, folded.end()) << party;
@@ -289,8 +424,9 @@ TEST(FlowLedger, FoldMatchesEndStateAnalysisOnVpnRun) {
   // stamped with simulator virtual time and the delivery's protocol tag.
   ASSERT_EQ(monitor.violations().size(), 1u);
   EXPECT_EQ(monitor.violations()[0].party, "vpn.example");
-  const FlowEvent* trip = ledger.find(monitor.violations()[0].event_id);
-  ASSERT_NE(trip, nullptr);
+  const std::optional<FlowEvent> trip =
+      ledger.find(monitor.violations()[0].event_id);
+  ASSERT_TRUE(trip);
   EXPECT_GT(trip->virtual_time, 0u);
   EXPECT_EQ(trip->protocol, "vpn");
 }

@@ -7,7 +7,9 @@
 // fetches started on every worker at once drive the retry layer's counters
 // from four threads. An e-cash estate adds the one real system that sends
 // from an address no node owns: each buyer spends from its declared
-// pseudonym on its own worker.
+// pseudonym on its own worker. The OHTTP estate's logs all feed one
+// FlowLedger, so the ledger's stage-then-commit path and its per-source id
+// maps run under real traffic too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +22,7 @@
 #include "core/knowledge.hpp"
 #include "core/observation.hpp"
 #include "net/sim.hpp"
+#include "obs/flow.hpp"
 #include "obs/metrics.hpp"
 #include "systems/ecash/ecash.hpp"
 #include "systems/ohttp/ohttp.hpp"
@@ -31,10 +34,15 @@ constexpr int kClients = 12;
 constexpr int kRounds = 3;
 
 /// One OHTTP estate where every party keeps its own ObservationLog, so
-/// nodes can spread across shards without sharing a log.
+/// nodes can spread across shards without sharing a log. Every log also
+/// feeds one FlowLedger with a monitor exempting the clients: on a worker
+/// the ledger stages each record with its log's ids and maps them into its
+/// own table only when the coordinator commits.
 struct Estate {
   net::Simulator sim;
   core::AddressBook book;
+  obs::FlowLedger ledger;
+  obs::DecouplingMonitor monitor;
   std::vector<std::unique_ptr<core::ObservationLog>> logs;
 
   std::unique_ptr<ohttp::OriginServer> origin;
@@ -44,10 +52,13 @@ struct Estate {
 
   core::ObservationLog& fresh_log() {
     logs.push_back(std::make_unique<core::ObservationLog>());
+    logs.back()->set_sink(&ledger);
     return *logs.back();
   }
 
   explicit Estate(int n_clients = kClients) {
+    ledger.attach_monitor(&monitor);
+    sim.set_flow(&ledger);
     book.set("web.example", core::benign_identity("addr:web.example"));
     book.set("gw.example", core::benign_identity("addr:gw.example"));
     book.set("relay.example", core::benign_identity("addr:relay.example"));
@@ -76,6 +87,7 @@ struct Estate {
           addr, label, "relay.example", gateway->key().public_key,
           fresh_log(), 100 + i));
       sim.add_node(*clients.back());
+      monitor.exempt(addr);
     }
   }
 
@@ -105,6 +117,10 @@ TEST(SystemSharded, OhttpStackSpreadAcrossShardsMatchesSerial) {
   serial.run_workload();
   ASSERT_EQ(serial.origin->requests_served(),
             static_cast<std::size_t>(kClients * kRounds));
+  ASSERT_GT(serial.ledger.exposures(), 0u);
+  ASSERT_GT(serial.ledger.links(), 0u);
+  ASSERT_GT(serial.ledger.deduped(), 0u);
+  ASSERT_TRUE(serial.monitor.violations().empty());
 
   for (std::uint32_t shards : {2u, 4u}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
@@ -128,6 +144,14 @@ TEST(SystemSharded, OhttpStackSpreadAcrossShardsMatchesSerial) {
     std::uint64_t cross = 0;
     for (std::uint64_t c : stats.cross_sends) cross += c;
     EXPECT_GT(cross, 0u) << "workload never crossed a shard boundary";
+
+    // The ledger the per-node logs fed from the workers folds to the
+    // serial run's knowledge, counts and verdict.
+    EXPECT_EQ(sharded.ledger.tuples(), serial.ledger.tuples());
+    EXPECT_EQ(sharded.ledger.exposures(), serial.ledger.exposures());
+    EXPECT_EQ(sharded.ledger.links(), serial.ledger.links());
+    EXPECT_EQ(sharded.ledger.deduped(), serial.ledger.deduped());
+    EXPECT_TRUE(sharded.monitor.violations().empty());
   }
 }
 
@@ -319,7 +343,7 @@ struct CashEstate {
   std::vector<std::pair<core::Party, core::Atom>> seller_seen() const {
     std::vector<std::pair<core::Party, core::Atom>> seen;
     for (const core::Observation& o : seller_log->observations()) {
-      seen.emplace_back(o.party, o.atom);
+      seen.emplace_back(o.table->party(o.party), o.table->atom(o.atom));
     }
     std::sort(seen.begin(), seen.end());
     return seen;
